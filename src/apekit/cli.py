@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .chrf import chrf
 from .corpus import Corpus, CorpusFormatError, corpus_stats, read_corpus, write_corpus
 from .filtering import FilterConfig, run_filter_pipeline
 from .segments import ChangeLog, PartCountError, postprocess_with_report, preprocess
-from .ter import ter_corpus, ter_sentence
+from .ter import EmptyReferenceError, ter_corpus, ter_sentence
 from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig
 
 WMT_APE_EN_DE_SIZE = 13_441  # reference marker for data-size curves
@@ -107,6 +108,19 @@ def _read_corpus_checked(path, format: str) -> Corpus:
 
 def _tokenizer_from_args(args) -> TokenizerConfig:
     return TokenizerConfig(scheme=args.tokenizer, lowercase=args.lowercase)
+
+
+@contextmanager
+def _naming_empty_reference(path, refs):
+    """Name the file and line of the empty reference TER rejected.
+
+    TER scores lines in file order and stops at the first empty one, so
+    that is the first line with the rejected text.
+    """
+    try:
+        yield
+    except EmptyReferenceError as exc:
+        raise DataError(f"{path}: line {refs.index(exc.ref) + 1}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- filter
@@ -293,7 +307,8 @@ def cmd_evaluate(args) -> int:
 
     inputs = [args.hyp, args.ref]
     payload = {"manifest": None}
-    payload.update(_metric_report(hyps, refs, bleu_tok, ter_tok, args.per_sentence))
+    with _naming_empty_reference(args.ref, refs):
+        payload.update(_metric_report(hyps, refs, bleu_tok, ter_tok, args.per_sentence))
 
     if args.hyp_b:
         hyps_b = _read_lines(args.hyp_b)
@@ -323,9 +338,10 @@ def cmd_significance(args) -> int:
     refs = _read_lines(args.ref)
     seed = args.seed if args.seed is not None else 0
     try:
-        result = bootstrap_significance(
-            hyps_a, hyps_b, refs, n_samples=args.n_samples, seed=seed, statistic=args.statistic
-        )
+        with _naming_empty_reference(args.ref, refs):
+            result = bootstrap_significance(
+                hyps_a, hyps_b, refs, n_samples=args.n_samples, seed=seed, statistic=args.statistic
+            )
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     payload = {
@@ -468,7 +484,8 @@ def cmd_buckets(args) -> int:
     ape = _read_lines(args.ape)
     refs = _read_lines(args.ref)
     try:
-        analysis = ter_buckets(baseline, ape, refs)
+        with _naming_empty_reference(args.ref, refs):
+            analysis = ter_buckets(baseline, ape, refs)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     payload = {

@@ -199,7 +199,9 @@ def write_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:
     """Write a corpus to JSONL or TSV.
 
     TSV carries only the three text columns (no ids, no meta) and refuses
-    texts containing tabs or newlines rather than corrupt the framing.
+    texts containing tabs, carriage returns or newlines rather than
+    corrupt the framing (read_corpus splits lines on a bare carriage
+    return too).
     JSONL round-trips every field bit-exactly.
     """
     if format not in ("jsonl", "tsv"):
@@ -215,9 +217,9 @@ def write_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:
             else:
                 for name in TEXT_FIELDS:
                     text = t.text(name)
-                    if "\t" in text or "\n" in text:
+                    if "\t" in text or "\r" in text or "\n" in text:
                         raise ValueError(
-                            f"triplet {t.id!r}: field {name!r} contains a tab or newline, "
-                            "which TSV cannot encode; use jsonl"
+                            f"triplet {t.id!r}: field {name!r} contains a tab, carriage return "
+                            "or newline, which TSV cannot encode; use jsonl"
                         )
                 handle.write(f"{t.src}\t{t.mt}\t{t.pe}\n")

@@ -341,6 +341,21 @@ class TestBucketsCommand:
         ]
 
 
+@pytest.mark.parametrize("command", ["evaluate", "significance", "buckets"])
+def test_empty_reference_names_file_and_line(tmp_path, capsys, command):
+    hyp = write_lines(tmp_path / "hyp.txt", ["a b c", "d e", "f g h"])
+    ref = write_lines(tmp_path / "ref.txt", ["a b c", "   ", "f g h"])
+    out = str(tmp_path / "r.json")
+    argv = {
+        "evaluate": ["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--out", out],
+        "significance": ["significance", "--hyp-a", str(hyp), "--hyp-b", str(hyp), "--ref", str(ref),
+                         "--statistic", "ter", "--n-samples", "10", "--out", out],
+        "buckets": ["buckets", "--baseline", str(hyp), "--ape", str(hyp), "--ref", str(ref), "--out", out],
+    }[command]
+    assert main(argv) == 2
+    assert f"{ref}: line 2: TER needs a non-empty reference" in capsys.readouterr().err
+
+
 class TestStatsCommand:
     def test_stats_report(self, tmp_path):
         path, _ = make_corpus_file(tmp_path, [("a b", "c", "d e f")])

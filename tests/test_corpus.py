@@ -158,3 +158,25 @@ def test_corpus_preserves_order():
     rows = [(f"s{i}", f"m{i}", f"p{i}") for i in range(25)]
     corpus = make_corpus(rows)
     assert [t.src for t in corpus] == [f"s{i}" for i in range(25)]
+
+
+class TestTsvLineBreaks:
+    def test_carriage_return_rejected_for_tsv(self, tmp_path):
+        corpus = make_corpus([("a\rb", "m", "p")])
+        with pytest.raises(ValueError, match="field 'src' contains a tab, carriage return or newline"):
+            write_corpus(corpus, tmp_path / "out.tsv", format="tsv")
+
+    line_text = st.text(alphabet="ab \r\x85\u2028", min_size=1, max_size=6)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(line_text, line_text, line_text), min_size=1, max_size=5))
+    def test_every_written_tsv_reads_back(self, tmp_path_factory, rows):
+        # Whatever the TSV writer accepts, the reader must return unchanged.
+        corpus = make_corpus(rows)
+        path = tmp_path_factory.mktemp("rt") / "c.tsv"
+        try:
+            write_corpus(corpus, path, format="tsv")
+        except ValueError:
+            assert any("\r" in text for row in rows for text in row)
+            return
+        assert read_corpus(path, format="tsv") == corpus
