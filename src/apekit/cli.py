@@ -37,6 +37,7 @@ from .bootstrap import DEFAULT_SAMPLES, bootstrap_significance
 from .chrf import chrf
 from .corpus import Corpus, CorpusFormatError, corpus_stats, read_corpus, write_corpus
 from .filtering import FilterConfig, run_filter_pipeline
+from .langid import NgramLanguageClassifier
 from .segments import ChangeLog, PartCountError, postprocess_with_report, preprocess
 from .ter import EmptyReferenceError, ter_corpus, ter_sentence
 from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig
@@ -95,8 +96,19 @@ def _write_report(path, payload: dict) -> None:
 
 
 def _read_lines(path) -> list:
-    with open(_require_file(path), encoding="utf-8") as handle:
-        return [line.rstrip("\n") for line in handle]
+    """Read a line file whose lines end in LF or CRLF; any other CR is
+    rejected, not taken as a line break."""
+    lines = []
+    with open(_require_file(path), encoding="utf-8", newline="\n") as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line[:-2] if line.endswith("\r\n") else line.rstrip("\n")
+            if "\r" in line:
+                raise DataError(
+                    f"{path}: line {number}: carriage return inside a line "
+                    "(line files end lines with \\n or \\r\\n only)"
+                )
+            lines.append(line)
+    return lines
 
 
 def _read_corpus_checked(path, format: str) -> Corpus:
@@ -140,10 +152,18 @@ def cmd_filter(args) -> int:
         config = FilterConfig()
     if args.seed is not None:
         config = FilterConfig.from_dict({**config.to_dict(), "seed": args.seed})
+    classifier = NgramLanguageClassifier.default()
+    for key in ("expected_src_lang", "expected_tgt_lang"):
+        lang = getattr(config, key)
+        if lang not in classifier.languages:
+            raise ConfigError(
+                f"filter config {key} = {lang!r}: the built-in language classifier "
+                f"knows only {', '.join(classifier.languages)}"
+            )
 
     corpus = _read_corpus_checked(args.input, args.format)
     try:
-        train, dev, test, report = run_filter_pipeline(corpus, config)
+        train, dev, test, report = run_filter_pipeline(corpus, config, classifier)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 

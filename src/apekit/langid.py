@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Dict, Iterable, Mapping, Protocol
 
 
@@ -57,13 +59,21 @@ _NGRAM_ORDER = 3
 
 
 def _char_ngrams(text: str, order: int) -> Counter:
+    """Counts of the character 1- to ``order``-grams of the padded text.
+
+    Grams are counted by order, then by position, so the counter's
+    insertion order (which fixes the order scores are summed in) is that
+    of a plain loop over orders and positions.
+    """
     # Pad with spaces so word boundaries contribute n-grams too.
     padded = f" {' '.join(text.lower().split())} "
-    counts = Counter()
-    for n in range(1, order + 1):
-        for i in range(len(padded) - n + 1):
-            counts[padded[i : i + n]] += 1
-    return counts
+    if order < 1:
+        return Counter()
+    by_order = [padded]
+    for n in range(2, order + 1):
+        # each n-gram is the (n-1)-gram at the same position plus the next character
+        by_order.append(list(map(add, by_order[-1], padded[n - 1 :])))
+    return Counter(chain.from_iterable(by_order))
 
 
 class NgramLanguageClassifier:
@@ -71,12 +81,15 @@ class NgramLanguageClassifier:
 
     Scores a text by the summed log-probability of its character n-grams
     under each language profile (add-one smoothed) and returns the argmax.
+    ``languages`` holds the profile codes in sorted order, which is also
+    the order that breaks ties.
     """
 
     def __init__(self, profiles: Mapping[str, Counter], order: int = _NGRAM_ORDER):
         if not profiles:
             raise ValueError("at least one language profile is required")
         self.order = order
+        self.languages = tuple(sorted(profiles))
         self._log_probs: Dict[str, Dict[str, float]] = {}
         self._fallback: Dict[str, float] = {}
         for lang, counts in profiles.items():
@@ -95,20 +108,25 @@ class NgramLanguageClassifier:
     def default(cls) -> "NgramLanguageClassifier":
         return cls.from_samples({"en": _ENGLISH_SEED, "de": _GERMAN_SEED})
 
-    def classify(self, text: str) -> str:
+    def scores(self, text: str) -> Dict[str, float]:
+        """Summed log-probability of the text's n-grams per language.
+
+        Each score adds count times log-probability over the n-grams in
+        the counter's insertion order.
+        """
         if not text.strip():
             raise ValueError("cannot classify empty text")
         grams = _char_ngrams(text, self.order)
-        best_lang = None
-        best_score = -math.inf
-        for lang in sorted(self._log_probs):
-            table = self._log_probs[lang]
-            fallback = self._fallback[lang]
-            score = sum(n * table.get(gram, fallback) for gram, n in grams.items())
-            if score > best_score:
-                best_lang = lang
-                best_score = score
-        return best_lang
+        scores = {}
+        for lang in self.languages:
+            log_probs = map(self._log_probs[lang].get, grams, repeat(self._fallback[lang]))
+            scores[lang] = sum(map(mul, grams.values(), log_probs))
+        return scores
+
+    def classify(self, text: str) -> str:
+        scores = self.scores(text)
+        # the first language in sorted order wins a tie
+        return max(self.languages, key=scores.__getitem__)
 
 
 class TabFileClassifier:

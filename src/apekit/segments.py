@@ -15,6 +15,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .corpus import TEXT_FIELDS, Triplet
@@ -138,6 +139,12 @@ def contains_artifacts(text: str, music_chars: str = MUSIC_CHARS) -> bool:
     return text.startswith("-")
 
 
+@lru_cache(maxsize=16)
+def _markup_start_re(music_chars: str) -> re.Pattern:
+    """Matches the characters where markup can start: "<" and the music symbols."""
+    return re.compile(f"[{re.escape('<' + music_chars)}]")
+
+
 def strip_markup(text: str, music_chars: str = MUSIC_CHARS) -> Tuple[str, List[ChangeRecord]]:
     """Remove tags, music symbols, and one leading hyphen, recording each.
 
@@ -147,8 +154,11 @@ def strip_markup(text: str, music_chars: str = MUSIC_CHARS) -> Tuple[str, List[C
     character is still accounted for. A "<" that never closes is not
     markup and stays put.
     """
+    stop_re = _markup_start_re(music_chars)
+    if not text.startswith("-") and stop_re.search(text) is None:
+        return text, []
     clean: List[str] = []
-    records: List[ChangeRecord] = []
+    removals: List[Tuple[str, int, str]] = []  # (kind, offset, payload)
     i = 0
     n = len(text)
     hyphen_allowed = True
@@ -164,14 +174,14 @@ def strip_markup(text: str, music_chars: str = MUSIC_CHARS) -> Tuple[str, List[C
             # keeping the following space would double or lead it
             payload = payload + " "
             end_i += 1
-        records.append(ChangeRecord(kind=kind, offset=offset, payload=payload))
+        removals.append((kind, offset, payload))
         return end_i
 
     while i < n:
         ch = text[i]
         if hyphen_allowed and not clean and ch == "-":
             payload = LEADING_HYPHEN_RE.match(text, i).group()
-            records.append(ChangeRecord(kind="removed_leading_hyphen", offset=0, payload=payload))
+            removals.append(("removed_leading_hyphen", 0, payload))
             i += len(payload)
             hyphen_allowed = False
             continue
@@ -182,17 +192,23 @@ def strip_markup(text: str, music_chars: str = MUSIC_CHARS) -> Tuple[str, List[C
         if ch in music_chars:
             i = remove("removed_music", ch, i + 1)
             continue
-        clean.append(ch)
-        i += 1
+        # ch is kept, so no leading hyphen can follow, and nothing before the
+        # next "<" or music symbol is markup: keep that whole run.
+        stop = stop_re.search(text, i + 1)
+        end = stop.start() if stop else n
+        clean.extend(text[i:end])
+        i = end
 
     clean_text = "".join(clean)
     final_len = len(clean_text)
     records = [
-        replace(
-            r,
-            anchor="start" if r.offset == 0 else ("end" if r.offset == final_len else "interior"),
+        ChangeRecord(
+            kind=kind,
+            offset=offset,
+            payload=payload,
+            anchor="start" if offset == 0 else ("end" if offset == final_len else "interior"),
         )
-        for r in records
+        for kind, offset, payload in removals
     ]
     return clean_text, records
 
@@ -232,41 +248,6 @@ def _replace_br(text: str) -> Tuple[str, List[ChangeRecord]]:
         last = m.end()
     chunks.append(text[last:])
     return "".join(chunks), records
-
-
-def split_multiline(triplet: Triplet) -> List[Triplet]:
-    """Split one triplet at ``<br>`` into aligned parts.
-
-    Splitting happens only when src, mt, and pe contain the same number
-    of ``<br>`` tags (at least one); otherwise the tags are flattened to
-    single spaces and the triplet stays whole.
-    """
-    counts = {f: _br_count(triplet.text(f)) for f in TEXT_FIELDS}
-    if len(set(counts.values())) == 1 and counts["src"] >= 1:
-        per_field = {f: _split_at_br(triplet.text(f))[0] for f in TEXT_FIELDS}
-        out = []
-        for k in range(counts["src"] + 1):
-            out.append(
-                replace(
-                    triplet,
-                    id=f"{triplet.id}#p{k}",
-                    src=per_field["src"][k],
-                    mt=per_field["mt"][k],
-                    pe=per_field["pe"][k],
-                    meta={**dict(triplet.meta or {}), "part_index": str(k), "parent_id": triplet.id},
-                )
-            )
-        return out
-    if any(counts.values()):
-        return [
-            replace(
-                triplet,
-                src=_replace_br(triplet.src)[0],
-                mt=_replace_br(triplet.mt)[0],
-                pe=_replace_br(triplet.pe)[0],
-            )
-        ]
-    return [triplet]
 
 
 def preprocess(triplet: Triplet, music_chars: str = MUSIC_CHARS) -> Tuple[List[CleanTriplet], ChangeLog]:

@@ -71,6 +71,18 @@ class TestFilterCommand:
         code = main(["filter", "--in", str(path), "--out-dir", str(tmp_path / "o"), "--config", str(config)])
         assert code == 1
 
+    @pytest.mark.parametrize("key", ["expected_src_lang", "expected_tgt_lang"])
+    def test_language_unknown_to_the_classifier_is_config_error(self, tmp_path, capsys, key):
+        path, _ = make_corpus_file(tmp_path, synthetic_rows(30))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dev_size": 1, "test_size": 1, key: "fr"}), encoding="utf-8")
+        out_dir = tmp_path / "o"
+        code = main(["filter", "--in", str(path), "--out-dir", str(out_dir), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{key} = 'fr'" in err and "de, en" in err
+        assert not out_dir.exists()
+
 
 class TestPrePostProcess:
     def rows_with_markup(self):
@@ -354,6 +366,51 @@ def test_empty_reference_names_file_and_line(tmp_path, capsys, command):
     }[command]
     assert main(argv) == 2
     assert f"{ref}: line 2: TER needs a non-empty reference" in capsys.readouterr().err
+
+
+def _line_file_argv(command, tmp_path, path):
+    """argv for a command whose line-file input is ``path``; the other
+    inputs are clean three-line files."""
+    clean = write_lines(tmp_path / "clean.txt", ["a b c", "d e f", "g h i"])
+    out = str(tmp_path / "r.json")
+    return {
+        "evaluate": ["evaluate", "--hyp", str(path), "--ref", str(clean), "--out", out],
+        "significance": ["significance", "--hyp-a", str(clean), "--hyp-b", str(path), "--ref", str(clean),
+                         "--n-samples", "10", "--out", out],
+        "buckets": ["buckets", "--baseline", str(clean), "--ape", str(clean), "--ref", str(path), "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "significance", "buckets"])
+def test_bare_carriage_return_names_file_and_line(tmp_path, capsys, command):
+    path = tmp_path / "cr.txt"
+    path.write_bytes(b"a b c\nd e\rf\ng h i\n")
+    assert main(_line_file_argv(command, tmp_path, path)) == 2
+    assert f"{path}: line 2: carriage return inside a line" in capsys.readouterr().err
+
+
+def test_crlf_line_endings_read_like_lf(tmp_path):
+    lf = write_lines(tmp_path / "lf.txt", ["a b c", "d e f x", "g h"])
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    reports = []
+    for path in (lf, crlf):
+        assert main(_line_file_argv("evaluate", tmp_path, path)) == 0
+        report = load_json(tmp_path / "r.json")
+        del report["manifest"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_postprocess_rejects_bare_carriage_return(tmp_path, capsys):
+    path, _ = make_corpus_file(tmp_path, [("a", "b", "c"), ("d", "e", "f"), ("g", "h", "i")])
+    assert main(["preprocess", "--in", str(path), "--out-dir", str(tmp_path / "pre")]) == 0
+    decoded = tmp_path / "decoded.txt"
+    decoded.write_bytes(b"b\re\nh\n")
+    argv = ["postprocess", "--outputs", str(decoded), "--changelog", str(tmp_path / "pre" / "changelog.jsonl"),
+            "--out", str(tmp_path / "restored.txt")]
+    assert main(argv) == 2
+    assert f"{decoded}: line 1: carriage return inside a line" in capsys.readouterr().err
 
 
 class TestStatsCommand:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +7,16 @@ from hypothesis import strategies as st
 
 from apekit.corpus import Triplet
 from apekit.segments import (
+    LEADING_HYPHEN_RE,
+    MUSIC_CHARS,
+    TAG_RE,
     ChangeLog,
+    ChangeRecord,
     PartCountError,
     contains_artifacts,
     postprocess,
     postprocess_with_report,
     preprocess,
-    split_multiline,
     strip_markup,
 )
 
@@ -21,28 +25,25 @@ def triplet(src, mt, pe, id="t1"):
     return Triplet(id=id, src=src, mt=mt, pe=pe)
 
 
-class TestSplitMultiline:
+class TestPreprocessSplit:
     def test_matched_br_counts_split(self):
-        parts = split_multiline(triplet("A<br>B", "C<br>D", "E<br>F"))
+        parts, _ = preprocess(triplet("A<br>B", "C<br>D", "E<br>F"))
         assert [(p.src, p.mt, p.pe) for p in parts] == [("A", "C", "E"), ("B", "D", "F")]
-        assert [p.meta["part_index"] for p in parts] == ["0", "1"]
-
-    def test_no_br_is_identity(self):
-        t = triplet("A", "B", "C")
-        assert split_multiline(t) == [t]
+        assert [p.part_index for p in parts] == [0, 1]
+        assert [p.id for p in parts] == ["t1#p0", "t1#p1"]
 
     def test_mismatched_counts_fall_back_to_space(self):
-        parts = split_multiline(triplet("A<br>B", "CD", "EF"))
-        assert len(parts) == 1
-        assert parts[0].src == "A B"
+        parts, log = preprocess(triplet("A<br>B", "CD", "EF"))
+        assert [(p.src, p.mt, p.pe) for p in parts] == [("A B", "CD", "EF")]
+        assert [p.id for p in parts] == ["t1#p0"]
+        assert dict(log.parts) == {"src": 1, "mt": 1, "pe": 1}
 
     def test_br_variants_recognized(self):
-        parts = split_multiline(triplet("A<BR>B", "C<br/>D", "E<br />F"))
-        assert len(parts) == 2
+        parts, _ = preprocess(triplet("A<BR>B", "C<br/>D", "E<br />F"))
+        assert [(p.src, p.mt, p.pe) for p in parts] == [("A", "C", "E"), ("B", "D", "F")]
 
     def test_non_markup_content_preserved_across_parts(self):
-        t = triplet("Hello<br>world", "Hallo<br>Welt", "Hallo<br>Welt!")
-        parts = split_multiline(t)
+        parts, _ = preprocess(triplet("Hello<br>world", "Hallo<br>Welt", "Hallo<br>Welt!"))
         assert "".join(p.src for p in parts) == "Helloworld"
 
 
@@ -80,6 +81,65 @@ class TestStripMarkup:
             clean, records = strip_markup(f"{ch} text")
             assert clean == "text"
             assert records[0].kind == "removed_music"
+
+
+def reference_strip_markup(text, music_chars=MUSIC_CHARS):
+    """The original character-at-a-time ``strip_markup``, kept as the reference."""
+    clean = []
+    records = []
+    i = 0
+    n = len(text)
+    hyphen_allowed = True
+
+    def remove(kind, payload, end_i):
+        offset = len(clean)
+        if clean and clean[-1] == " " and (end_i == n or text[end_i] == " "):
+            clean.pop()
+            offset -= 1
+            payload = " " + payload
+        elif (not clean or clean[-1] == " ") and end_i < n and text[end_i] == " ":
+            payload = payload + " "
+            end_i += 1
+        records.append(ChangeRecord(kind=kind, offset=offset, payload=payload))
+        return end_i
+
+    while i < n:
+        ch = text[i]
+        if hyphen_allowed and not clean and ch == "-":
+            payload = LEADING_HYPHEN_RE.match(text, i).group()
+            records.append(ChangeRecord(kind="removed_leading_hyphen", offset=0, payload=payload))
+            i += len(payload)
+            hyphen_allowed = False
+            continue
+        match = TAG_RE.match(text, i)
+        if match:
+            i = remove("removed_tag", match.group(), match.end())
+            continue
+        if ch in music_chars:
+            i = remove("removed_music", ch, i + 1)
+            continue
+        clean.append(ch)
+        i += 1
+
+    clean_text = "".join(clean)
+    final_len = len(clean_text)
+    records = [
+        replace(r, anchor="start" if r.offset == 0 else ("end" if r.offset == final_len else "interior"))
+        for r in records
+    ]
+    return clean_text, records
+
+
+MARKUP_PIECES = ["<i>", "</i>", "<br>", "<b x>", "<", ">", "-", "- ", " ", "  ", "♪", "♫", "a", "b", "Z"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.sampled_from(MARKUP_PIECES), max_size=16).map("".join),
+    st.sampled_from([MUSIC_CHARS, "", "♪", "-]^\\"]),
+)
+def test_strip_markup_matches_reference_loop(text, music_chars):
+    assert strip_markup(text, music_chars) == reference_strip_markup(text, music_chars)
 
 
 class TestPreprocess:
