@@ -148,16 +148,12 @@ def mock_scorer(size: int, replicate: int, sample: Corpus) -> float:
 
 
 def run_size_ablation(
-    corpus: Corpus,
-    spec: SampleSpec,
+    samples: Sequence[Tuple[int, int, Corpus]],
     scorer: Callable[[int, int, Corpus], float] = mock_scorer,
     metric: str = "metric",
 ) -> Tuple[List[Tuple[int, int, float]], List[CurvePoint]]:
-    """Draw every sample, score it, and aggregate the curve."""
-    results = [
-        (size, replicate, scorer(size, replicate, sample))
-        for size, replicate, sample in draw_samples(corpus, spec)
-    ]
+    """Score every sample from ``draw_samples`` and aggregate the curve."""
+    results = [(size, replicate, scorer(size, replicate, sample)) for size, replicate, sample in samples]
     return results, curve_report(results, metric=metric)
 
 

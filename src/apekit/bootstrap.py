@@ -15,11 +15,27 @@ import numpy as np
 
 from . import bleu as bleu_mod
 from .tokenizer import BLEU_TOKENIZER, TER_NORMALIZED_TOKENIZER, TokenizerConfig
-from .ter import ter_sentence
+from .ter import score_from_ter_stats, ter_sentence
 
 DEFAULT_SAMPLES = 1000
 
-STATISTICS = ("bleu", "ter", "sentence_bleu")
+# statistic -> (per-sentence rows of one system, score of the rows summed
+# over a sample of n sentences). Higher scores win, so TER is negated. The
+# scorers are looked up on their modules at call time, not captured here.
+STATISTICS = {
+    "bleu": (
+        lambda hyps, refs, tok: bleu_mod.corpus_stats_matrix(hyps, refs, tok),
+        lambda totals, n: bleu_mod.score_from_stats(totals).score,
+    ),
+    "ter": (
+        lambda hyps, refs, tok: [ter_sentence(h, r, tok)[0].stats for h, r in zip(hyps, refs)],
+        lambda totals, n: -score_from_ter_stats(totals),
+    ),
+    "sentence_bleu": (
+        lambda hyps, refs, tok: [bleu_mod.sentence_bleu(h, r, tok) for h, r in zip(hyps, refs)],
+        lambda total, n: total / n,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -44,27 +60,12 @@ class BootstrapResult:
         }
 
 
-def _bleu_sample_scores(hyps, refs, indices, tok):
-    stats = np.asarray(bleu_mod.corpus_stats_matrix(hyps, refs, tok), dtype=np.int64)
-    # One gather per sample keeps memory flat on large test sets.
-    return np.array(
-        [bleu_mod.score_from_stats(stats[row].sum(axis=0)).score for row in indices]
-    )
-
-
-def _ter_sample_scores(hyps, refs, indices, tok):
-    per_sentence = np.array(
-        [(s.total_edits, s.ref_len) for s, _ in (ter_sentence(h, r, tok) for h, r in zip(hyps, refs))],
-        dtype=np.int64,
-    )
-    sums = np.array([per_sentence[row].sum(axis=0) for row in indices])
-    # Lower TER is better; negate so "higher wins" holds for every statistic.
-    return -(sums[:, 0] / sums[:, 1])
-
-
-def _sentence_bleu_sample_scores(hyps, refs, indices, tok):
-    per_sentence = np.array([bleu_mod.sentence_bleu(h, r, tok) for h, r in zip(hyps, refs)])
-    return np.array([per_sentence[row].mean() for row in indices])
+def _sample_scores(rows, indices, score) -> np.ndarray:
+    rows = np.asarray(rows)
+    # One gather per sample keeps memory flat on large test sets. The sums
+    # reach the scorer as Python numbers, which it combines faster than
+    # numpy scalars.
+    return np.array([score(rows[sample].sum(axis=0).tolist(), len(sample)) for sample in indices])
 
 
 def bootstrap_significance(
@@ -90,7 +91,7 @@ def bootstrap_significance(
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}, expected one of {STATISTICS}")
+        raise ValueError(f"unknown statistic {statistic!r}, expected one of {tuple(STATISTICS)}")
     if tok is None:
         tok = TER_NORMALIZED_TOKENIZER if statistic == "ter" else BLEU_TOKENIZER
 
@@ -98,13 +99,9 @@ def bootstrap_significance(
     rng = np.random.default_rng(seed)
     indices = rng.integers(0, n, size=(n_samples, n))
 
-    scorer = {
-        "bleu": _bleu_sample_scores,
-        "ter": _ter_sample_scores,
-        "sentence_bleu": _sentence_bleu_sample_scores,
-    }[statistic]
-    scores_a = scorer(hyps_a, refs, indices, tok)
-    scores_b = scorer(hyps_b, refs, indices, tok)
+    rows, score = STATISTICS[statistic]
+    scores_a = _sample_scores(rows(hyps_a, refs, tok), indices, score)
+    scores_b = _sample_scores(rows(hyps_b, refs, tok), indices, score)
 
     wins_a = int(np.sum(scores_a > scores_b))
     wins_b = int(np.sum(scores_b > scores_a))

@@ -70,8 +70,8 @@ def chrf(hyps: Sequence[str], refs: Sequence[str], max_n: int = DEFAULT_MAX_N, b
         raise ValueError("max_n must be at least 1")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    totals = [0] * (3 * max_n)
-    for hyp, ref in zip(hyps, refs):
-        for i, value in enumerate(chrf_sentence_stats(hyp, ref, max_n)):
-            totals[i] += value
+    if len(hyps) == 0:
+        raise ValueError("corpus ChrF needs at least one sentence pair")
+    matrix = [chrf_sentence_stats(hyp, ref, max_n) for hyp, ref in zip(hyps, refs)]
+    totals = [sum(col) for col in zip(*matrix)]
     return score_from_chrf_stats(totals, max_n, beta)

@@ -28,12 +28,13 @@ from .agreement import (
 from .analysis import (
     SampleSpec,
     curve_report,
+    draw_samples,
     mock_scorer,
     run_size_ablation,
     ter_buckets,
 )
 from .bleu import bleu_corpus
-from .bootstrap import DEFAULT_SAMPLES, bootstrap_significance
+from .bootstrap import DEFAULT_SAMPLES, STATISTICS, bootstrap_significance
 from .chrf import chrf
 from .corpus import Corpus, CorpusFormatError, corpus_stats, read_corpus, write_corpus
 from .filtering import FilterConfig, run_filter_pipeline
@@ -339,7 +340,7 @@ def cmd_evaluate(args) -> int:
         inputs.append(args.hyp_b)
         payload["system_b"] = _metric_report(hyps_b, refs, bleu_tok, ter_tok)
         payload["bootstrap"] = bootstrap_significance(
-            hyps, hyps_b, refs, n_samples=args.n_samples, seed=seed
+            hyps, hyps_b, refs, n_samples=args.n_samples, seed=seed, tok=bleu_tok
         ).to_dict()
 
     payload["manifest"] = _manifest("evaluate", inputs, seed=seed)
@@ -463,16 +464,13 @@ def cmd_ablate(args) -> int:
     else:
         corpus = _read_corpus_checked(args.input, args.format)
         try:
-            samples = None
+            samples = draw_samples(corpus, spec)
             if args.emit_samples:
-                from .analysis import draw_samples
-
                 samples_dir = Path(args.emit_samples)
                 samples_dir.mkdir(parents=True, exist_ok=True)
-                samples = draw_samples(corpus, spec)
                 for size, replicate, sample in samples:
                     write_corpus(sample, samples_dir / f"sample_{size}_{replicate}.jsonl")
-            results, points = run_size_ablation(corpus, spec, scorer=mock_scorer, metric=args.metric)
+            results, points = run_size_ablation(samples, scorer=mock_scorer, metric=args.metric)
         except ValueError as exc:
             raise DataError(str(exc)) from exc
         inputs = [args.input]
@@ -545,25 +543,29 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="apekit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed for all randomness")
-    common.add_argument("--threads", type=int, default=1, help="parallelism cap (output-neutral)")
-    common.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl", help="corpus format")
-    common.add_argument("--config", default=None, help="JSON config file")
+    def flag(*names, **kwargs):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    seed = flag("--seed", type=int, default=None, help="seed for all randomness")
+    threads = flag("--threads", type=int, default=1, help="accepted for scripts; has no effect")
+    fmt = flag("--format", choices=["jsonl", "tsv"], default="jsonl", help="corpus format")
+    config = flag("--config", default=None, help="JSON filter config file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("filter", parents=[common], help="run the corpus filter pipeline")
+    p = sub.add_parser("filter", parents=[seed, threads, fmt, config], help="run the corpus filter pipeline")
     p.add_argument("--in", dest="input", required=True, help="input corpus")
     p.add_argument("--out-dir", required=True, help="directory for splits and report")
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("preprocess", parents=[common], help="split and strip subtitle markup")
+    p = sub.add_parser("preprocess", parents=[seed, threads, fmt], help="split and strip subtitle markup")
     p.add_argument("--in", dest="input", required=True, help="input corpus")
     p.add_argument("--out-dir", required=True, help="directory for cleaned corpus and changelog")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("postprocess", parents=[common], help="restore tracked changes")
+    p = sub.add_parser("postprocess", parents=[seed, threads], help="restore tracked changes")
     p.add_argument("--outputs", required=True, help="decoded text, one cleaned part per line")
     p.add_argument("--changelog", required=True, help="changelog from the matching preprocess run")
     p.add_argument("--out", required=True, help="restored text output path")
@@ -571,7 +573,7 @@ def build_parser() -> _Parser:
     p.add_argument("--orig", default=None, help="original corpus to digest-check against")
     p.set_defaults(func=cmd_postprocess)
 
-    p = sub.add_parser("evaluate", parents=[common], help="BLEU, ChrF, and TER report")
+    p = sub.add_parser("evaluate", parents=[seed, threads], help="BLEU, ChrF, and TER report")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--hyp-b", default=None, help="second system; adds a bootstrap block")
@@ -584,26 +586,26 @@ def build_parser() -> _Parser:
     p.add_argument("--n-samples", type=int, default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("significance", parents=[common], help="paired bootstrap test")
+    p = sub.add_parser("significance", parents=[seed, threads], help="paired bootstrap test")
     p.add_argument("--hyp-a", required=True)
     p.add_argument("--hyp-b", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--out", default="significance.json")
-    p.add_argument("--statistic", choices=["bleu", "ter", "sentence_bleu"], default="bleu")
+    p.add_argument("--statistic", choices=list(STATISTICS), default="bleu")
     p.add_argument("--n-samples", type=int, default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_significance)
 
-    p = sub.add_parser("agreement", parents=[common], help="pairwise kappa matrix")
+    p = sub.add_parser("agreement", help="pairwise kappa matrix")
     p.add_argument("--csv", required=True, help="annotator_id,item_id,system,score rows")
     p.add_argument("--out", default="agreement.json")
     p.set_defaults(func=cmd_agreement)
 
-    p = sub.add_parser("adequacy", parents=[common], help="adequacy summary table")
+    p = sub.add_parser("adequacy", help="adequacy summary table")
     p.add_argument("--csv", required=True, help="annotator_id,item_id,system,score rows")
     p.add_argument("--out", default="adequacy.json")
     p.set_defaults(func=cmd_adequacy)
 
-    p = sub.add_parser("ablate", parents=[common], help="data-size curve protocol")
+    p = sub.add_parser("ablate", parents=[seed, fmt], help="data-size curve protocol")
     p.add_argument("--in", dest="input", default=None, help="training corpus to sample")
     p.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     p.add_argument("--replicates", type=int, default=3)
@@ -615,7 +617,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("buckets", parents=[common], help="TER-bucket delta analysis")
+    p = sub.add_parser("buckets", parents=[seed, threads], help="TER-bucket delta analysis")
     p.add_argument("--baseline", required=True, help="do-nothing system output, one line per item")
     p.add_argument("--ape", required=True, help="post-edited system output, one line per item")
     p.add_argument("--ref", required=True)
@@ -623,7 +625,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_buckets)
 
-    p = sub.add_parser("stats", parents=[common], help="corpus statistics")
+    p = sub.add_parser("stats", parents=[fmt], help="corpus statistics")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default="stats.json")
     p.set_defaults(func=cmd_stats)

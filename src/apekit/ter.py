@@ -38,13 +38,22 @@ class EmptyReferenceError(ValueError):
         self.ref = ref
 
 
+def score_from_ter_stats(stats: Sequence[int]) -> float:
+    """TER of a statistics row, or of a sum of rows: total edits over the
+    reference length. This is the one place the score is defined."""
+    insertions, deletions, substitutions, shifts, ref_len = stats
+    return (insertions + deletions + substitutions + shifts) / ref_len
+
+
 @dataclass(frozen=True)
 class TerScore:
-    """Edit counts over a sentence or corpus plus the normalized score.
+    """Edit counts over a sentence or corpus; the score is derived from them.
 
-    Counting convention: a deletion is a reference token the hypothesis
-    dropped, an insertion is a spurious hypothesis token. An empty
-    hypothesis therefore scores ref_len deletions.
+    The fields, in order, are the per-sentence statistics row: corpus TER
+    over any multiset of sentences is the TerScore of the componentwise
+    sum of their rows. Counting convention: a deletion is a reference
+    token the hypothesis dropped, an insertion is a spurious hypothesis
+    token. An empty hypothesis therefore scores ref_len deletions.
     """
 
     insertions: int
@@ -52,11 +61,18 @@ class TerScore:
     substitutions: int
     shifts: int
     ref_len: int
-    score: float
 
     @property
     def total_edits(self) -> int:
         return self.insertions + self.deletions + self.substitutions + self.shifts
+
+    @property
+    def score(self) -> float:
+        return score_from_ter_stats(self.stats)
+
+    @property
+    def stats(self) -> Tuple[int, int, int, int, int]:
+        return (self.insertions, self.deletions, self.substitutions, self.shifts, self.ref_len)
 
     def to_dict(self) -> dict:
         return {
@@ -176,7 +192,7 @@ def _multiset_floor(hyp: Sequence[str], ref: Sequence[str]) -> int:
     return max(missing, extra)
 
 
-def _align(hyp: Sequence[str], ref: Sequence[str]) -> Tuple[List[EditOp], int]:
+def _align(hyp: Sequence[str], ref: Sequence[str]) -> List[EditOp]:
     """Full DP alignment with a deterministic backtrace.
 
     Tie order during backtrace: match, then substitution, then deletion
@@ -217,7 +233,7 @@ def _align(hyp: Sequence[str], ref: Sequence[str]) -> Tuple[List[EditOp], int]:
             ops.append(EditOp("ins", hyp_token=hyp[i - 1]))
             i -= 1
     ops.reverse()
-    return ops, rows[lh][lr]
+    return ops
 
 
 def _apply_shift(tokens: Sequence[str], start: int, end: int, destination: int) -> List[str]:
@@ -410,18 +426,9 @@ def ter_sentence(
             current_ed = best_ed
             shifts.append(ShiftOp(start, end, destination))
 
-    ops, remaining = _align(current, ref_tokens)
+    ops = _align(current, ref_tokens)
     counts = Counter(op.kind for op in ops)
-    ref_len = len(ref_tokens)
-    score = (len(shifts) + remaining) / ref_len
-    ter = TerScore(
-        insertions=counts["ins"],
-        deletions=counts["del"],
-        substitutions=counts["sub"],
-        shifts=len(shifts),
-        ref_len=ref_len,
-        score=score,
-    )
+    ter = TerScore(counts["ins"], counts["del"], counts["sub"], len(shifts), len(ref_tokens))
     return ter, EditScript(shifts=tuple(shifts), ops=tuple(ops))
 
 
@@ -437,16 +444,8 @@ def ter_corpus(
         raise ValueError(f"hypothesis/reference length mismatch: {len(hyps)} vs {len(refs)}")
     if len(hyps) == 0:
         raise ValueError("corpus TER needs at least one sentence pair")
-    ins = dels = subs = shifts = ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        score, _ = ter_sentence(hyp, ref, tok)
-        ins += score.insertions
-        dels += score.deletions
-        subs += score.substitutions
-        shifts += score.shifts
-        ref_len += score.ref_len
-    total = ins + dels + subs + shifts
-    return TerScore(ins, dels, subs, shifts, ref_len, total / ref_len)
+    rows = [ter_sentence(hyp, ref, tok)[0].stats for hyp, ref in zip(hyps, refs)]
+    return TerScore(*(sum(col) for col in zip(*rows)))
 
 
 def ter_oracle(

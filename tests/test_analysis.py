@@ -85,7 +85,7 @@ class TestCurveReport:
     def test_min_mean_max_ordering_from_ablation(self):
         corpus = corpus_of_size(3000)
         spec = SampleSpec(sizes=(62, 125, 250, 500, 1000, 1250), replicates=3, base_seed=9)
-        results, points = run_size_ablation(corpus, spec, scorer=mock_scorer)
+        results, points = run_size_ablation(draw_samples(corpus, spec), scorer=mock_scorer)
         assert len(results) == 18 and len(points) == 6
         for p in points:
             assert p.min <= p.mean <= p.max

@@ -1,8 +1,14 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apekit.bootstrap import bootstrap_significance
+from apekit import bleu as bleu_mod
+from apekit.bootstrap import STATISTICS, BootstrapResult, _sample_scores, bootstrap_significance
+from apekit.ter import ter_sentence
+from apekit.tokenizer import BLEU_TOKENIZER, TER_NORMALIZED_TOKENIZER
 
 
 def make_test_set(n=40, seed=2):
@@ -82,3 +88,80 @@ def test_length_mismatch_rejected():
 def test_bad_statistic_rejected():
     with pytest.raises(ValueError):
         bootstrap_significance(["a"], ["b"], ["r"], n_samples=10, seed=0, statistic="comet")
+
+
+# The three per-statistic sample scorers the single resampling path
+# replaced, kept verbatim as the reference the property below checks.
+def _old_bleu_sample_scores(hyps, refs, indices, tok):
+    stats = np.asarray(bleu_mod.corpus_stats_matrix(hyps, refs, tok), dtype=np.int64)
+    return np.array(
+        [bleu_mod.score_from_stats(stats[row].sum(axis=0)).score for row in indices]
+    )
+
+
+def _old_ter_sample_scores(hyps, refs, indices, tok):
+    per_sentence = np.array(
+        [(s.total_edits, s.ref_len) for s, _ in (ter_sentence(h, r, tok) for h, r in zip(hyps, refs))],
+        dtype=np.int64,
+    )
+    sums = np.array([per_sentence[row].sum(axis=0) for row in indices])
+    return -(sums[:, 0] / sums[:, 1])
+
+
+def _old_sentence_bleu_sample_scores(hyps, refs, indices, tok):
+    per_sentence = np.array([bleu_mod.sentence_bleu(h, r, tok) for h, r in zip(hyps, refs)])
+    return np.array([per_sentence[row].mean() for row in indices])
+
+
+OLD_SCORERS = {
+    "bleu": _old_bleu_sample_scores,
+    "ter": _old_ter_sample_scores,
+    "sentence_bleu": _old_sentence_bleu_sample_scores,
+}
+
+
+def _old_bootstrap(hyps_a, hyps_b, refs, n_samples, seed, statistic):
+    tok = TER_NORMALIZED_TOKENIZER if statistic == "ter" else BLEU_TOKENIZER
+    indices = np.random.default_rng(seed).integers(0, len(refs), size=(n_samples, len(refs)))
+    scorer = OLD_SCORERS[statistic]
+    scores_a = scorer(hyps_a, refs, indices, tok)
+    scores_b = scorer(hyps_b, refs, indices, tok)
+    wins_a = int(np.sum(scores_a > scores_b))
+    wins_b = int(np.sum(scores_b > scores_a))
+    return BootstrapResult(
+        n_samples=n_samples,
+        wins_a=wins_a,
+        wins_b=wins_b,
+        ties=n_samples - wins_a - wins_b,
+        p_value=1.0 - max(wins_a, wins_b) / n_samples,
+        seed=seed,
+        statistic=statistic,
+    )
+
+
+WORDS = st.sampled_from("a b c Der zug , . ! kommt".split())
+LINE = st.lists(WORDS, max_size=12).map(" ".join)  # may be empty: an empty hypothesis
+REF = st.lists(WORDS, min_size=1, max_size=12).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    triples=st.lists(st.tuples(LINE, LINE, REF), min_size=1, max_size=30),
+    statistic=st.sampled_from(sorted(STATISTICS)),
+    seed=st.integers(0, 2**32 - 1),
+    n_samples=st.integers(1, 60),
+)
+def test_single_resampling_path_matches_the_old_scorers(triples, statistic, seed, n_samples):
+    hyps_a, hyps_b, refs = (list(column) for column in zip(*triples))
+    new = bootstrap_significance(hyps_a, hyps_b, refs, n_samples=n_samples, seed=seed, statistic=statistic)
+    assert new == _old_bootstrap(hyps_a, hyps_b, refs, n_samples, seed, statistic)
+
+
+@pytest.mark.parametrize("statistic", sorted(STATISTICS))
+def test_sample_scores_match_the_old_scorers_bit_for_bit(statistic):
+    hyps_a, hyps_b, refs = make_test_set(n=150, seed=8)
+    rows, score = STATISTICS[statistic]
+    tok = TER_NORMALIZED_TOKENIZER if statistic == "ter" else BLEU_TOKENIZER
+    indices = np.random.default_rng(11).integers(0, len(refs), size=(300, len(refs)))
+    old = OLD_SCORERS[statistic](hyps_a, refs, indices, tok)
+    assert _sample_scores(rows(hyps_a, refs, tok), indices, score).tolist() == old.tolist()

@@ -25,6 +25,12 @@ def test_whitespace_excluded_from_ngrams():
     assert chrf(["a b"], ["ab"], max_n=2) == pytest.approx(100.0)
 
 
+def test_empty_corpus_rejected():
+    # No data is not a perfect score; BLEU and TER reject it the same way.
+    with pytest.raises(ValueError, match="at least one sentence pair"):
+        chrf([], [])
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         chrf(["a"], ["a", "b"])

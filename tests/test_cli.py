@@ -1,10 +1,19 @@
+import importlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from apekit.cli import main
+import apekit.analysis
+import apekit.cli
+from apekit.analysis import mock_scorer
+from apekit.bootstrap import bootstrap_significance
+from apekit.cli import build_parser, main
 from apekit.corpus import Corpus, Triplet, read_corpus, write_corpus
+from apekit.tokenizer import TokenizerConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def make_corpus_file(tmp_path, rows, name="corpus.jsonl"):
@@ -211,6 +220,38 @@ class TestEvaluateCommand:
         assert report["bootstrap"]["n_samples"] == 1000
         assert report["bootstrap"]["wins_a"] + report["bootstrap"]["wins_b"] + report["bootstrap"]["ties"] == 1000
 
+    def test_bootstrap_uses_the_report_tokenizer(self, tmp_path):
+        # One whitespace token per line: under the whitespace tokenizer no
+        # system matches anything, so every bootstrap sample is a tie,
+        # while punctuation splitting would let system A win them all.
+        refs = [f"w{i},x{i},y{i},z{i}." for i in range(12)]
+        ref = write_lines(tmp_path / "ref.txt", refs)
+        hyp = write_lines(tmp_path / "hyp.txt", [r[:-1] + "!" for r in refs])
+        hyp_b = write_lines(tmp_path / "hyp_b.txt", [r.replace(",", ";") for r in refs])
+        out = tmp_path / "r.json"
+        argv = ["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--hyp-b", str(hyp_b),
+                "--n-samples", "200", "--tokenizer", "whitespace", "--out", str(out)]
+        assert main(argv) == 0
+        report = load_json(out)
+        assert report["bleu"]["score"] == report["system_b"]["bleu"]["score"] == 0.0
+        assert report["bootstrap"]["ties"] == 200
+        assert report["bootstrap"]["p_value"] == 1.0
+
+    def test_bootstrap_uses_the_report_lowercasing(self, tmp_path):
+        refs = [f"the cat sat on the mat {i}" for i in range(12)]
+        hyps_a = [r.upper() for r in refs]
+        hyps_b = [r.replace("cat", "dog") for r in refs]
+        paths = [write_lines(tmp_path / f"{name}.txt", lines)
+                 for name, lines in (("ref", refs), ("a", hyps_a), ("b", hyps_b))]
+        out = tmp_path / "r.json"
+        argv = ["evaluate", "--ref", str(paths[0]), "--hyp", str(paths[1]), "--hyp-b", str(paths[2]),
+                "--n-samples", "200", "--seed", "4", "--lowercase", "--out", str(out)]
+        assert main(argv) == 0
+        lowercased = TokenizerConfig(scheme="punct_split", lowercase=True)
+        expected = bootstrap_significance(hyps_a, hyps_b, refs, n_samples=200, seed=4, tok=lowercased)
+        assert expected.wins_a == 200
+        assert load_json(out)["bootstrap"] == expected.to_dict()
+
 
 class TestSignificanceCommand:
     def test_identical_systems(self, tmp_path):
@@ -321,6 +362,42 @@ class TestAblateCommand:
     def test_requires_corpus_or_scores(self, tmp_path):
         assert main(["ablate", "--sizes", "10"]) == 1
 
+    def test_emit_samples_draws_each_sample_once(self, tmp_path, monkeypatch):
+        draws = []
+        original = apekit.analysis.draw_samples
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(apekit.analysis, "draw_samples", counting)
+        monkeypatch.setattr(apekit.cli, "draw_samples", counting, raising=False)
+        path, _ = make_corpus_file(tmp_path, synthetic_rows(100))
+        argv = ["ablate", "--in", str(path), "--sizes", "10,20", "--replicates", "2",
+                "--emit-samples", str(tmp_path / "samples"), "--out", str(tmp_path / "curve.json")]
+        assert main(argv) == 0
+        assert len(draws) == 1
+
+    def test_emitted_samples_are_the_scored_samples(self, tmp_path, monkeypatch):
+        scored = {}
+
+        def recording(size, replicate, sample):
+            scored[(size, replicate)] = [t.id for t in sample]
+            return mock_scorer(size, replicate, sample)
+
+        monkeypatch.setattr(apekit.cli, "mock_scorer", recording)
+        path, _ = make_corpus_file(tmp_path, synthetic_rows(100))
+        samples_dir = tmp_path / "samples"
+        argv = ["ablate", "--in", str(path), "--sizes", "10,20", "--replicates", "2", "--seed", "5",
+                "--emit-samples", str(samples_dir), "--out", str(tmp_path / "curve.json")]
+        assert main(argv) == 0
+        written = {
+            (size, replicate): [t.id for t in read_corpus(samples_dir / f"sample_{size}_{replicate}.jsonl")]
+            for size in (10, 20)
+            for replicate in (0, 1)
+        }
+        assert written == scored
+
 
 class TestBucketsCommand:
     def test_identical_outputs_zero_delta(self, tmp_path):
@@ -425,3 +502,45 @@ class TestStatsCommand:
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
+
+
+# Arguments each subcommand requires, so a parse fails only on the flag
+# under test; the named files need not exist.
+REQUIRED_ARGS = {
+    "filter": ["--in", "c.jsonl", "--out-dir", "o"],
+    "preprocess": ["--in", "c.jsonl", "--out-dir", "o"],
+    "postprocess": ["--outputs", "o.txt", "--changelog", "c.jsonl", "--out", "r.txt"],
+    "evaluate": ["--hyp", "h.txt", "--ref", "r.txt"],
+    "significance": ["--hyp-a", "a.txt", "--hyp-b", "b.txt", "--ref", "r.txt"],
+    "agreement": ["--csv", "a.csv"],
+    "adequacy": ["--csv", "a.csv"],
+    "ablate": ["--sizes", "10", "--scores", "s.csv"],
+    "buckets": ["--baseline", "b.txt", "--ape", "a.txt", "--ref", "r.txt"],
+    "stats": ["--in", "c.jsonl"],
+}
+FLAG_VALUES = {"--seed": "1", "--threads": "64", "--format": "tsv", "--config": "bogus.json"}
+UNREAD_FLAGS = (
+    [(command, "--config") for command in REQUIRED_ARGS if command != "filter"]
+    + [(command, "--format") for command in
+       ("postprocess", "evaluate", "significance", "agreement", "adequacy", "buckets")]
+    + [(command, "--seed") for command in ("agreement", "adequacy", "stats")]
+    + [(command, "--threads") for command in ("agreement", "adequacy", "stats", "ablate")]
+)
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *REQUIRED_ARGS[command], flag, FLAG_VALUES[flag]]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_every_benchmark_command_line_still_parses(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    parser = build_parser()
+    argvs = [command.argv for workload in workloads.WORKLOADS.values() for command in workload.commands(7)]
+    assert {argv[0] for argv in argvs} == {"filter", "preprocess", "postprocess", "evaluate",
+                                          "significance", "buckets"}
+    for argv in argvs:
+        parser.parse_args(argv)
