@@ -36,7 +36,7 @@ from .analysis import (
 from .bleu import bleu_corpus
 from .bootstrap import DEFAULT_SAMPLES, STATISTICS, bootstrap_significance
 from .chrf import chrf
-from .corpus import Corpus, CorpusFormatError, corpus_stats, read_corpus, write_corpus
+from .corpus import Corpus, CorpusFormatError, corpus_stats, read_corpus, read_lines, write_corpus
 from .filtering import FilterConfig, run_filter_pipeline
 from .langid import NgramLanguageClassifier
 from .segments import ChangeLog, PartCountError, postprocess_with_report, preprocess
@@ -97,19 +97,10 @@ def _write_report(path, payload: dict) -> None:
 
 
 def _read_lines(path) -> list:
-    """Read a line file whose lines end in LF or CRLF; any other CR is
-    rejected, not taken as a line break."""
-    lines = []
-    with open(_require_file(path), encoding="utf-8", newline="\n") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line[:-2] if line.endswith("\r\n") else line.rstrip("\n")
-            if "\r" in line:
-                raise DataError(
-                    f"{path}: line {number}: carriage return inside a line "
-                    "(line files end lines with \\n or \\r\\n only)"
-                )
-            lines.append(line)
-    return lines
+    try:
+        return list(read_lines(_require_file(path)))
+    except CorpusFormatError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _read_corpus_checked(path, format: str) -> Corpus:
@@ -195,9 +186,9 @@ def cmd_preprocess(args) -> int:
     total_parts = {"src": 0, "mt": 0, "pe": 0}
     for triplet in corpus:
         for name in ("src", "mt", "pe"):
-            if "\n" in triplet.text(name):
+            if "\n" in triplet.text(name) or "\r" in triplet.text(name):
                 raise DataError(
-                    f"triplet {triplet.id!r}: field {name!r} contains a newline; "
+                    f"triplet {triplet.id!r}: field {name!r} contains a newline or carriage return; "
                     "line-oriented decoding files cannot represent it"
                 )
         parts, log = preprocess(triplet)
@@ -441,26 +432,44 @@ def _parse_sizes(raw: str):
     return sizes
 
 
+def _read_scores(path, spec: SampleSpec) -> list:
+    """Read external size,replicate,value rows; each must be a distinct run
+    that the --sizes and --replicates of ``spec`` describe."""
+    rows = []
+    runs = set()
+    with open(_require_file(path), encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        for row in reader:
+            if not row or row[0].strip().lower() == "size":
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != 3:
+                raise DataError(f"{where}: expected size,replicate,value")
+            try:
+                size, replicate, value = int(row[0]), int(row[1]), float(row[2])
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from exc
+            if size not in spec.sizes:
+                raise DataError(f"{where}: size {size} is not in --sizes")
+            if not 0 <= replicate < spec.replicates:
+                raise DataError(f"{where}: replicate {replicate} is outside 0..{spec.replicates - 1}")
+            if (size, replicate) in runs:
+                raise DataError(f"{where}: size {size} replicate {replicate} repeats")
+            runs.add((size, replicate))
+            rows.append((size, replicate, value))
+    missing = sorted(set(spec.sizes) - {size for size, _ in runs})
+    if missing:
+        raise DataError(f"{path}: no rows for --sizes {','.join(map(str, missing))}")
+    return rows
+
+
 def cmd_ablate(args) -> int:
     sizes = _parse_sizes(args.sizes)
     spec = SampleSpec(sizes=sizes, replicates=args.replicates, base_seed=args.seed or 0)
 
     if args.scores:
-        rows = []
-        with open(_require_file(args.scores), encoding="utf-8", newline="") as handle:
-            for line_no, row in enumerate(csv.reader(handle), start=1):
-                if not row or row[0].strip().lower() == "size":
-                    continue
-                if len(row) != 3:
-                    raise DataError(f"{args.scores}: line {line_no}: expected size,replicate,value")
-                rows.append((int(row[0]), int(row[1]), float(row[2])))
-        results = rows
-        try:
-            points = curve_report(results, metric=args.metric)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
-        inputs = [args.scores]
-        n_samples = len(results)
+        results = _read_scores(args.scores, spec)
+        points = curve_report(results, metric=args.metric)
     else:
         corpus = _read_corpus_checked(args.input, args.format)
         try:
@@ -473,14 +482,12 @@ def cmd_ablate(args) -> int:
             results, points = run_size_ablation(samples, scorer=mock_scorer, metric=args.metric)
         except ValueError as exc:
             raise DataError(str(exc)) from exc
-        inputs = [args.input]
-        n_samples = len(results)
 
     payload = {
-        "manifest": _manifest("ablate", inputs, seed=spec.base_seed),
+        "manifest": _manifest("ablate", [args.scores or args.input], seed=spec.base_seed),
         "metric": args.metric,
         "replicates": args.replicates,
-        "n_samples": n_samples,
+        "n_samples": len(results),
         "baseline": args.baseline,
         "wmt_size_marker": WMT_APE_EN_DE_SIZE,
         "results": [{"size": s, "replicate": r, "value": v} for s, r, v in results],
@@ -493,7 +500,7 @@ def cmd_ablate(args) -> int:
             writer.writerow(["size", "mean", "min", "max"])
             for p in points:
                 writer.writerow([p.size, p.mean, p.min, p.max])
-    print(f"ablate: {n_samples} runs -> {len(points)} curve points")
+    print(f"ablate: {len(results)} runs -> {len(points)} curve points")
     return 0
 
 
@@ -543,6 +550,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="apekit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
 
+    def count(raw: str) -> int:  # argparse type; a non-integer is an "invalid count value"
+        value = int(raw)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        return value
+
     def flag(*names, **kwargs):
         parent = argparse.ArgumentParser(add_help=False)
         parent.add_argument(*names, **kwargs)
@@ -583,7 +596,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-ter-normalize", dest="ter_normalize", action="store_false",
                    help="score TER with the BLEU tokenizer instead of lowercased punct split")
     p.add_argument("--per-sentence", action="store_true", help="include per-sentence TER rows")
-    p.add_argument("--n-samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--n-samples", type=count, default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("significance", parents=[seed, threads], help="paired bootstrap test")
@@ -592,7 +605,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ref", required=True)
     p.add_argument("--out", default="significance.json")
     p.add_argument("--statistic", choices=list(STATISTICS), default="bleu")
-    p.add_argument("--n-samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--n-samples", type=count, default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_significance)
 
     p = sub.add_parser("agreement", help="pairwise kappa matrix")
@@ -608,7 +621,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate", parents=[seed, fmt], help="data-size curve protocol")
     p.add_argument("--in", dest="input", default=None, help="training corpus to sample")
     p.add_argument("--sizes", required=True, help="comma-separated sample sizes")
-    p.add_argument("--replicates", type=int, default=3)
+    p.add_argument("--replicates", type=count, default=3)
     p.add_argument("--metric", default="mock")
     p.add_argument("--scores", default=None, help="external size,replicate,value CSV to aggregate")
     p.add_argument("--emit-samples", default=None, help="directory to write sampled corpora")

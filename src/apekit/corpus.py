@@ -175,23 +175,39 @@ def _triplet_from_tsv_line(line: str, line_no: int) -> Triplet:
     return Triplet(id=_ordinal_id(line_no), src=columns[0], mt=columns[1], pe=columns[2])
 
 
+def read_lines(path) -> Iterator[str]:
+    """Yield the lines of a UTF-8 file without their endings, LF or CRLF.
+
+    Any other carriage return raises CorpusFormatError naming the line; it
+    is never a line break, so it cannot shift one file against another.
+    """
+    with open(path, encoding="utf-8", newline="\n") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line[:-2] if line.endswith("\r\n") else line.rstrip("\n")
+            if "\r" in line:
+                raise CorpusFormatError(
+                    f"line {line_no}: carriage return inside a line "
+                    "(line files end lines with \\n or \\r\\n only)"
+                )
+            yield line
+
+
 def read_corpus(path, format: str = "jsonl", src_lang: str = "en", tgt_lang: str = "de") -> Corpus:
     """Read a corpus from JSONL or TSV, preserving file order.
 
-    Ids are auto-assigned as zero-padded 1-based line ordinals when absent.
-    Malformed records raise CorpusFormatError naming the line; duplicate
-    explicit ids raise too (via the Corpus id-uniqueness check).
+    Lines are framed by read_lines. Ids are auto-assigned as zero-padded
+    1-based line ordinals when absent. Malformed records raise
+    CorpusFormatError naming the line; duplicate explicit ids raise too
+    (via the Corpus id-uniqueness check).
     """
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown corpus format {format!r}")
     parse = _triplet_from_json_line if format == "jsonl" else _triplet_from_tsv_line
     triplets = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if format == "jsonl" and not line.strip():
-                continue
-            triplets.append(parse(line, line_no))
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if format == "jsonl" and not line.strip():
+            continue
+        triplets.append(parse(line, line_no))
     return Corpus(tuple(triplets), src_lang=src_lang, tgt_lang=tgt_lang)
 
 
@@ -200,8 +216,8 @@ def write_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:
 
     TSV carries only the three text columns (no ids, no meta) and refuses
     texts containing tabs, carriage returns or newlines rather than
-    corrupt the framing (read_corpus splits lines on a bare carriage
-    return too).
+    corrupt the framing (read_corpus rejects a carriage return that does
+    not end a line).
     JSONL round-trips every field bit-exactly.
     """
     if format not in ("jsonl", "tsv"):

@@ -14,14 +14,15 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .corpus import TEXT_FIELDS, Triplet
 
 TAG_RE = re.compile(r"<[a-zA-Z/][^>]*>")
-BR_RE = re.compile(r"<br\s*/?>", re.IGNORECASE)
+# The group makes BR_RE.split keep each separator literal between the parts.
+BR_RE = re.compile(r"(<br\s*/?>)", re.IGNORECASE)
 MUSIC_CHARS = "♪♫♩♬"
 LEADING_HYPHEN_RE = re.compile(r"- ?")
 
@@ -131,10 +132,8 @@ class CleanTriplet:
 
 def contains_artifacts(text: str, music_chars: str = MUSIC_CHARS) -> bool:
     """Scanner for the cleanliness invariant: no tags, notes, leading
-    hyphen, or ``<br>`` may survive preprocessing."""
-    if TAG_RE.search(text) or BR_RE.search(text):
-        return True
-    if any(ch in text for ch in music_chars):
+    hyphen, or ``<br>`` (which is a tag too) may survive preprocessing."""
+    if TAG_RE.search(text) or any(ch in text for ch in music_chars):
         return True
     return text.startswith("-")
 
@@ -145,8 +144,11 @@ def _markup_start_re(music_chars: str) -> re.Pattern:
     return re.compile(f"[{re.escape('<' + music_chars)}]")
 
 
-def strip_markup(text: str, music_chars: str = MUSIC_CHARS) -> Tuple[str, List[ChangeRecord]]:
-    """Remove tags, music symbols, and one leading hyphen, recording each.
+def strip_markup(
+    text: str, music_chars: str = MUSIC_CHARS, *, field: str = "", part: int = 0
+) -> Tuple[str, List[ChangeRecord]]:
+    """Remove tags, music symbols, and one leading hyphen, recording each
+    as a change to ``field`` and ``part``.
 
     A removal absorbs one adjacent space into its payload whenever keeping
     the space would leave a doubled, leading, or trailing space, so the
@@ -204,6 +206,8 @@ def strip_markup(text: str, music_chars: str = MUSIC_CHARS) -> Tuple[str, List[C
     records = [
         ChangeRecord(
             kind=kind,
+            field=field,
+            part=part,
             offset=offset,
             payload=payload,
             anchor="start" if offset == 0 else ("end" if offset == final_len else "interior"),
@@ -213,68 +217,35 @@ def strip_markup(text: str, music_chars: str = MUSIC_CHARS) -> Tuple[str, List[C
     return clean_text, records
 
 
-def _br_count(text: str) -> int:
-    return len(BR_RE.findall(text))
-
-
-def _split_at_br(text: str) -> Tuple[List[str], List[str]]:
-    """Split into parts and the literal separators between them."""
-    parts: List[str] = []
-    literals: List[str] = []
-    last = 0
-    for m in BR_RE.finditer(text):
-        parts.append(text[last : m.start()])
-        literals.append(m.group())
-        last = m.end()
-    parts.append(text[last:])
-    return parts, literals
-
-
-def _replace_br(text: str) -> Tuple[str, List[ChangeRecord]]:
-    """Fallback when counts disagree: each ``<br>`` becomes one space."""
-    chunks: List[str] = []
-    records: List[ChangeRecord] = []
-    out_len = 0
-    last = 0
-    for m in BR_RE.finditer(text):
-        chunk = text[last : m.start()]
-        chunks.append(chunk)
-        out_len += len(chunk)
-        records.append(
-            ChangeRecord(kind="split_br", offset=out_len, payload=m.group(), replacement=" ")
-        )
-        chunks.append(" ")
-        out_len += 1
-        last = m.end()
-    chunks.append(text[last:])
-    return "".join(chunks), records
-
-
 def preprocess(triplet: Triplet, music_chars: str = MUSIC_CHARS) -> Tuple[List[CleanTriplet], ChangeLog]:
     """Split and strip one triplet, logging every change on every field."""
-    counts = {f: _br_count(triplet.text(f)) for f in TEXT_FIELDS}
-    do_split = len(set(counts.values())) == 1 and counts["src"] >= 1
+    # [part, separator, part, ..., part]: one <br> pass per field decides both
+    # whether to split and, when not, where the separators become spaces.
+    pieces = {f: BR_RE.split(triplet.text(f)) for f in TEXT_FIELDS}
+    br_counts = {len(p) // 2 for p in pieces.values()}
+    do_split = len(br_counts) == 1 and br_counts != {0}
 
     records: List[ChangeRecord] = []
     cleaned: Dict[str, List[str]] = {}
-    for f in TEXT_FIELDS:
-        text = triplet.text(f)
+    for f, field_pieces in pieces.items():
+        raw_parts, literals = field_pieces[::2], field_pieces[1::2]
         if do_split:
-            raw_parts, literals = _split_at_br(text)
-            for k, literal in enumerate(literals):
-                records.append(
-                    ChangeRecord(kind="split_br", field=f, part=k, payload=literal, anchor="boundary")
-                )
+            records.extend(
+                ChangeRecord(kind="split_br", field=f, part=k, payload=literal, anchor="boundary")
+                for k, literal in enumerate(literals)
+            )
         else:
-            replaced_text, br_records = _replace_br(text)
-            records.extend(replace(r, field=f) for r in br_records)
-            raw_parts = [replaced_text]
-        clean_parts = []
-        for k, raw in enumerate(raw_parts):
-            clean, part_records = strip_markup(raw, music_chars)
-            records.extend(replace(r, field=f, part=k) for r in part_records)
-            clean_parts.append(clean)
-        cleaned[f] = clean_parts
+            offset = 0
+            for raw, literal in zip(raw_parts, literals):
+                offset += len(raw)
+                records.append(
+                    ChangeRecord(kind="split_br", field=f, offset=offset, payload=literal, replacement=" ")
+                )
+                offset += 1
+            raw_parts = [" ".join(raw_parts)]
+        stripped = [strip_markup(raw, music_chars, field=f, part=k) for k, raw in enumerate(raw_parts)]
+        cleaned[f] = [clean for clean, _ in stripped]
+        records.extend(r for _, part_records in stripped for r in part_records)
 
     n_parts = len(cleaned["src"])
     clean_triplets = [

@@ -7,6 +7,7 @@ Lowercasing, when enabled, is applied last.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -29,33 +30,17 @@ BLEU_TOKENIZER = TokenizerConfig(scheme="punct_split", lowercase=False)
 TER_NORMALIZED_TOKENIZER = TokenizerConfig(scheme="punct_split", lowercase=True)
 
 
-def _is_punct(ch: str) -> bool:
-    return not ch.isalnum() and not ch.isspace()
-
-
-def _split_punct(word: str) -> List[str]:
-    tokens: List[str] = []
-    current: List[str] = []
-    for ch in word:
-        if _is_punct(ch):
-            if current:
-                tokens.append("".join(current))
-                current = []
-            tokens.append(ch)
-        else:
-            current.append(ch)
-    if current:
-        tokens.append("".join(current))
-    return tokens
+# A run of letters and digits (str.isalnum), or one character that is
+# neither alphanumeric nor whitespace (str.isspace): "_" is \w but punctuation.
+_PUNCT_SPLIT_RE = re.compile(r"[^\W_]+|[^\w\s]|_")
 
 
 def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> List[str]:
     """Split text into tokens according to the configured scheme."""
-    words = text.split()
     if config.scheme == "punct_split":
-        tokens = [t for w in words for t in _split_punct(w)]
+        tokens = _PUNCT_SPLIT_RE.findall(text)
     else:
-        tokens = words
+        tokens = text.split()
     if config.lowercase:
         tokens = [t.lower() for t in tokens]
     return tokens

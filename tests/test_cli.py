@@ -359,6 +359,34 @@ class TestAblateCommand:
         assert [p["size"] for p in report["points"]] == [10, 20]
         assert report["points"][0]["mean"] == pytest.approx(52.0)
 
+    @pytest.mark.parametrize("csv_text, extra, message", [
+        pytest.param("size,replicate,value\n10,0,50\n20,0,60\n", ["--sizes", "999"],
+                     "line 2: size 10 is not in --sizes", id="size-not-in-sizes"),
+        pytest.param("10,0,50\n", ["--sizes", "10,20"], "no rows for --sizes 20", id="size-missing"),
+        pytest.param("10,0,50\n10,3,51\n", ["--sizes", "10", "--replicates", "3"],
+                     "line 2: replicate 3 is outside 0..2", id="replicate-too-large"),
+        pytest.param("10,0,50\n10,-1,51\n", ["--sizes", "10"],
+                     "line 2: replicate -1 is outside 0..2", id="replicate-negative"),
+        pytest.param("size,replicate,value\n10,0,50\n10,1,51\n10,0,52\n", ["--sizes", "10"],
+                     "line 4: size 10 replicate 0 repeats", id="run-repeats"),
+        pytest.param("10,0,50\n10,1,high\n", ["--sizes", "10"],
+                     "line 2: could not convert string to float", id="bad-value"),
+        pytest.param("10,0,50\nten,1,51\n", ["--sizes", "10"],
+                     "line 2: invalid literal for int()", id="bad-size"),
+    ])
+    def test_external_scores_must_match_sizes_and_replicates(self, tmp_path, capsys, csv_text, extra, message):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(csv_text, encoding="utf-8")
+        assert main(["ablate", "--scores", str(scores), *extra, "--out", str(tmp_path / "c.json")]) == 2
+        assert f"{scores}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_replicates_below_one_is_a_usage_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("10,0,50\n", encoding="utf-8")
+        assert main(["ablate", "--scores", str(scores), "--sizes", "10", "--replicates", "0"]) == 1
+        assert "argument --replicates: must be at least 1" in capsys.readouterr().err
+
     def test_requires_corpus_or_scores(self, tmp_path):
         assert main(["ablate", "--sizes", "10"]) == 1
 
@@ -488,6 +516,31 @@ def test_postprocess_rejects_bare_carriage_return(tmp_path, capsys):
             "--out", str(tmp_path / "restored.txt")]
     assert main(argv) == 2
     assert f"{decoded}: line 1: carriage return inside a line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("break_char", ["\n", "\r"])
+def test_preprocess_rejects_line_break_in_a_field(tmp_path, capsys, break_char):
+    path, _ = make_corpus_file(tmp_path, [("a", "b", "c"), ("d", f"e{break_char}f", "g")])
+    assert main(["preprocess", "--in", str(path), "--out-dir", str(tmp_path / "pre")]) == 2
+    assert "triplet '000002': field 'mt' contains a newline or carriage return" in capsys.readouterr().err
+
+
+def test_corpus_reader_rejects_bare_carriage_return(tmp_path, capsys):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(b"a b\tc d\te f\rg h\ti j\tk l\n")
+    out = tmp_path / "stats.json"
+    assert main(["stats", "--in", str(path), "--format", "tsv", "--out", str(out)]) == 2
+    assert f"{path}: line 1: carriage return inside a line" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "significance"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_n_samples_below_one_is_a_usage_error(tmp_path, capsys, command, value):
+    argv = [*_line_file_argv(command, tmp_path, write_lines(tmp_path / "h.txt", ["a", "b", "c"])),
+            "--n-samples", value]
+    assert main(argv) == 1
+    assert "argument --n-samples: must be at least 1" in capsys.readouterr().err
 
 
 class TestStatsCommand:

@@ -11,6 +11,7 @@ from apekit.corpus import (
     Triplet,
     corpus_stats,
     read_corpus,
+    read_lines,
     write_corpus,
 )
 
@@ -165,6 +166,31 @@ class TestTsvLineBreaks:
         corpus = make_corpus([("a\rb", "m", "p")])
         with pytest.raises(ValueError, match="field 'src' contains a tab, carriage return or newline"):
             write_corpus(corpus, tmp_path / "out.tsv", format="tsv")
+
+    @pytest.mark.parametrize("format, content", [
+        ("tsv", b"a b\tc d\te f\rg h\ti j\tk l\n"),
+        ("jsonl", b'{"src": "a", "mt": "b", "pe": "c"}\r{"src": "d", "mt": "e", "pe": "f"}\n'),
+    ])
+    def test_bare_carriage_return_is_rejected_not_a_line_break(self, tmp_path, format, content):
+        path = tmp_path / f"c.{format}"
+        path.write_bytes(content)
+        with pytest.raises(CorpusFormatError, match="line 1: carriage return inside a line"):
+            read_corpus(path, format=format)
+
+    def test_crlf_line_endings_read_like_lf(self, tmp_path):
+        lf = tmp_path / "lf.tsv"
+        write_corpus(make_corpus([("a b", "c", "d"), ("e", "f g", "h")]), lf, format="tsv")
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_corpus(crlf, format="tsv") == read_corpus(lf, format="tsv")
+
+    def test_read_lines_frames_lf_and_crlf_only(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes("a\r\nb\u2028c\x85d\n\ne".encode("utf-8"))
+        assert list(read_lines(path)) == ["a", "b\u2028c\x85d", "", "e"]
+        path.write_bytes(b"a\nb\r")
+        with pytest.raises(CorpusFormatError, match="line 2: carriage return inside a line"):
+            list(read_lines(path))
 
     line_text = st.text(alphabet="ab \r\x85\u2028", min_size=1, max_size=6)
 
