@@ -8,11 +8,10 @@ without re-extracting n-grams.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .tokenizer import BLEU_TOKENIZER, TokenizerConfig, tokenize
+from .tokenizer import BLEU_TOKENIZER, TokenizerConfig, overlap_stats, tokenize
 
 MAX_ORDER = 4
 
@@ -35,10 +34,6 @@ class BleuScore:
         }
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
 def sentence_stats(hyp: str, ref: str, tok: TokenizerConfig = BLEU_TOKENIZER) -> List[int]:
     """Sufficient statistics for one sentence pair.
 
@@ -48,15 +43,11 @@ def sentence_stats(hyp: str, ref: str, tok: TokenizerConfig = BLEU_TOKENIZER) ->
     """
     hyp_tokens = tokenize(hyp, tok)
     ref_tokens = tokenize(ref, tok)
+    overlap = overlap_stats([(t,) for t in hyp_tokens], [(t,) for t in ref_tokens], MAX_ORDER)
     stats: List[int] = []
-    for n in range(1, MAX_ORDER + 1):
-        hyp_ngrams = _ngram_counts(hyp_tokens, n)
-        ref_ngrams = _ngram_counts(ref_tokens, n)
-        clipped = hyp_ngrams & ref_ngrams
-        stats.append(sum(clipped.values()))
-        stats.append(sum(hyp_ngrams.values()))
-    stats.append(len(hyp_tokens))
-    stats.append(len(ref_tokens))
+    for n in range(MAX_ORDER):
+        stats += (overlap[3 * n + 2], overlap[3 * n])  # (clipped matches, hyp n-grams)
+    stats += (len(hyp_tokens), len(ref_tokens))
     return stats
 
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import List, Sequence, Tuple
+
+from .tokenizer import overlap_stats
 
 DEFAULT_MAX_N = 6
 DEFAULT_BETA = 2.0
@@ -13,21 +14,9 @@ def _strip_whitespace(text: str) -> str:
     return "".join(text.split())
 
 
-def _char_ngram_counts(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
-
-
 def chrf_sentence_stats(hyp: str, ref: str, max_n: int = DEFAULT_MAX_N) -> List[int]:
     """Per-order (hyp total, ref total, overlap) counts, flattened."""
-    hyp_chars = _strip_whitespace(hyp)
-    ref_chars = _strip_whitespace(ref)
-    stats: List[int] = []
-    for n in range(1, max_n + 1):
-        hyp_ngrams = _char_ngram_counts(hyp_chars, n)
-        ref_ngrams = _char_ngram_counts(ref_chars, n)
-        overlap = hyp_ngrams & ref_ngrams
-        stats.extend((sum(hyp_ngrams.values()), sum(ref_ngrams.values()), sum(overlap.values())))
-    return stats
+    return overlap_stats(_strip_whitespace(hyp), _strip_whitespace(ref), max_n)
 
 
 def _precision_recall(stats: Sequence[int], max_n: int) -> Tuple[float, float]:

@@ -39,7 +39,7 @@ from .chrf import chrf
 from .corpus import Corpus, CorpusFormatError, corpus_stats, read_corpus, read_lines, write_corpus
 from .filtering import FilterConfig, run_filter_pipeline
 from .langid import NgramLanguageClassifier
-from .segments import ChangeLog, PartCountError, postprocess_with_report, preprocess
+from .segments import ChangeLog, postprocess_with_report, preprocess
 from .ter import EmptyReferenceError, ter_corpus, ter_sentence
 from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig
 
@@ -154,10 +154,7 @@ def cmd_filter(args) -> int:
             )
 
     corpus = _read_corpus_checked(args.input, args.format)
-    try:
-        train, dev, test, report = run_filter_pipeline(corpus, config, classifier)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    train, dev, test, report = run_filter_pipeline(corpus, config, classifier)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,13 +235,17 @@ def _read_changelogs(path):
     lines = _read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty changelog")
-    try:
-        header = json.loads(lines[0])
-        if header.get("type") != "header":
-            raise DataError(f"{path}: missing changelog header")
-        logs = [ChangeLog.from_json(line) for line in lines[1:] if line.strip()]
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise DataError(f"{path}: malformed changelog ({exc})") from exc
+    logs = []
+    for number, line in enumerate(lines, 1):
+        try:
+            if number == 1:
+                header = json.loads(line)
+                if header.get("type") != "header":
+                    raise DataError(f"{path}: missing changelog header")
+            elif line.strip():
+                logs.append(ChangeLog.from_json(line))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"{path}: line {number}: malformed changelog ({exc})") from exc
     return header, logs
 
 
@@ -271,10 +272,7 @@ def cmd_postprocess(args) -> int:
     cursor = 0
     for log in logs:
         n = log.part_count(args.field)
-        try:
-            text, dropped = postprocess_with_report(outputs[cursor : cursor + n], log, args.field)
-        except PartCountError as exc:
-            raise DataError(str(exc)) from exc
+        text, dropped = postprocess_with_report(outputs[cursor : cursor + n], log, args.field)
         restored.append(text)
         dropped_total += dropped
         cursor += n
@@ -349,13 +347,10 @@ def cmd_significance(args) -> int:
     hyps_b = _read_lines(args.hyp_b)
     refs = _read_lines(args.ref)
     seed = args.seed if args.seed is not None else 0
-    try:
-        with _naming_empty_reference(args.ref, refs):
-            result = bootstrap_significance(
-                hyps_a, hyps_b, refs, n_samples=args.n_samples, seed=seed, statistic=args.statistic
-            )
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    with _naming_empty_reference(args.ref, refs):
+        result = bootstrap_significance(
+            hyps_a, hyps_b, refs, n_samples=args.n_samples, seed=seed, statistic=args.statistic
+        )
     payload = {
         "manifest": _manifest("significance", [args.hyp_a, args.hyp_b, args.ref], seed=seed),
         "bootstrap": result.to_dict(),
@@ -372,13 +367,10 @@ def cmd_significance(args) -> int:
 
 
 def cmd_agreement(args) -> int:
-    try:
-        table = read_adequacy_csv(_require_file(args.csv))
-        items, ratings = shared_decided_ratings(table)
-        plain = pairwise_average_kappa(ratings, weighting="none")
-        weighted = pairwise_average_kappa(ratings, weighting="quadratic", scale_min=1, scale_max=5)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    table = read_adequacy_csv(_require_file(args.csv))
+    items, ratings = shared_decided_ratings(table)
+    plain = pairwise_average_kappa(ratings, weighting="none")
+    weighted = pairwise_average_kappa(ratings, weighting="quadratic", scale_min=1, scale_max=5)
     payload = {
         "manifest": _manifest("agreement", [args.csv]),
         "n_shared_items": len(items),
@@ -394,11 +386,7 @@ def cmd_agreement(args) -> int:
 
 
 def cmd_adequacy(args) -> int:
-    try:
-        table = read_adequacy_csv(_require_file(args.csv))
-        summary = adequacy_summary(table)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    summary = adequacy_summary(read_adequacy_csv(_require_file(args.csv)))
     payload = {"manifest": _manifest("adequacy", [args.csv]), "summary": summary.to_dict()}
     _write_report(args.out, payload)
     for row in summary.per_annotator:
@@ -472,16 +460,13 @@ def cmd_ablate(args) -> int:
         points = curve_report(results, metric=args.metric)
     else:
         corpus = _read_corpus_checked(args.input, args.format)
-        try:
-            samples = draw_samples(corpus, spec)
-            if args.emit_samples:
-                samples_dir = Path(args.emit_samples)
-                samples_dir.mkdir(parents=True, exist_ok=True)
-                for size, replicate, sample in samples:
-                    write_corpus(sample, samples_dir / f"sample_{size}_{replicate}.jsonl")
-            results, points = run_size_ablation(samples, scorer=mock_scorer, metric=args.metric)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
+        samples = draw_samples(corpus, spec)
+        if args.emit_samples:
+            samples_dir = Path(args.emit_samples)
+            samples_dir.mkdir(parents=True, exist_ok=True)
+            for size, replicate, sample in samples:
+                write_corpus(sample, samples_dir / f"sample_{size}_{replicate}.jsonl")
+        results, points = run_size_ablation(samples, scorer=mock_scorer, metric=args.metric)
 
     payload = {
         "manifest": _manifest("ablate", [args.scores or args.input], seed=spec.base_seed),
@@ -508,11 +493,8 @@ def cmd_buckets(args) -> int:
     baseline = _read_lines(args.baseline)
     ape = _read_lines(args.ape)
     refs = _read_lines(args.ref)
-    try:
-        with _naming_empty_reference(args.ref, refs):
-            analysis = ter_buckets(baseline, ape, refs)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    with _naming_empty_reference(args.ref, refs):
+        analysis = ter_buckets(baseline, ape, refs)
     payload = {
         "manifest": _manifest("buckets", [args.baseline, args.ape, args.ref]),
         "analysis": analysis.to_dict(),

@@ -9,7 +9,6 @@ silently dropped, so pipeline counts always reconcile.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass, replace
@@ -119,9 +118,6 @@ class FilterReport:
             },
             "stage_order": list(STAGE_ORDER),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
 
 def compute_global_ratio(corpus: Corpus, num_field: str = "src", den_field: str = "pe") -> GlobalRatio:

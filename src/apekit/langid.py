@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, repeat
-from operator import add, mul
+from operator import mul
 from typing import Dict, Iterable, Mapping, Protocol
+
+from .tokenizer import ngrams_by_order
 
 
 class LanguageClassifier(Protocol):
@@ -67,13 +69,7 @@ def _char_ngrams(text: str, order: int) -> Counter:
     """
     # Pad with spaces so word boundaries contribute n-grams too.
     padded = f" {' '.join(text.lower().split())} "
-    if order < 1:
-        return Counter()
-    by_order = [padded]
-    for n in range(2, order + 1):
-        # each n-gram is the (n-1)-gram at the same position plus the next character
-        by_order.append(list(map(add, by_order[-1], padded[n - 1 :])))
-    return Counter(chain.from_iterable(by_order))
+    return Counter(chain.from_iterable(ngrams_by_order(padded, order)))
 
 
 class NgramLanguageClassifier:

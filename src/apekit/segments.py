@@ -26,8 +26,6 @@ BR_RE = re.compile(r"(<br\s*/?>)", re.IGNORECASE)
 MUSIC_CHARS = "♪♫♩♬"
 LEADING_HYPHEN_RE = re.compile(r"- ?")
 
-KINDS = ("split_br", "removed_tag", "removed_music", "removed_leading_hyphen")
-
 
 class PartCountError(ValueError):
     """Decoded outputs do not match the part count recorded in the log."""
@@ -106,7 +104,7 @@ class ChangeLog:
         return cls(
             triplet_id=data["triplet_id"],
             records=tuple(ChangeRecord.from_dict(r) for r in data["records"]),
-            parts=dict(data["parts"]),
+            parts={f: data["parts"][f] for f in TEXT_FIELDS},
             clean_digests={f: tuple(v) for f, v in data["clean_digests"].items()},
         )
 

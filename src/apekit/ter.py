@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig, tokenize
+from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig, overlap_stats, tokenize
 
 MAX_SHIFT_SPAN = 10
 MAX_SHIFT_DISTANCE = 50
@@ -185,11 +185,8 @@ def _multiset_floor(hyp: Sequence[str], ref: Sequence[str]) -> int:
     substitution or deletion, every surplus hypothesis token a
     substitution or insertion, and one substitution serves one of each.
     """
-    balance = Counter(ref)
-    balance.subtract(hyp)
-    missing = sum(n for n in balance.values() if n > 0)
-    extra = missing - len(ref) + len(hyp)  # the balance sums to len(ref) - len(hyp)
-    return max(missing, extra)
+    # missing = len(ref) - overlap and extra = len(hyp) - overlap
+    return max(len(hyp), len(ref)) - overlap_stats(hyp, ref, 1)[2]
 
 
 def _align(hyp: Sequence[str], ref: Sequence[str]) -> List[EditOp]:

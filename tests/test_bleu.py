@@ -1,10 +1,13 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apekit.bleu import bleu_corpus, sentence_bleu
-from apekit.tokenizer import TokenizerConfig
+from apekit.bleu import MAX_ORDER, bleu_corpus, sentence_bleu, sentence_stats
+from apekit.tokenizer import TokenizerConfig, tokenize
 
 
 def test_identity_is_exactly_100():
@@ -84,3 +87,32 @@ def test_case_sensitive_by_default():
 def test_sentence_bleu_smoothing_keeps_short_sentences_nonzero():
     assert sentence_bleu("the cat", "the cat") > 0.0
     assert sentence_bleu("xyz", "abc") == 0.0
+
+
+def reference_sentence_stats(hyp, ref, tok):
+    """The original per-order counting loop, kept as the reference."""
+    hyp_tokens, ref_tokens = tokenize(hyp, tok), tokenize(ref, tok)
+    stats = []
+    for n in range(1, MAX_ORDER + 1):
+        hyp_ngrams = Counter(tuple(hyp_tokens[i : i + n]) for i in range(len(hyp_tokens) - n + 1))
+        ref_ngrams = Counter(tuple(ref_tokens[i : i + n]) for i in range(len(ref_tokens) - n + 1))
+        stats.append(sum((hyp_ngrams & ref_ngrams).values()))
+        stats.append(sum(hyp_ngrams.values()))
+    return stats + [len(hyp_tokens), len(ref_tokens)]
+
+
+TEXT = st.text(alphabet="ab cB,.", max_size=24)
+TOKENIZERS = st.sampled_from(
+    [TokenizerConfig(), TokenizerConfig(scheme="punct_split"), TokenizerConfig(scheme="punct_split", lowercase=True)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXT, TEXT, TOKENIZERS)
+def test_sentence_stats_match_reference_loop(hyp, ref, tok):
+    assert sentence_stats(hyp, ref, tok) == reference_sentence_stats(hyp, ref, tok)
+
+
+@pytest.mark.parametrize("hyp, ref", [("", ""), ("  ", "\t"), ("a b", " "), ("", "a b a b")])
+def test_sentence_stats_on_empty_and_whitespace_only_text(hyp, ref):
+    assert sentence_stats(hyp, ref) == reference_sentence_stats(hyp, ref, TokenizerConfig(scheme="punct_split"))

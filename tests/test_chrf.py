@@ -1,6 +1,10 @@
-import pytest
+from collections import Counter
 
-from apekit.chrf import chrf
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apekit.chrf import chrf, chrf_sentence_stats
 
 
 def test_identity_is_100():
@@ -52,3 +56,30 @@ def test_recall_weighted_more_than_precision_with_beta_two():
     missing = chrf(["ab"], ["abcd"], max_n=1)
     extra = chrf(["abcd"], ["ab"], max_n=1)
     assert extra > missing
+
+
+def reference_chrf_sentence_stats(hyp, ref, max_n):
+    """The original per-order counting loop, kept as the reference."""
+    hyp_chars, ref_chars = "".join(hyp.split()), "".join(ref.split())
+    stats = []
+    for n in range(1, max_n + 1):
+        hyp_ngrams = Counter(hyp_chars[i : i + n] for i in range(len(hyp_chars) - n + 1))
+        ref_ngrams = Counter(ref_chars[i : i + n] for i in range(len(ref_chars) - n + 1))
+        overlap = hyp_ngrams & ref_ngrams
+        stats.extend((sum(hyp_ngrams.values()), sum(ref_ngrams.values()), sum(overlap.values())))
+    return stats
+
+
+TEXT = st.text(alphabet="abé. \t", max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXT, TEXT, st.integers(0, 8))
+def test_sentence_stats_match_reference_loop(hyp, ref, max_n):
+    assert chrf_sentence_stats(hyp, ref, max_n) == reference_chrf_sentence_stats(hyp, ref, max_n)
+
+
+@pytest.mark.parametrize("hyp, ref", [("", ""), ("  ", "\t"), ("ab", " "), ("", "a b a")])
+def test_sentence_stats_on_empty_and_whitespace_only_text(hyp, ref):
+    assert chrf_sentence_stats(hyp, ref) == reference_chrf_sentence_stats(hyp, ref, 6)
+    assert chrf_sentence_stats(hyp, ref, 0) == []

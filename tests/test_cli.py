@@ -518,6 +518,32 @@ def test_postprocess_rejects_bare_carriage_return(tmp_path, capsys):
     assert f"{decoded}: line 1: carriage return inside a line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "number, bad_line, message",
+    [
+        (3, '{"triplet_id": "x", "parts": {}, "clean_digests": {}, "records": [{"kind": "removed_tag", "bogus": 1}]}',
+         "unexpected keyword argument 'bogus'"),
+        (2, "[1, 2]", "list indices must be integers"),
+        (1, "[1]", "'list' object has no attribute 'get'"),
+        (2, "{not json", "Expecting property name"),
+        (2, '{"triplet_id": "x", "parts": {"src": 1}, "clean_digests": {}, "records": []}', "('mt')"),
+    ],
+)
+def test_postprocess_rejects_malformed_changelog_line(tmp_path, capsys, number, bad_line, message):
+    path, _ = make_corpus_file(tmp_path, [("a", "b", "c"), ("d", "e", "f")])
+    assert main(["preprocess", "--in", str(path), "--out-dir", str(tmp_path / "pre")]) == 0
+    changelog = tmp_path / "pre" / "changelog.jsonl"
+    lines = changelog.read_text(encoding="utf-8").splitlines()
+    lines[number - 1] = bad_line
+    write_lines(changelog, lines)
+    decoded = write_lines(tmp_path / "decoded.txt", ["b", "e"])
+    argv = ["postprocess", "--outputs", str(decoded), "--changelog", str(changelog), "--out", str(tmp_path / "r.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{changelog}: line {number}: malformed changelog (" in err
+    assert message in err
+
+
 @pytest.mark.parametrize("break_char", ["\n", "\r"])
 def test_preprocess_rejects_line_break_in_a_field(tmp_path, capsys, break_char):
     path, _ = make_corpus_file(tmp_path, [("a", "b", "c"), ("d", f"e{break_char}f", "g")])

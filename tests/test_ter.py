@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,25 @@ def test_edit_distance_matches_dp(pair):
     a, b = pair
     assert edit_distance(a, b) == dp_edit_distance(a, b)
     assert edit_distance(b, a) == dp_edit_distance(a, b)
+
+
+def reference_multiset_floor(hyp, ref):
+    """The original Counter.subtract balance, kept as the reference."""
+    balance = Counter(ref)
+    balance.subtract(hyp)
+    missing = sum(n for n in balance.values() if n > 0)
+    extra = missing - len(ref) + len(hyp)
+    return max(missing, extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_pairs())
+def test_multiset_floor_matches_reference_balance(pair):
+    hyp, ref = pair
+    floor = reference_multiset_floor(hyp, ref)
+    assert ter_mod._multiset_floor(hyp, ref) == floor
+    assert ter_mod._multiset_floor(tuple(hyp), tuple(ref)) == floor
+    assert floor <= dp_edit_distance(hyp, ref)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 80])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apekit.tokenizer import TokenizerConfig, tokenize
+from apekit.tokenizer import TokenizerConfig, ngrams_by_order, tokenize
 
 
 def test_whitespace_scheme():
@@ -75,3 +75,31 @@ def test_punct_split_matches_reference_loop_on_every_code_point():
     # them: the three classes the scheme tells apart.
     text = " ".join(f"a{chr(code)}a" for code in range(0x110000))
     assert tokenize(text, PUNCT_SPLIT) == reference_punct_split(text)
+
+
+def sliced_ngrams(units, max_n):
+    """The n-grams of each order by plain slicing, the reference."""
+    return [[units[i : i + n] for i in range(len(units) - n + 1)] for n in range(1, max_n + 1)]
+
+
+ORDERS = st.integers(0, 8)
+CHAR_TEXT = st.text(alphabet="ab é", max_size=12)
+TOKEN_LISTS = st.lists(st.sampled_from(["a", "b", "cd", ""]), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CHAR_TEXT, ORDERS)
+def test_ngrams_by_order_matches_slicing_on_strings(text, max_n):
+    assert [list(grams) for grams in ngrams_by_order(text, max_n)] == sliced_ngrams(text, max_n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TOKEN_LISTS, ORDERS)
+def test_ngrams_by_order_matches_slicing_on_token_tuples(tokens, max_n):
+    units = [(t,) for t in tokens]
+    assert [list(grams) for grams in ngrams_by_order(units, max_n)] == sliced_ngrams(tuple(tokens), max_n)
+
+
+def test_ngrams_by_order_below_order_one_is_empty():
+    assert ngrams_by_order("abc", 0) == ngrams_by_order("abc", -1) == []
+
