@@ -8,7 +8,7 @@ whenever any of its three system scores is "can't decide".
 from __future__ import annotations
 
 import csv
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -37,11 +37,13 @@ class KappaResult:
         }
 
 
-def _check_aligned(a: Sequence, b: Sequence) -> None:
+def _marginals(a: Sequence, b: Sequence) -> Tuple[int, Counter, Counter]:
+    """Item count and each rater's category counts, in first-seen order."""
     if len(a) != len(b):
         raise ValueError(f"rating lists must align: {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise ValueError("rating lists must be non-empty")
+    return len(a), Counter(a), Counter(b)
 
 
 def cohen_kappa(a: Sequence, b: Sequence) -> KappaResult:
@@ -50,15 +52,9 @@ def cohen_kappa(a: Sequence, b: Sequence) -> KappaResult:
     observed = fraction of identical ratings; expected = sum over
     categories of the product of the raters' marginal proportions.
     """
-    _check_aligned(a, b)
-    n = len(a)
+    n, marg_a, marg_b = _marginals(a, b)
     observed = sum(x == y for x, y in zip(a, b)) / n
-    marg_a: Dict = defaultdict(int)
-    marg_b: Dict = defaultdict(int)
-    for x, y in zip(a, b):
-        marg_a[x] += 1
-        marg_b[y] += 1
-    expected = sum(marg_a[c] * marg_b.get(c, 0) for c in marg_a) / (n * n)
+    expected = sum(marg_a[c] * marg_b[c] for c in marg_a) / (n * n)
     if expected == 1.0:
         raise UndefinedKappaError("both raters are constant and identical; kappa is undefined")
     kappa = (observed - expected) / (1.0 - expected)
@@ -77,7 +73,7 @@ def weighted_kappa(
     so near misses cost less than distant ones. Scale bounds default to
     the observed min and max.
     """
-    _check_aligned(a, b)
+    n, marg_a, marg_b = _marginals(a, b)
     values = list(a) + list(b)
     lo = scale_min if scale_min is not None else min(values)
     hi = scale_max if scale_max is not None else max(values)
@@ -88,13 +84,8 @@ def weighted_kappa(
     if out_of_scale:
         raise ValueError(f"ratings outside scale [{lo}, {hi}]: {sorted(set(out_of_scale))}")
 
-    n = len(a)
-    marg_a: Dict[int, int] = defaultdict(int)
-    marg_b: Dict[int, int] = defaultdict(int)
     observed_dis = 0.0
     for x, y in zip(a, b):
-        marg_a[x] += 1
-        marg_b[y] += 1
         observed_dis += (x - y) ** 2 / span_sq
     observed_dis /= n
     expected_dis = sum(
@@ -171,7 +162,8 @@ def pairwise_average_kappa(
 class AdequacyTable:
     """Adequacy ratings: annotator -> item -> system -> score or cant_decide.
 
-    Scores are integers 1..5; the string "X" marks "I can't decide".
+    Scores are integers 1..5; the string "X" marks "I can't decide". Each
+    (annotator, item, system) is rated at most once.
     """
 
     scores: Dict[str, Dict[str, Dict[str, object]]] = field(default_factory=dict)
@@ -185,10 +177,26 @@ class AdequacyTable:
             raise ValueError(
                 f"score must be {ADEQUACY_MIN}..{ADEQUACY_MAX} or {CANT_DECIDE!r}, got {score!r}"
             )
-        self.scores.setdefault(annotator, {}).setdefault(item, {})[system] = score
+        by_system = self.scores.setdefault(annotator, {}).setdefault(item, {})
+        if system in by_system:
+            raise ValueError(f"annotator {annotator!r} item {item!r} system {system!r} is rated twice")
+        by_system[system] = score
 
     def annotators(self) -> List[str]:
         return sorted(self.scores)
+
+    def decided_items(self, annotator: str) -> List[str]:
+        """The annotator's sorted items whose three scores are all decided;
+        an item that lacks a score for some system raises ValueError."""
+        decided = []
+        for item, by_system in sorted(self.scores[annotator].items()):
+            if by_system.keys() != set(SYSTEMS):
+                raise ValueError(
+                    f"annotator {annotator!r} item {item!r}: expected scores for all of {SYSTEMS}"
+                )
+            if CANT_DECIDE not in by_system.values():
+                decided.append(item)
+        return decided
 
 
 def read_adequacy_csv(path) -> AdequacyTable:
@@ -203,13 +211,11 @@ def read_adequacy_csv(path) -> AdequacyTable:
                 errors.append(f"line {line_no}: expected 4 columns, found {len(row)}")
                 continue
             annotator, item, system, raw_score = (c.strip() for c in row)
-            score = raw_score if raw_score == CANT_DECIDE else None
-            if score is None:
-                try:
-                    score = int(raw_score)
-                except ValueError:
-                    errors.append(f"line {line_no}: bad score {raw_score!r}")
-                    continue
+            try:
+                score = raw_score if raw_score == CANT_DECIDE else int(raw_score)
+            except ValueError:
+                errors.append(f"line {line_no}: bad score {raw_score!r}")
+                continue
             try:
                 table.add(annotator, item, system.lower(), score)
             except ValueError as exc:
@@ -222,21 +228,14 @@ def read_adequacy_csv(path) -> AdequacyTable:
 def shared_decided_ratings(table: AdequacyTable) -> Tuple[List[str], Dict[str, List[int]]]:
     """Aligned rating vectors over the items every annotator fully decided.
 
-    An item qualifies when every annotator scored all three systems and
-    none of those scores is "can't decide". The vectors flatten the
-    surviving (item, system) grid in a fixed order, ready for kappa.
+    An item qualifies when it is among every annotator's decided items.
+    The vectors flatten the surviving (item, system) grid in a fixed
+    order, ready for kappa.
     """
     annotators = table.annotators()
     if len(annotators) < 2:
         raise ValueError("agreement needs at least two annotators")
-    shared = set.intersection(*(set(table.scores[a]) for a in annotators))
-    used = []
-    for item in sorted(shared):
-        cells = [table.scores[a][item] for a in annotators]
-        if all(set(c) == set(SYSTEMS) for c in cells) and all(
-            c[s] != CANT_DECIDE for c in cells for s in SYSTEMS
-        ):
-            used.append(item)
+    used = sorted(set.intersection(*(set(table.decided_items(a)) for a in annotators)))
     if not used:
         raise ValueError("no fully decided items shared by all annotators")
     ratings = {
@@ -256,6 +255,15 @@ class AdequacySummary:
         return {"per_annotator": list(self.per_annotator), "overall": self.overall}
 
 
+def _summary_row(name: str, used_scores: Dict[str, List[int]], assigned: int) -> dict:
+    return {
+        "annotator": name,
+        "means": {s: (sum(v) / len(v) if v else None) for s, v in used_scores.items()},
+        "used": len(used_scores[SYSTEMS[0]]),
+        "assigned": assigned,
+    }
+
+
 def adequacy_summary(table: AdequacyTable) -> AdequacySummary:
     """Mean adequacy per system, keeping only fully decided items.
 
@@ -263,42 +271,12 @@ def adequacy_summary(table: AdequacyTable) -> AdequacySummary:
     decided. Rows report used vs assigned item counts; the overall row
     pools every used evaluation rather than averaging annotator means.
     """
-    rows = []
-    pooled = {system: [] for system in SYSTEMS}
-    pooled_used = pooled_assigned = 0
-    for annotator in table.annotators():
-        items = table.scores[annotator]
-        used_scores = {system: [] for system in SYSTEMS}
-        used = 0
-        for item in sorted(items):
-            by_system = items[item]
-            if set(by_system) != set(SYSTEMS):
-                raise ValueError(
-                    f"annotator {annotator!r} item {item!r}: expected scores for all of {SYSTEMS}"
-                )
-            if any(by_system[s] == CANT_DECIDE for s in SYSTEMS):
-                continue
-            used += 1
-            for system in SYSTEMS:
-                used_scores[system].append(by_system[system])
-                pooled[system].append(by_system[system])
-        assigned = len(items)
-        pooled_used += used
-        pooled_assigned += assigned
-        rows.append(
-            {
-                "annotator": annotator,
-                "means": {
-                    s: (sum(v) / len(v) if v else None) for s, v in used_scores.items()
-                },
-                "used": used,
-                "assigned": assigned,
-            }
-        )
-    overall = {
-        "annotator": "overall",
-        "means": {s: (sum(v) / len(v) if v else None) for s, v in pooled.items()},
-        "used": pooled_used,
-        "assigned": pooled_assigned,
-    }
-    return AdequacySummary(per_annotator=tuple(rows), overall=overall)
+    annotators = table.annotators()
+    decided = {a: table.decided_items(a) for a in annotators}
+
+    def used_scores(names: Sequence[str]) -> Dict[str, List[int]]:
+        return {s: [table.scores[a][item][s] for a in names for item in decided[a]] for s in SYSTEMS}
+
+    rows = tuple(_summary_row(a, used_scores([a]), len(table.scores[a])) for a in annotators)
+    overall = _summary_row("overall", used_scores(annotators), sum(r["assigned"] for r in rows))
+    return AdequacySummary(per_annotator=rows, overall=overall)

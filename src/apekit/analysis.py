@@ -85,7 +85,7 @@ def draw_samples(corpus: Corpus, spec: SampleSpec) -> List[Tuple[int, int, Corpu
         for replicate in range(spec.replicates):
             rng = random.Random(_derived_seed(spec.base_seed, size, replicate))
             positions = rng.sample(range(len(corpus)), size)
-            sample = corpus.replaced(corpus[i] for i in positions)
+            sample = Corpus(corpus[i] for i in positions)
             out.append((size, replicate, sample))
     return out
 
@@ -177,7 +177,7 @@ def upsample_mix(a: Corpus, factor: int, b: Corpus, seed: int = 0) -> Corpus:
             )
     mixed.extend(b)
     random.Random(seed).shuffle(mixed)
-    return Corpus(tuple(mixed), a.src_lang, a.tgt_lang)
+    return Corpus(mixed)
 
 
 @dataclass(frozen=True)

@@ -389,21 +389,9 @@ def cmd_adequacy(args) -> int:
     summary = adequacy_summary(read_adequacy_csv(_require_file(args.csv)))
     payload = {"manifest": _manifest("adequacy", [args.csv]), "summary": summary.to_dict()}
     _write_report(args.out, payload)
-    for row in summary.per_annotator:
-        means = " ".join(
-            f"{s}={row['means'][s]:.1f}" if row["means"][s] is not None else f"{s}=n/a"
-            for s in ("nmt", "ape", "human")
-        )
+    for row in (*summary.per_annotator, summary.overall):
+        means = " ".join(f"{s}={m:.1f}" if m is not None else f"{s}=n/a" for s, m in row["means"].items())
         print(f"adequacy: {row['annotator']}: {means} ({row['used']} / {row['assigned']})")
-    overall = summary.overall
-    print(
-        "adequacy: overall: "
-        + " ".join(
-            f"{s}={overall['means'][s]:.1f}" if overall["means"][s] is not None else f"{s}=n/a"
-            for s in ("nmt", "ape", "human")
-        )
-        + f" ({overall['used']} / {overall['assigned']})"
-    )
     return 0
 
 
@@ -634,6 +622,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "ablate" and not args.scores and not args.input:
             raise ConfigError("ablate needs --in (corpus to sample) or --scores (external results)")
+        if args.command == "ablate" and not args.scores and args.metric != "mock":
+            raise ConfigError(f"ablate --metric {args.metric} needs --scores (--in samples are mock-scored)")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

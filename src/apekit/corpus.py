@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 TEXT_FIELDS = ("src", "mt", "pe")
 
@@ -44,14 +44,12 @@ class Triplet:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered, immutable collection of triplets with its language pair.
+    """Ordered, immutable collection of triplets.
 
     Iteration order equals insertion order. Triplet ids must be unique.
     """
 
     triplets: tuple = ()
-    src_lang: str = "en"
-    tgt_lang: str = "de"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "triplets", tuple(self.triplets))
@@ -69,10 +67,6 @@ class Corpus:
 
     def __getitem__(self, index: int) -> Triplet:
         return self.triplets[index]
-
-    def replaced(self, triplets: Iterable[Triplet]) -> "Corpus":
-        """New corpus with the same language pair but different content."""
-        return Corpus(tuple(triplets), self.src_lang, self.tgt_lang)
 
 
 @dataclass(frozen=True)
@@ -192,7 +186,7 @@ def read_lines(path) -> Iterator[str]:
             yield line
 
 
-def read_corpus(path, format: str = "jsonl", src_lang: str = "en", tgt_lang: str = "de") -> Corpus:
+def read_corpus(path, format: str = "jsonl") -> Corpus:
     """Read a corpus from JSONL or TSV, preserving file order.
 
     Lines are framed by read_lines. Ids are auto-assigned as zero-padded
@@ -208,7 +202,7 @@ def read_corpus(path, format: str = "jsonl", src_lang: str = "en", tgt_lang: str
         if format == "jsonl" and not line.strip():
             continue
         triplets.append(parse(line, line_no))
-    return Corpus(tuple(triplets), src_lang=src_lang, tgt_lang=tgt_lang)
+    return Corpus(tuple(triplets))
 
 
 def write_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:

@@ -158,7 +158,7 @@ def ratio_filter(
             kept.append(triplet)
         else:
             removed.append(triplet.with_meta(removed_reason="ratio"))
-    return corpus.replaced(kept), corpus.replaced(removed)
+    return Corpus(kept), Corpus(removed)
 
 
 # Punctuation normalization table. One-to-one substitutions only, so the
@@ -197,7 +197,7 @@ def normalize_punctuation(text: str) -> str:
 
 def normalize_corpus(corpus: Corpus) -> Corpus:
     """Apply punctuation normalization to all three fields of every triplet."""
-    return corpus.replaced(
+    return Corpus(
         replace(
             t,
             src=normalize_punctuation(t.src),
@@ -227,22 +227,20 @@ def dedup(corpus: Corpus) -> Tuple[Corpus, Corpus]:
             kept.append(triplet)
         else:
             removed.append(triplet.with_meta(removed_reason="dedup"))
-    return corpus.replaced(kept), corpus.replaced(removed)
+    return Corpus(kept), Corpus(removed)
 
 
 def language_filter(
     corpus: Corpus,
     classifier: LanguageClassifier,
-    expected_src: Optional[str] = None,
-    expected_tgt: Optional[str] = None,
+    expected_src: str,
+    expected_tgt: str,
 ) -> Tuple[Corpus, Corpus]:
     """Keep triplets whose src and pe are identified as the expected languages.
 
-    Expected codes default to the corpus language pair. Classifier failures
-    route the triplet to removed rather than aborting the run.
+    Classifier failures route the triplet to removed rather than aborting
+    the run.
     """
-    expected_src = expected_src if expected_src is not None else corpus.src_lang
-    expected_tgt = expected_tgt if expected_tgt is not None else corpus.tgt_lang
     kept, removed = [], []
     for triplet in corpus:
         try:
@@ -257,7 +255,7 @@ def language_filter(
             removed.append(
                 triplet.with_meta(removed_reason="langid", detected_src=src_lang, detected_pe=pe_lang)
             )
-    return corpus.replaced(kept), corpus.replaced(removed)
+    return Corpus(kept), Corpus(removed)
 
 
 def split_holdout(corpus: Corpus, dev_size: int, test_size: int, seed: int) -> Tuple[Corpus, Corpus, Corpus]:
@@ -281,7 +279,7 @@ def split_holdout(corpus: Corpus, dev_size: int, test_size: int, seed: int) -> T
     train = [corpus[i] for i in range(n) if i not in held_out]
     dev = [corpus[i] for i in dev_positions]
     test = [corpus[i] for i in test_positions]
-    return corpus.replaced(train), corpus.replaced(dev), corpus.replaced(test)
+    return Corpus(train), Corpus(dev), Corpus(test)
 
 
 def run_filter_pipeline(

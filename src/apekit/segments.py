@@ -25,6 +25,7 @@ TAG_RE = re.compile(r"<[a-zA-Z/][^>]*>")
 BR_RE = re.compile(r"(<br\s*/?>)", re.IGNORECASE)
 MUSIC_CHARS = "♪♫♩♬"
 LEADING_HYPHEN_RE = re.compile(r"- ?")
+ANCHORS = ("start", "end", "interior", "boundary")
 
 
 class PartCountError(ValueError):
@@ -64,7 +65,22 @@ class ChangeRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChangeRecord":
-        return cls(**data)
+        """Read a record written by ``to_dict``; raise ValueError on a bad value."""
+        record = cls(**data)  # an unknown key raises TypeError naming it
+        missing = record.to_dict().keys() - data.keys()
+        if missing:
+            raise ValueError(f"change record lacks {', '.join(sorted(missing))}")
+        for name in ("part", "offset"):
+            if type(data[name]) is not int or data[name] < 0:
+                raise ValueError(f"change record {name} must be an int >= 0, got {data[name]!r}")
+        for name in ("kind", "payload", "replacement"):
+            if type(data[name]) is not str:
+                raise ValueError(f"change record {name} must be a string, got {data[name]!r}")
+        if record.field not in TEXT_FIELDS:
+            raise ValueError(f"change record field {record.field!r} is not one of {TEXT_FIELDS}")
+        if record.anchor not in ANCHORS:
+            raise ValueError(f"change record anchor {record.anchor!r} is not one of {ANCHORS}")
+        return record
 
 
 def _digest(text: str) -> str:
@@ -101,12 +117,31 @@ class ChangeLog:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChangeLog":
-        return cls(
-            triplet_id=data["triplet_id"],
-            records=tuple(ChangeRecord.from_dict(r) for r in data["records"]),
-            parts={f: data["parts"][f] for f in TEXT_FIELDS},
-            clean_digests={f: tuple(v) for f, v in data["clean_digests"].items()},
-        )
+        """Read a log written by ``to_dict``; raise ValueError on counts that do not fit."""
+        records = tuple(ChangeRecord.from_dict(r) for r in data["records"])
+        parts = {f: data["parts"][f] for f in TEXT_FIELDS}
+        digests = {f: data["clean_digests"][f] for f in TEXT_FIELDS}
+        for f, n in parts.items():
+            if type(n) is not int or n < 1:
+                raise ValueError(f"parts[{f!r}] must be an int >= 1, got {n!r}")
+            # Once the digest count matches, n is no larger than the input.
+            listed = digests[f]
+            if type(listed) is not list or len(listed) != n or set(map(type, listed)) != {str}:
+                raise ValueError(f"clean_digests[{f!r}] must be a list of {n} string(s), got {listed!r}")
+        joins = {f: set() for f in TEXT_FIELDS}
+        for r in records:
+            if r.part >= parts[r.field]:
+                raise ValueError(
+                    f"change record part {r.part} is not below parts[{r.field!r}] = {parts[r.field]}"
+                )
+            if r.anchor == "boundary":
+                joins[r.field].add(r.part)
+        for f, n in parts.items():
+            if joins[f] != set(range(n - 1)):
+                raise ValueError(
+                    f"boundary records of {f!r} join parts {sorted(joins[f])}, expected {[*range(n - 1)]}"
+                )
+        return cls(data["triplet_id"], records, parts, {f: tuple(v) for f, v in digests.items()})
 
     @classmethod
     def from_json(cls, text: str) -> "ChangeLog":

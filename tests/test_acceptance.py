@@ -171,7 +171,7 @@ def _criterion_3_corpus():
                 pe=f"ope{i:05d}" + "y" * 11,
             )
         )
-    return Corpus(tuple(rows), src_lang="en", tgt_lang="en")
+    return Corpus(tuple(rows))
 
 
 def test_criterion_3_filter_pipeline():

@@ -1,7 +1,15 @@
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apekit.agreement import (
+    CANT_DECIDE,
+    SYSTEMS,
+    AdequacySummary,
     AdequacyTable,
+    KappaResult,
     UndefinedKappaError,
     adequacy_summary,
     cohen_kappa,
@@ -207,3 +215,183 @@ class TestSharedRatings:
         items, ratings = shared_decided_ratings(build_table(rows))
         assert items == ["i1"]
         assert len(ratings["A"]) == 3  # one item, three systems
+
+
+# The kappa, shared-rating and adequacy-summary code before the input rules
+# moved into AdequacyTable, kept verbatim as the reference the properties
+# below check.
+def _old_check_aligned(a, b):
+    if len(a) != len(b):
+        raise ValueError(f"rating lists must align: {len(a)} vs {len(b)}")
+    if len(a) == 0:
+        raise ValueError("rating lists must be non-empty")
+
+
+def _old_cohen_kappa(a, b):
+    _old_check_aligned(a, b)
+    n = len(a)
+    observed = sum(x == y for x, y in zip(a, b)) / n
+    marg_a = defaultdict(int)
+    marg_b = defaultdict(int)
+    for x, y in zip(a, b):
+        marg_a[x] += 1
+        marg_b[y] += 1
+    expected = sum(marg_a[c] * marg_b.get(c, 0) for c in marg_a) / (n * n)
+    if expected == 1.0:
+        raise UndefinedKappaError("both raters are constant and identical; kappa is undefined")
+    kappa = (observed - expected) / (1.0 - expected)
+    return KappaResult(kappa, observed, expected, weighting="none")
+
+
+def _old_weighted_kappa(a, b, scale_min=None, scale_max=None):
+    _old_check_aligned(a, b)
+    values = list(a) + list(b)
+    lo = scale_min if scale_min is not None else min(values)
+    hi = scale_max if scale_max is not None else max(values)
+    if hi <= lo:
+        raise ValueError("ordinal scale needs max > min")
+    span_sq = (hi - lo) ** 2
+    out_of_scale = [v for v in values if not lo <= v <= hi]
+    if out_of_scale:
+        raise ValueError(f"ratings outside scale [{lo}, {hi}]: {sorted(set(out_of_scale))}")
+
+    n = len(a)
+    marg_a = defaultdict(int)
+    marg_b = defaultdict(int)
+    observed_dis = 0.0
+    for x, y in zip(a, b):
+        marg_a[x] += 1
+        marg_b[y] += 1
+        observed_dis += (x - y) ** 2 / span_sq
+    observed_dis /= n
+    expected_dis = sum(
+        ca * cb * (i - j) ** 2 / span_sq for i, ca in marg_a.items() for j, cb in marg_b.items()
+    ) / (n * n)
+    if expected_dis == 0.0:
+        raise UndefinedKappaError("no expected disagreement; weighted kappa is undefined")
+    kappa = 1.0 - observed_dis / expected_dis
+    return KappaResult(
+        kappa,
+        observed_agreement=1.0 - observed_dis,
+        expected_agreement=1.0 - expected_dis,
+        weighting="quadratic",
+    )
+
+
+def _old_shared_decided_ratings(table):
+    annotators = table.annotators()
+    if len(annotators) < 2:
+        raise ValueError("agreement needs at least two annotators")
+    shared = set.intersection(*(set(table.scores[a]) for a in annotators))
+    used = []
+    for item in sorted(shared):
+        cells = [table.scores[a][item] for a in annotators]
+        if all(set(c) == set(SYSTEMS) for c in cells) and all(
+            c[s] != CANT_DECIDE for c in cells for s in SYSTEMS
+        ):
+            used.append(item)
+    if not used:
+        raise ValueError("no fully decided items shared by all annotators")
+    ratings = {
+        a: [table.scores[a][item][s] for item in used for s in SYSTEMS] for a in annotators
+    }
+    return used, ratings
+
+
+def _old_adequacy_summary(table):
+    rows = []
+    pooled = {system: [] for system in SYSTEMS}
+    pooled_used = pooled_assigned = 0
+    for annotator in table.annotators():
+        items = table.scores[annotator]
+        used_scores = {system: [] for system in SYSTEMS}
+        used = 0
+        for item in sorted(items):
+            by_system = items[item]
+            if set(by_system) != set(SYSTEMS):
+                raise ValueError(
+                    f"annotator {annotator!r} item {item!r}: expected scores for all of {SYSTEMS}"
+                )
+            if any(by_system[s] == CANT_DECIDE for s in SYSTEMS):
+                continue
+            used += 1
+            for system in SYSTEMS:
+                used_scores[system].append(by_system[system])
+                pooled[system].append(by_system[system])
+        assigned = len(items)
+        pooled_used += used
+        pooled_assigned += assigned
+        rows.append(
+            {
+                "annotator": annotator,
+                "means": {
+                    s: (sum(v) / len(v) if v else None) for s, v in used_scores.items()
+                },
+                "used": used,
+                "assigned": assigned,
+            }
+        )
+    overall = {
+        "annotator": "overall",
+        "means": {s: (sum(v) / len(v) if v else None) for s, v in pooled.items()},
+        "used": pooled_used,
+        "assigned": pooled_assigned,
+    }
+    return AdequacySummary(per_annotator=tuple(rows), overall=overall)
+
+
+def _outcome(function, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+SCORES = st.integers(1, 5)
+RATING_PAIRS = st.integers(0, 30).flatmap(
+    lambda n: st.tuples(st.lists(SCORES, min_size=n, max_size=n), st.lists(SCORES, min_size=n, max_size=n))
+)
+SCALES = st.sampled_from([(None, None), (1, 5), (1, 3), (2, 4), (0, 9)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATING_PAIRS, st.lists(SCORES, max_size=3))
+def test_cohen_kappa_matches_reference(pair, extra):
+    a, b = pair
+    assert _outcome(cohen_kappa, a, b) == _outcome(_old_cohen_kappa, a, b)
+    assert _outcome(cohen_kappa, a + extra, b) == _outcome(_old_cohen_kappa, a + extra, b)
+    labels = {1: "x", 2: "y", 3: "z", 4: "w", 5: "v"}
+    a_labels, b_labels = [labels[v] for v in a], [labels[v] for v in b]
+    assert _outcome(cohen_kappa, a_labels, b_labels) == _outcome(_old_cohen_kappa, a_labels, b_labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATING_PAIRS, SCALES, st.lists(SCORES, max_size=3))
+def test_weighted_kappa_matches_reference(pair, scale, extra):
+    a, b = pair
+    assert _outcome(weighted_kappa, a, b, *scale) == _outcome(_old_weighted_kappa, a, b, *scale)
+    assert _outcome(weighted_kappa, a, b + extra, *scale) == _outcome(_old_weighted_kappa, a, b + extra, *scale)
+
+
+# A complete table with no repeated rating: each annotator rates a subset
+# of the items, always on all three systems, once. Rows are added in a
+# drawn order.
+CELL = st.tuples(*(st.one_of(SCORES, st.just(CANT_DECIDE)) for _ in SYSTEMS))
+TABLE_ROWS = st.dictionaries(
+    st.tuples(st.sampled_from(["A", "B", "C", "D", "E"]), st.sampled_from([f"i{k}" for k in range(8)])),
+    CELL,
+    max_size=30,
+).flatmap(
+    lambda cells: st.permutations(
+        [(a, i, s, score) for (a, i), scores in cells.items() for s, score in zip(SYSTEMS, scores)]
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TABLE_ROWS)
+def test_shared_ratings_and_summary_match_reference(rows):
+    table = build_table(rows)
+    assert _outcome(shared_decided_ratings, table) == _outcome(_old_shared_decided_ratings, table)
+    assert _outcome(adequacy_summary, table) == _outcome(_old_adequacy_summary, table)

@@ -313,6 +313,33 @@ class TestAgreementCommand:
         assert "line 1" in capsys.readouterr().err
 
 
+def _exit_and_error(command, csv_path, tmp_path, capsys):
+    code = main([command, "--csv", str(csv_path), "--out", str(tmp_path / f"{command}.json")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["agreement", "adequacy"])
+def test_repeated_rating_is_rejected_naming_its_line(tmp_path, capsys, command):
+    csv_path = tmp_path / "ad.csv"
+    rows = adequacy_rows("AB", ["i1", "i2"], lambda a, i, s: 3)
+    rows.insert(5, "A,i1,nmt,5")  # a second score for A's first row, on line 7
+    csv_path.write_text(ADEQUACY_CSV + "\n".join(rows) + "\n", encoding="utf-8")
+    code, err = _exit_and_error(command, csv_path, tmp_path, capsys)
+    assert code == 2
+    assert "line 7: annotator 'A' item 'i1' system 'nmt' is rated twice" in err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_item_without_a_system_score_is_rejected_by_both_commands(tmp_path, capsys):
+    csv_path = tmp_path / "ad.csv"
+    rows = adequacy_rows("AB", ["i1", "i2"], lambda a, i, s: 3)
+    rows.remove("B,i2,ape,3")
+    csv_path.write_text(ADEQUACY_CSV + "\n".join(rows) + "\n", encoding="utf-8")
+    outcomes = [_exit_and_error(command, csv_path, tmp_path, capsys) for command in ("agreement", "adequacy")]
+    message = "annotator 'B' item 'i2': expected scores for all of ('nmt', 'ape', 'human')"
+    assert outcomes[0] == outcomes[1] == (2, f"error: {message}\n")
+
+
 class TestAdequacyCommand:
     def test_used_over_assigned_in_output(self, tmp_path, capsys):
         csv_path = tmp_path / "ad.csv"
@@ -389,6 +416,13 @@ class TestAblateCommand:
 
     def test_requires_corpus_or_scores(self, tmp_path):
         assert main(["ablate", "--sizes", "10"]) == 1
+
+    def test_metric_other_than_mock_needs_scores(self, tmp_path, capsys):
+        path, _ = make_corpus_file(tmp_path, synthetic_rows(100))
+        out = tmp_path / "curve.json"
+        assert main(["ablate", "--in", str(path), "--sizes", "10,20", "--metric", "bleu", "--out", str(out)]) == 1
+        assert "--metric bleu needs --scores" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_emit_samples_draws_each_sample_once(self, tmp_path, monkeypatch):
         draws = []
@@ -542,6 +576,51 @@ def test_postprocess_rejects_malformed_changelog_line(tmp_path, capsys, number, 
     err = capsys.readouterr().err
     assert f"{changelog}: line {number}: malformed changelog (" in err
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "edit, decoded, message",
+    [
+        pytest.param(lambda log: log["records"][0].update(offset="x"), ["b"],
+                     "change record offset must be an int >= 0, got 'x'", id="offset-not-int"),
+        pytest.param(lambda log: log["records"][0].update(offset=True), ["b"],
+                     "change record offset must be an int >= 0, got True", id="offset-bool"),
+        pytest.param(lambda log: log["parts"].update(mt=2), ["b", "b"],
+                     "clean_digests['mt'] must be a list of 2 string(s)", id="parts-above-digests"),
+        pytest.param(lambda log: log["records"][0].update(part=5), ["b"],
+                     "change record part 5 is not below parts['mt'] = 1", id="part-out-of-range"),
+        pytest.param(lambda log: log["clean_digests"].update(mt="abc"), ["b"],
+                     "clean_digests['mt'] must be a list of 1 string(s), got 'abc'", id="digests-not-a-list"),
+        pytest.param(lambda log: log["records"][0].pop("anchor"), ["b"], "change record lacks anchor",
+                     id="record-lacks-a-key"),
+        pytest.param(lambda log: log["records"][0].update(field="ref"), ["b"],
+                     "change record field 'ref' is not one of ('src', 'mt', 'pe')", id="unknown-field"),
+        pytest.param(lambda log: log["records"][0].update(anchor="middle"), ["b"],
+                     "change record anchor 'middle' is not one of ('start', 'end', 'interior', 'boundary')",
+                     id="unknown-anchor"),
+        pytest.param(lambda log: log["records"][0].update(payload=7), ["b"],
+                     "change record payload must be a string, got 7", id="payload-not-str"),
+        pytest.param(lambda log: log["parts"].update(mt=10**12), ["b"],
+                     "clean_digests['mt'] must be a list of 1000000000000 string(s)", id="huge-part-count"),
+        pytest.param(lambda log: log["parts"].update(mt=0), [],
+                     "parts['mt'] must be an int >= 1, got 0", id="no-parts"),
+        pytest.param(lambda log: (log["parts"].update(mt=2), log["clean_digests"]["mt"].append("d")), ["b", "b"],
+                     "boundary records of 'mt' join parts [], expected [0]", id="missing-boundary"),
+    ],
+)
+def test_postprocess_rejects_changelog_values(tmp_path, capsys, edit, decoded, message):
+    path, _ = make_corpus_file(tmp_path, [("a", "<i>b</i>", "c")])
+    assert main(["preprocess", "--in", str(path), "--out-dir", str(tmp_path / "pre")]) == 0
+    changelog = tmp_path / "pre" / "changelog.jsonl"
+    header, line = changelog.read_text(encoding="utf-8").splitlines()
+    log = json.loads(line)
+    assert log["records"][0]["field"] == "mt"
+    edit(log)
+    write_lines(changelog, [header, json.dumps(log)])
+    argv = ["postprocess", "--outputs", str(write_lines(tmp_path / "decoded.txt", decoded)),
+            "--changelog", str(changelog), "--out", str(tmp_path / "r.txt")]
+    assert main(argv) == 2
+    assert f"{changelog}: line 2: malformed changelog ({message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("break_char", ["\n", "\r"])

@@ -131,19 +131,19 @@ class TestDedup:
 
 class TestLanguageFilter:
     def test_permissive_oracle_keeps_all(self):
-        corpus = corpus_of([("hello", "hallo", "hallo")], src_lang="en", tgt_lang="en")
-        kept, removed = language_filter(corpus, ConstantClassifier("en"))
+        corpus = corpus_of([("hello", "hallo", "hallo")])
+        kept, removed = language_filter(corpus, ConstantClassifier("en"), "en", "en")
         assert len(kept) == 1 and len(removed) == 0
 
     def test_rejecting_oracle_removes_all(self):
-        corpus = corpus_of([("hello", "hallo", "hallo")], src_lang="en", tgt_lang="de")
-        kept, removed = language_filter(corpus, ConstantClassifier("fr"))
+        corpus = corpus_of([("hello", "hallo", "hallo")])
+        kept, removed = language_filter(corpus, ConstantClassifier("fr"), "en", "de")
         assert len(kept) == 0
         assert removed[0].meta["removed_reason"] == "langid"
 
     def test_classifier_failure_routed(self):
         corpus = corpus_of([("hello", "hallo", "hallo")])
-        kept, removed = language_filter(corpus, TabFileClassifier({}))
+        kept, removed = language_filter(corpus, TabFileClassifier({}), "en", "de")
         assert len(kept) == 0
         assert removed[0].meta["removed_reason"] == "langid_error"
 
