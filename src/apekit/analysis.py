@@ -52,17 +52,13 @@ class SampleSpec:
     replicates: int = DEFAULT_REPLICATES
     base_seed: int = 0
 
-    def validate(self, corpus_size: int) -> None:
+    def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("at least one sample size is required")
         if list(self.sizes) != sorted(set(self.sizes)):
             raise ValueError("sizes must be strictly ascending")
         if self.sizes[0] <= 0:
             raise ValueError("sizes must be positive")
-        if self.sizes[-1] > corpus_size:
-            raise ValueError(
-                f"largest sample size {self.sizes[-1]} exceeds the corpus ({corpus_size})"
-            )
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
 
@@ -79,7 +75,8 @@ def draw_samples(corpus: Corpus, spec: SampleSpec) -> List[Tuple[int, int, Corpu
     Draws are independent across the grid; samples of the same size may
     overlap. Deterministic for a given (corpus, spec).
     """
-    spec.validate(len(corpus))
+    if spec.sizes[-1] > len(corpus):
+        raise ValueError(f"largest sample size {spec.sizes[-1]} exceeds the corpus ({len(corpus)})")
     out = []
     for size in spec.sizes:
         for replicate in range(spec.replicates):

@@ -7,6 +7,8 @@ records in reverse; if the system output equals the cleaned text, the
 original is restored byte for byte. When the output was edited, records
 anchored at segment boundaries (leading hyphens, whole-segment tags) are
 re-attached and interior ones are dropped and tallied.
+
+A changelog file is a header line, then one log per triplet and line.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .corpus import TEXT_FIELDS, Triplet
+from . import __version__
+from .corpus import TEXT_FIELDS, CorpusFormatError, Triplet, read_lines
 
 TAG_RE = re.compile(r"<[a-zA-Z/][^>]*>")
 # The group makes BR_RE.split keep each separator literal between the parts.
@@ -100,9 +104,6 @@ class ChangeLog:
     records: Tuple[ChangeRecord, ...]
     parts: Mapping[str, int]
     clean_digests: Mapping[str, Tuple[str, ...]]
-
-    def part_count(self, field_name: str) -> int:
-        return self.parts[field_name]
 
     def to_dict(self) -> dict:
         return {
@@ -328,7 +329,7 @@ def postprocess_with_report(
     Returns the restored text and the count of records that could not be
     re-attached because the output was edited away from the cleaned text.
     """
-    expected = log.part_count(field_name)
+    expected = log.parts[field_name]
     if len(outputs) != expected:
         raise PartCountError(
             f"triplet {log.triplet_id!r}: expected {expected} output part(s) "
@@ -365,3 +366,70 @@ def postprocess(outputs: Sequence[str], log: ChangeLog, field_name: str = "mt") 
     """Restore tracked changes; exact inverse when outputs are unedited."""
     text, _ = postprocess_with_report(outputs, log, field_name)
     return text
+
+
+def postprocess_all(
+    outputs: Sequence[str], logs: Sequence[ChangeLog], field_name: str = "mt"
+) -> Tuple[List[str], int]:
+    """Restore one field of every logged triplet from decoded parts, one per line.
+
+    Returns the restored texts and the total count of dropped records.
+    """
+    expected = sum(log.parts[field_name] for log in logs)
+    if len(outputs) != expected:
+        raise PartCountError(
+            f"outputs/changelog mismatch: changelog expects {expected} {field_name} part(s), "
+            f"decoded file has {len(outputs)} line(s); is this the changelog of another corpus?"
+        )
+    lines = iter(outputs)
+    results = [
+        postprocess_with_report(list(islice(lines, log.parts[field_name])), log, field_name) for log in logs
+    ]
+    return [text for text, _ in results], sum(dropped for _, dropped in results)
+
+
+def _part_totals(logs: Sequence[ChangeLog]) -> Dict[str, int]:
+    return {f: sum(log.parts[f] for log in logs) for f in TEXT_FIELDS}
+
+
+def write_changelog(path, logs: Sequence[ChangeLog], input_sha256: str) -> Dict[str, int]:
+    """Write the header line and one log per line; return the per-field part totals."""
+    n_parts = _part_totals(logs)
+    header = {"type": "header", "toolkit_version": __version__, "input_sha256": input_sha256,
+              "n_triplets": len(logs), "n_parts": n_parts}
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(header, ensure_ascii=False) + "\n")
+        for log in logs:
+            handle.write(log.to_json() + "\n")
+    return n_parts
+
+
+def read_changelog(path) -> Tuple[dict, List[ChangeLog]]:
+    """Read the header and the logs of a changelog; blank log lines are skipped.
+
+    Raises ValueError naming ``path``, and the line for a line that does not
+    parse or a header whose counts disagree with the logs.
+    """
+    try:
+        lines = list(read_lines(path))
+    except CorpusFormatError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not lines:
+        raise ValueError(f"{path}: empty changelog")
+    logs = []
+    for number, line in enumerate(lines, 1):
+        try:
+            if number == 1:
+                header = json.loads(line)
+                kind = header.get("type")
+            elif line.strip():
+                logs.append(ChangeLog.from_json(line))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}: line {number}: malformed changelog ({exc})") from exc
+        if kind != "header":  # line 1 is checked before any log parses
+            raise ValueError(f"{path}: missing changelog header")
+    counts = (len(logs), _part_totals(logs))
+    if (header.get("n_triplets"), header.get("n_parts")) != counts:
+        raise ValueError(f"{path}: line 1: header counts {header.get('n_triplets')!r} triplet(s) with parts "
+                         f"{header.get('n_parts')!r}, but the logs hold {counts[0]} triplet(s) with parts {counts[1]}")
+    return header, logs

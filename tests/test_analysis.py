@@ -60,7 +60,17 @@ class TestDrawSamples:
 
     def test_sizes_must_ascend(self):
         with pytest.raises(ValueError):
-            SampleSpec(sizes=(100, 50), replicates=1).validate(200)
+            SampleSpec(sizes=(100, 50), replicates=1)
+
+    @pytest.mark.parametrize("sizes, replicates, message", [
+        ((), 1, "at least one sample size is required"),
+        ((10, 10), 1, "sizes must be strictly ascending"),
+        ((0, 10), 1, "sizes must be positive"),
+        ((10,), 0, "replicates must be at least 1"),
+    ])
+    def test_spec_rejects_bad_sizes_and_replicates_without_a_corpus(self, sizes, replicates, message):
+        with pytest.raises(ValueError, match=message):
+            SampleSpec(sizes=sizes, replicates=replicates)
 
 
 class TestCurveReport:

@@ -408,6 +408,23 @@ class TestAblateCommand:
         assert f"{scores}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize("source", ["--in", "--scores"])
+    @pytest.mark.parametrize("sizes, message", [
+        ("20,10", "sizes must be strictly ascending"),
+        ("10,10", "sizes must be strictly ascending"),
+        ("0", "sizes must be positive"),
+        (",", "at least one sample size is required"),
+    ])
+    def test_sizes_rules_are_the_same_for_corpus_and_scores(self, tmp_path, capsys, source, sizes, message):
+        path, _ = make_corpus_file(tmp_path, synthetic_rows(30))
+        scores = tmp_path / "scores.csv"
+        scores.write_text("10,0,50\n20,0,60\n", encoding="utf-8")
+        argv = ["ablate", source, str(path if source == "--in" else scores), "--sizes", sizes,
+                "--out", str(tmp_path / "c.json")]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
     def test_replicates_below_one_is_a_usage_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("10,0,50\n", encoding="utf-8")
@@ -528,6 +545,29 @@ def test_bare_carriage_return_names_file_and_line(tmp_path, capsys, command):
     assert f"{path}: line 2: carriage return inside a line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "significance", "buckets"])
+def test_line_count_mismatch_names_both_files(tmp_path, capsys, command):
+    short = write_lines(tmp_path / "short.txt", ["a b c", "d e f"])
+    argv = _line_file_argv(command, tmp_path, short)
+    assert main(argv) == 2
+    reference = tmp_path / ("short.txt" if command == "buckets" else "clean.txt")
+    mismatched = tmp_path / ("clean.txt" if command == "buckets" else "short.txt")
+    counts = (3, 2) if command == "buckets" else (2, 3)
+    assert f"error: line count mismatch: {mismatched} has {counts[0]}, {reference} has {counts[1]}" in (
+        capsys.readouterr().err
+    )
+
+
+def test_evaluate_second_system_line_count_mismatch_names_both_files(tmp_path, capsys):
+    clean = write_lines(tmp_path / "clean.txt", ["a b c", "d e f", "g h i"])
+    short = write_lines(tmp_path / "short.txt", ["a b c"])
+    argv = ["evaluate", "--hyp", str(clean), "--hyp-b", str(short), "--ref", str(clean),
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert f"error: line count mismatch: {short} has 1, {clean} has 3" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_crlf_line_endings_read_like_lf(tmp_path):
     lf = write_lines(tmp_path / "lf.txt", ["a b c", "d e f x", "g h"])
     crlf = tmp_path / "crlf.txt"
@@ -628,6 +668,31 @@ def test_preprocess_rejects_line_break_in_a_field(tmp_path, capsys, break_char):
     path, _ = make_corpus_file(tmp_path, [("a", "b", "c"), ("d", f"e{break_char}f", "g")])
     assert main(["preprocess", "--in", str(path), "--out-dir", str(tmp_path / "pre")]) == 2
     assert "triplet '000002': field 'mt' contains a newline or carriage return" in capsys.readouterr().err
+    assert not (tmp_path / "pre" / "cleaned.jsonl").exists()
+    assert not (tmp_path / "pre" / "changelog.jsonl").exists()
+
+
+@pytest.mark.parametrize("edit, decoded", [
+    pytest.param(lambda lines: lines.pop(2), ["b", "h"], id="log-line-deleted"),
+    pytest.param(lambda lines: lines.__setitem__(0, lines[0].replace('"n_triplets": 3', '"n_triplets": 2')),
+                 ["b", "e", "h"], id="n-triplets-edited"),
+    pytest.param(lambda lines: lines.__setitem__(0, lines[0].replace('"mt": 3', '"mt": 4')),
+                 ["b", "e", "h"], id="one-field-n-parts-edited"),
+    pytest.param(lambda lines: lines.append(lines[1]), ["b", "e", "h", "b"], id="log-line-repeated"),
+    pytest.param(lambda lines: lines.__setitem__(0, '{"type": "header"}'), ["b", "e", "h"], id="counts-missing"),
+])
+def test_postprocess_rejects_a_header_that_disagrees_with_the_logs(tmp_path, capsys, edit, decoded):
+    path, _ = make_corpus_file(tmp_path, [("a", "<i>b</i>", "c"), ("d", "- e", "f"), ("g", "h ♪", "i")])
+    assert main(["preprocess", "--in", str(path), "--out-dir", str(tmp_path / "pre")]) == 0
+    changelog = tmp_path / "pre" / "changelog.jsonl"
+    lines = changelog.read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    write_lines(changelog, lines)
+    argv = ["postprocess", "--outputs", str(write_lines(tmp_path / "decoded.txt", decoded)),
+            "--changelog", str(changelog), "--out", str(tmp_path / "r.txt"), "--orig", str(path)]
+    assert main(argv) == 2
+    assert f"error: {changelog}: line 1: header counts " in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_corpus_reader_rejects_bare_carriage_return(tmp_path, capsys):

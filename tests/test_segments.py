@@ -15,9 +15,12 @@ from apekit.segments import (
     PartCountError,
     contains_artifacts,
     postprocess,
+    postprocess_all,
     postprocess_with_report,
     preprocess,
+    read_changelog,
     strip_markup,
+    write_changelog,
 )
 
 
@@ -204,6 +207,14 @@ class TestPostprocess:
         assert text == "x y z"
         assert dropped == 2
 
+    def test_postprocess_all_checks_the_total_part_count_once(self):
+        logs = [preprocess(triplet("A<br>B", "C<br>D", "E<br>F", id="a"))[1],
+                preprocess(triplet("a <i>b</i> c", "H", "I", id="b"))[1]]
+        assert postprocess_all(["C", "D", "H"], logs, "mt") == (["C<br>D", "H"], 0)
+        assert postprocess_all(["A", "B", "x y z"], logs, "src") == (["A<br>B", "x y z"], 2)
+        with pytest.raises(PartCountError, match="changelog expects 3 mt part.*decoded file has 2 line"):
+            postprocess_all(["C", "D"], logs, "mt")
+
     def test_br_fallback_round_trip(self):
         t = triplet("A<br>B<br/>C", "no breaks", "none either")
         parts, log = preprocess(t)
@@ -285,3 +296,24 @@ def test_cleaned_fields_always_pure():
         for p in parts:
             for text in (p.src, p.mt, p.pe):
                 assert not contains_artifacts(text), (t, p)
+
+
+class TestChangelogFile:
+    def logs(self):
+        rows = [("♪ <i>La</i><br>- Hey", "<i>Lo</i><br>- Ho", "Le<br>He"), ("- a", "b", "c"), ("d", "e", "f")]
+        return [preprocess(triplet(*row, id=f"t{k}"))[1] for k, row in enumerate(rows)]
+
+    def test_round_trip(self, tmp_path):
+        logs = self.logs()
+        assert write_changelog(tmp_path / "c.jsonl", logs, "ab12") == {"src": 4, "mt": 4, "pe": 4}
+        header, read = read_changelog(tmp_path / "c.jsonl")
+        assert header == {"type": "header", "toolkit_version": "0.1.0", "input_sha256": "ab12",
+                          "n_triplets": 3, "n_parts": {"src": 4, "mt": 4, "pe": 4}}
+        assert read == logs
+
+    def test_blank_log_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_changelog(path, self.logs(), "ab12")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0], "", *lines[1:], "  "]) + "\n", encoding="utf-8")
+        assert read_changelog(path)[1] == self.logs()
