@@ -28,14 +28,6 @@ class KappaResult:
     expected_agreement: float
     weighting: str  # "none" or "quadratic"
 
-    def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "observed_agreement": self.observed_agreement,
-            "expected_agreement": self.expected_agreement,
-            "weighting": self.weighting,
-        }
-
 
 def _marginals(a: Sequence, b: Sequence) -> Tuple[int, Counter, Counter]:
     """Item count and each rater's category counts, in first-seen order."""
@@ -112,12 +104,7 @@ class PairwiseKappa:
     weighting: str
 
     def to_dict(self) -> dict:
-        return {
-            "mean_kappa": self.mean_kappa,
-            "pairs": [{"a": a, "b": b, "kappa": k} for a, b, k in self.pairs],
-            "skipped_pairs": self.skipped_pairs,
-            "weighting": self.weighting,
-        }
+        return {**vars(self), "pairs": [{"a": a, "b": b, "kappa": k} for a, b, k in self.pairs]}
 
 
 def pairwise_average_kappa(
@@ -204,7 +191,9 @@ def read_adequacy_csv(path) -> AdequacyTable:
     table = AdequacyTable()
     errors = []
     with open(path, encoding="utf-8", newline="") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
+        reader = csv.reader(handle)
+        for row in reader:
+            line_no = reader.line_num
             if not row or (line_no == 1 and [c.lower() for c in row[:2]] == ["annotator_id", "item_id"]):
                 continue
             if len(row) != 4:
@@ -250,9 +239,6 @@ class AdequacySummary:
 
     per_annotator: Tuple[dict, ...]
     overall: dict
-
-    def to_dict(self) -> dict:
-        return {"per_annotator": list(self.per_annotator), "overall": self.overall}
 
 
 def _summary_row(name: str, used_scores: Dict[str, List[int]], assigned: int) -> dict:

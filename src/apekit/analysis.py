@@ -97,15 +97,6 @@ class CurvePoint:
     max: float
     metric: str = "metric"
 
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "metric": self.metric,
-        }
-
 
 def curve_report(
     results: Sequence[Tuple[int, int, float]], metric: str = "metric"
@@ -188,15 +179,7 @@ class Bucket:
     delta_ter: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "low": self.low,
-            "high": None if self.high == float("inf") else self.high,
-            "count": self.count,
-            "baseline_ter": self.baseline_ter,
-            "ape_ter": self.ape_ter,
-            "delta_ter": self.delta_ter,
-        }
+        return {**vars(self), "high": None if self.high == float("inf") else self.high}
 
 
 @dataclass(frozen=True)
@@ -207,11 +190,8 @@ class BucketAnalysis:
     negative means the post-editor improved that quality band.
     """
 
-    buckets: Tuple[Bucket, ...]
     total: int
-
-    def to_dict(self) -> dict:
-        return {"total": self.total, "buckets": [b.to_dict() for b in self.buckets]}
+    buckets: Tuple[Bucket, ...]
 
 
 def _bucket_index(sentence_ter_pct: float) -> int:

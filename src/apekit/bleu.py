@@ -24,15 +24,6 @@ class BleuScore:
     hyp_len: int
     ref_len: int
 
-    def to_dict(self) -> dict:
-        return {
-            "score": self.score,
-            "precisions": list(self.precisions),
-            "brevity_penalty": self.brevity_penalty,
-            "hyp_len": self.hyp_len,
-            "ref_len": self.ref_len,
-        }
-
 
 def sentence_stats(hyp: str, ref: str, tok: TokenizerConfig = BLEU_TOKENIZER) -> List[int]:
     """Sufficient statistics for one sentence pair.

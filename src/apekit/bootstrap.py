@@ -40,24 +40,13 @@ STATISTICS = {
 
 @dataclass(frozen=True)
 class BootstrapResult:
+    statistic: str
     n_samples: int
     wins_a: int
     wins_b: int
     ties: int
     p_value: float
     seed: int
-    statistic: str = "bleu"
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "n_samples": self.n_samples,
-            "wins_a": self.wins_a,
-            "wins_b": self.wins_b,
-            "ties": self.ties,
-            "p_value": self.p_value,
-            "seed": self.seed,
-        }
 
 
 def _sample_scores(rows, indices, score) -> np.ndarray:

@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .bleu import bleu_corpus
 from .bootstrap import DEFAULT_SAMPLES, STATISTICS, bootstrap_significance
 from .chrf import chrf
 from .corpus import TEXT_FIELDS, Corpus, CorpusFormatError, corpus_stats, read_corpus, read_lines, write_corpus
-from .filtering import FilterConfig, run_filter_pipeline
+from .filtering import SEED_RULE, FilterConfig, is_seed, run_filter_pipeline
 from .langid import NgramLanguageClassifier
 from .segments import postprocess_all, preprocess, read_changelog, write_changelog
 from .ter import EmptyReferenceError, ter_corpus, ter_sentence
@@ -85,10 +86,16 @@ def _manifest(subcommand: str, inputs, seed=None, config: dict = None) -> dict:
     }
 
 
+def _record_json(record) -> dict:
+    """The JSON of a report record: its ``to_dict`` if it has one, else its
+    fields in declaration order (``vars``, at half the cost of ``asdict``)."""
+    return record.to_dict() if hasattr(record, "to_dict") else vars(record)
+
+
 def _write_report(path, payload: dict) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2)
+        json.dump(payload, handle, ensure_ascii=False, indent=2, default=_record_json)
         handle.write("\n")
 
 
@@ -151,7 +158,7 @@ def cmd_filter(args) -> int:
     else:
         config = FilterConfig()
     if args.seed is not None:
-        config = FilterConfig.from_dict({**config.to_dict(), "seed": args.seed})
+        config = replace(config, seed=args.seed)
     classifier = NgramLanguageClassifier.default()
     for key in ("expected_src_lang", "expected_tgt_lang"):
         lang = getattr(config, key)
@@ -169,9 +176,9 @@ def cmd_filter(args) -> int:
     for name, split in (("train", train), ("dev", dev), ("test", test)):
         write_corpus(split, out_dir / f"{name}.jsonl", format="jsonl")
     payload = {
-        "manifest": _manifest("filter", [args.input], seed=config.seed, config=config.to_dict()),
-        "config": config.to_dict(),
-        "report": report.to_dict(),
+        "manifest": _manifest("filter", [args.input], seed=config.seed, config=vars(config)),
+        "config": config,
+        "report": report,
     }
     _write_report(out_dir / "filter_report.json", payload)
     print(f"filter: kept {report.kept_count}/{report.input_count} -> {out_dir}")
@@ -245,13 +252,9 @@ def _metric_report(hyps, refs, bleu_tok, ter_tok, per_sentence=False) -> dict:
     bleu = bleu_corpus(hyps, refs, bleu_tok)
     chrf_score = chrf(hyps, refs)
     ter = ter_corpus(hyps, refs, ter_tok)
-    report = {"bleu": bleu.to_dict(), "chrf": chrf_score, "ter": ter.to_dict()}
+    report = {"bleu": bleu, "chrf": chrf_score, "ter": ter}
     if per_sentence:
-        rows = []
-        for hyp, ref in zip(hyps, refs):
-            sentence_ter, _ = ter_sentence(hyp, ref, ter_tok)
-            rows.append({"ter": sentence_ter.to_dict()})
-        report["per_sentence"] = rows
+        report["per_sentence"] = [{"ter": ter_sentence(hyp, ref, ter_tok)[0]} for hyp, ref in zip(hyps, refs)]
     return report
 
 
@@ -271,13 +274,13 @@ def cmd_evaluate(args) -> int:
         payload["system_b"] = _metric_report(hyps_b, refs, bleu_tok, ter_tok)
         payload["bootstrap"] = bootstrap_significance(
             hyps, hyps_b, refs, n_samples=args.n_samples, seed=seed, tok=bleu_tok
-        ).to_dict()
+        )
 
     payload["manifest"] = _manifest("evaluate", inputs, seed=seed)
     _write_report(args.out, payload)
     print(
         "evaluate: BLEU {:.2f} ChrF {:.2f} TER {:.2f}".format(
-            payload["bleu"]["score"], payload["chrf"], payload["ter"]["score"] * 100.0
+            payload["bleu"].score, payload["chrf"], payload["ter"].score * 100.0
         )
     )
     return 0
@@ -292,7 +295,7 @@ def cmd_significance(args) -> int:
         )
     payload = {
         "manifest": _manifest("significance", [args.hyp_a, args.hyp_b, args.ref], seed=seed),
-        "bootstrap": result.to_dict(),
+        "bootstrap": result,
     }
     _write_report(args.out, payload)
     print(
@@ -313,8 +316,8 @@ def cmd_agreement(args) -> int:
     payload = {
         "manifest": _manifest("agreement", [args.csv]),
         "n_shared_items": len(items),
-        "cohen_kappa": plain.to_dict(),
-        "weighted_kappa": weighted.to_dict(),
+        "cohen_kappa": plain,
+        "weighted_kappa": weighted,
     }
     _write_report(args.out, payload)
     print(
@@ -326,7 +329,7 @@ def cmd_agreement(args) -> int:
 
 def cmd_adequacy(args) -> int:
     summary = adequacy_summary(read_adequacy_csv(_require_file(args.csv)))
-    payload = {"manifest": _manifest("adequacy", [args.csv]), "summary": summary.to_dict()}
+    payload = {"manifest": _manifest("adequacy", [args.csv]), "summary": summary}
     _write_report(args.out, payload)
     for row in (*summary.per_annotator, summary.overall):
         means = " ".join(f"{s}={m:.1f}" if m is not None else f"{s}=n/a" for s, m in row["means"].items())
@@ -400,7 +403,7 @@ def cmd_ablate(args) -> int:
         "baseline": args.baseline,
         "wmt_size_marker": WMT_APE_EN_DE_SIZE,
         "results": [{"size": s, "replicate": r, "value": v} for s, r, v in results],
-        "points": [p.to_dict() for p in points],
+        "points": points,
     }
     _write_report(args.out, payload)
     if args.out_csv:
@@ -419,7 +422,7 @@ def cmd_buckets(args) -> int:
         analysis = ter_buckets(baseline, ape, refs)
     payload = {
         "manifest": _manifest("buckets", [args.baseline, args.ape, args.ref]),
-        "analysis": analysis.to_dict(),
+        "analysis": analysis,
     }
     _write_report(args.out, payload)
     if args.out_csv:
@@ -438,7 +441,7 @@ def cmd_buckets(args) -> int:
 def cmd_stats(args) -> int:
     corpus = _read_corpus_checked(args.input, args.format)
     stats = corpus_stats(corpus)
-    payload = {"manifest": _manifest("stats", [args.input]), "stats": stats.to_dict()}
+    payload = {"manifest": _manifest("stats", [args.input]), "stats": stats}
     _write_report(args.out, payload)
     print(
         f"stats: {stats.n_triplets} triplets, tokens src/mt/pe = "
@@ -460,29 +463,35 @@ def build_parser() -> _Parser:
             raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
         return value
 
+    def seed(raw: str) -> int:  # argparse type; a non-integer is an "invalid seed value"
+        value = int(raw)
+        if not is_seed(value):
+            raise argparse.ArgumentTypeError(f"must be {SEED_RULE}, got {value}")
+        return value
+
     def flag(*names, **kwargs):
         parent = argparse.ArgumentParser(add_help=False)
         parent.add_argument(*names, **kwargs)
         return parent
 
-    seed = flag("--seed", type=int, default=None, help="seed for all randomness")
+    seeded = flag("--seed", type=seed, default=None, help="seed for all randomness")
     threads = flag("--threads", type=int, default=1, help="accepted for scripts; has no effect")
     fmt = flag("--format", choices=["jsonl", "tsv"], default="jsonl", help="corpus format")
     config = flag("--config", default=None, help="JSON filter config file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("filter", parents=[seed, threads, fmt, config], help="run the corpus filter pipeline")
+    p = sub.add_parser("filter", parents=[seeded, threads, fmt, config], help="run the corpus filter pipeline")
     p.add_argument("--in", dest="input", required=True, help="input corpus")
     p.add_argument("--out-dir", required=True, help="directory for splits and report")
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("preprocess", parents=[seed, threads, fmt], help="split and strip subtitle markup")
+    p = sub.add_parser("preprocess", parents=[seeded, threads, fmt], help="split and strip subtitle markup")
     p.add_argument("--in", dest="input", required=True, help="input corpus")
     p.add_argument("--out-dir", required=True, help="directory for cleaned corpus and changelog")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("postprocess", parents=[seed, threads], help="restore tracked changes")
+    p = sub.add_parser("postprocess", parents=[seeded, threads], help="restore tracked changes")
     p.add_argument("--outputs", required=True, help="decoded text, one cleaned part per line")
     p.add_argument("--changelog", required=True, help="changelog from the matching preprocess run")
     p.add_argument("--out", required=True, help="restored text output path")
@@ -490,7 +499,7 @@ def build_parser() -> _Parser:
     p.add_argument("--orig", default=None, help="original corpus to digest-check against")
     p.set_defaults(func=cmd_postprocess)
 
-    p = sub.add_parser("evaluate", parents=[seed, threads], help="BLEU, ChrF, and TER report")
+    p = sub.add_parser("evaluate", parents=[seeded, threads], help="BLEU, ChrF, and TER report")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--hyp-b", default=None, help="second system; adds a bootstrap block")
@@ -503,7 +512,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-samples", type=count, default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("significance", parents=[seed, threads], help="paired bootstrap test")
+    p = sub.add_parser("significance", parents=[seeded, threads], help="paired bootstrap test")
     p.add_argument("--hyp-a", required=True)
     p.add_argument("--hyp-b", required=True)
     p.add_argument("--ref", required=True)
@@ -522,7 +531,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="adequacy.json")
     p.set_defaults(func=cmd_adequacy)
 
-    p = sub.add_parser("ablate", parents=[seed, fmt], help="data-size curve protocol")
+    p = sub.add_parser("ablate", parents=[seeded, fmt], help="data-size curve protocol")
     p.add_argument("--in", dest="input", default=None, help="training corpus to sample")
     p.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     p.add_argument("--replicates", type=count, default=3)
@@ -534,7 +543,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("buckets", parents=[seed, threads], help="TER-bucket delta analysis")
+    p = sub.add_parser("buckets", parents=[seeded, threads], help="TER-bucket delta analysis")
     p.add_argument("--baseline", required=True, help="do-nothing system output, one line per item")
     p.add_argument("--ape", required=True, help="post-edited system output, one line per item")
     p.add_argument("--ref", required=True)

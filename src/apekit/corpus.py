@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from operator import add
 from pathlib import Path
 from typing import Iterator, Mapping, Optional
 
@@ -82,26 +83,7 @@ class CorpusStats:
     chars_pe: int = 0
 
     def __add__(self, other: "CorpusStats") -> "CorpusStats":
-        return CorpusStats(
-            self.n_triplets + other.n_triplets,
-            self.tokens_src + other.tokens_src,
-            self.tokens_mt + other.tokens_mt,
-            self.tokens_pe + other.tokens_pe,
-            self.chars_src + other.chars_src,
-            self.chars_mt + other.chars_mt,
-            self.chars_pe + other.chars_pe,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_triplets": self.n_triplets,
-            "tokens_src": self.tokens_src,
-            "tokens_mt": self.tokens_mt,
-            "tokens_pe": self.tokens_pe,
-            "chars_src": self.chars_src,
-            "chars_mt": self.chars_mt,
-            "chars_pe": self.chars_pe,
-        }
+        return CorpusStats(*map(add, vars(self).values(), vars(other).values()))
 
 
 def count_tokens(text: str) -> int:
@@ -119,18 +101,12 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 
     Additive and order invariant: stats(A ++ B) == stats(A) + stats(B).
     """
-    stats = CorpusStats()
-    for t in corpus:
-        stats += CorpusStats(
-            n_triplets=1,
-            tokens_src=count_tokens(t.src),
-            tokens_mt=count_tokens(t.mt),
-            tokens_pe=count_tokens(t.pe),
-            chars_src=count_chars(t.src),
-            chars_mt=count_chars(t.mt),
-            chars_pe=count_chars(t.pe),
-        )
-    return stats
+    columns = [[t.text(name) for t in corpus] for name in TEXT_FIELDS]
+    return CorpusStats(
+        len(corpus),
+        *(sum(map(count_tokens, column)) for column in columns),
+        *(sum(map(count_chars, column)) for column in columns),
+    )
 
 
 def _ordinal_id(line_no: int) -> str:

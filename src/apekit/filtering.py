@@ -14,10 +14,16 @@ import re
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from .corpus import Corpus, Triplet, count_chars
+from .corpus import TEXT_FIELDS, Corpus, Triplet, count_chars
 from .langid import LanguageClassifier, NgramLanguageClassifier
 
 STAGE_ORDER = ("ratio", "normalize", "dedup", "langid", "split")
+SEED_RULE = "an integer from 0 to 2**64 - 1"
+
+
+def is_seed(value) -> bool:
+    """Whether ``value`` meets SEED_RULE: filter configs and ``--seed`` share it."""
+    return type(value) is int and 0 <= value < 2**64
 
 
 @dataclass(frozen=True)
@@ -37,35 +43,30 @@ class FilterConfig:
     expected_src_lang: str = "en"
     expected_tgt_lang: str = "de"
 
-    def validate(self) -> None:
-        if not 0.0 < self.t < 1.0:
-            raise ValueError(f"tolerance t must be in (0, 1), got {self.t}")
-        if self.dev_size < 0 or self.test_size < 0:
-            raise ValueError("dev_size and test_size must be non-negative")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+    def __post_init__(self) -> None:
+        values = vars(self)
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "ratio_numerator": self.ratio_numerator,
-            "ratio_denominator": self.ratio_denominator,
-            "dev_size": self.dev_size,
-            "test_size": self.test_size,
-            "seed": self.seed,
-            "expected_src_lang": self.expected_src_lang,
-            "expected_tgt_lang": self.expected_tgt_lang,
-        }
+        def require(key: str, ok: bool, rule: str) -> None:
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {values[key]!r}")
+
+        require("t", type(self.t) in (int, float) and 0.0 < self.t < 1.0, "a number in (0, 1)")
+        for key in ("ratio_numerator", "ratio_denominator"):
+            require(key, values[key] in TEXT_FIELDS, f"one of {', '.join(TEXT_FIELDS)}")
+        for key in ("dev_size", "test_size"):
+            require(key, type(values[key]) is int and values[key] >= 0, "an integer >= 0")
+        require("seed", is_seed(self.seed), SEED_RULE)
+        for key in ("expected_src_lang", "expected_tgt_lang"):
+            require(key, type(values[key]) is str, "a string")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FilterConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+    def from_dict(cls, data) -> "FilterConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"the filter config must be a JSON object, not {type(data).__name__}")
+        unknown = data.keys() - cls.__dataclass_fields__.keys()
         if unknown:
             raise ValueError(f"unknown filter config keys: {sorted(unknown)}")
-        config = cls(**data)
-        config.validate()
-        return config
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -75,13 +76,6 @@ class GlobalRatio:
     r_c: float
     numerator_chars: int
     denominator_chars: int
-
-    def to_dict(self) -> dict:
-        return {
-            "r_c": self.r_c,
-            "numerator_chars": self.numerator_chars,
-            "denominator_chars": self.denominator_chars,
-        }
 
 
 @dataclass(frozen=True)
@@ -104,20 +98,8 @@ class FilterReport:
             raise ValueError("filter report does not reconcile: kept != sum of splits")
 
     def to_dict(self) -> dict:
-        return {
-            "input_count": self.input_count,
-            "removed_by_ratio": self.removed_by_ratio,
-            "removed_by_dedup": self.removed_by_dedup,
-            "removed_by_langid": self.removed_by_langid,
-            "kept_count": self.kept_count,
-            "r_c": self.r_c.to_dict(),
-            "split_sizes": {
-                "train": self.split_sizes[0],
-                "dev": self.split_sizes[1],
-                "test": self.split_sizes[2],
-            },
-            "stage_order": list(STAGE_ORDER),
-        }
+        split_sizes = dict(zip(("train", "dev", "test"), self.split_sizes))
+        return {**vars(self), "split_sizes": split_sizes, "stage_order": STAGE_ORDER}
 
 
 def compute_global_ratio(corpus: Corpus, num_field: str = "src", den_field: str = "pe") -> GlobalRatio:
@@ -293,7 +275,6 @@ def run_filter_pipeline(
     Degenerate triplets (empty ratio denominator) are counted under the
     ratio stage; their reason code says "degenerate".
     """
-    config.validate()
     if classifier is None:
         classifier = NgramLanguageClassifier.default()
 

@@ -56,22 +56,11 @@ class ChangeRecord:
     replacement: str = ""
     anchor: str = "interior"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "field": self.field,
-            "part": self.part,
-            "offset": self.offset,
-            "payload": self.payload,
-            "replacement": self.replacement,
-            "anchor": self.anchor,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ChangeRecord":
-        """Read a record written by ``to_dict``; raise ValueError on a bad value."""
+        """Read a record written as ``vars(record)``; raise ValueError on a bad value."""
         record = cls(**data)  # an unknown key raises TypeError naming it
-        missing = record.to_dict().keys() - data.keys()
+        missing = cls.__dataclass_fields__.keys() - data.keys()
         if missing:
             raise ValueError(f"change record lacks {', '.join(sorted(missing))}")
         for name in ("part", "offset"):
@@ -110,7 +99,7 @@ class ChangeLog:
             "triplet_id": self.triplet_id,
             "parts": dict(self.parts),
             "clean_digests": {f: list(v) for f, v in self.clean_digests.items()},
-            "records": [r.to_dict() for r in self.records],
+            "records": [vars(r) for r in self.records],
         }
 
     def to_json(self) -> str:

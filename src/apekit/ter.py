@@ -75,14 +75,7 @@ class TerScore:
         return (self.insertions, self.deletions, self.substitutions, self.shifts, self.ref_len)
 
     def to_dict(self) -> dict:
-        return {
-            "score": self.score,
-            "insertions": self.insertions,
-            "deletions": self.deletions,
-            "substitutions": self.substitutions,
-            "shifts": self.shifts,
-            "ref_len": self.ref_len,
-        }
+        return {"score": self.score, **vars(self)}
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,176 @@
+"""Generate report_golden/: the filter, stats and ablate reports end to end.
+
+The files pin the exact output of ``apekit filter``, ``apekit stats`` and
+``apekit ablate`` on a small English/German corpus: each JSON report
+without its ``manifest.timestamp`` (the one field allowed to differ
+between runs), the filter splits, the ablate curve CSV, and one console
+file with each command's exit code, stdout and stderr. Changes to how the
+CLI builds or writes these reports can be checked against it for
+byte-identical results. Commands run in the ``report_golden`` directory on
+relative paths, so paths in messages and the manifest's input keys are
+stable. Regenerate only when a change of outputs is intended:
+
+    PYTHONPATH=src python tests/data/make_report_golden.py
+
+The corpus plants one triplet for each filter stage to remove: a length
+ratio outlier, an empty post-edit, a duplicate (src, mt) pair and an
+English post-edit; others carry typographic quotes for normalization.
+``filter`` runs with a config file, and again with ``--seed`` overriding
+its seed. ``ablate`` runs once on the corpus with ``--out-csv`` and once
+on an external scores file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import shutil
+import sys
+from pathlib import Path
+
+from apekit.cli import main as cli_main
+
+OUT = Path(__file__).with_name("report_golden")
+_spec = importlib.util.spec_from_file_location(
+    "make_build_cli_golden", Path(__file__).with_name("make_build_cli_golden.py")
+)
+make_build_cli_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_build_cli_golden)
+without_timestamp = make_build_cli_golden.without_timestamp
+
+# (src, mt, pe): English source, German MT and post-edit.
+TRIPLETS = [
+    ("The weather was cold this morning.", "Das Wetter war heute Morgen kalt.",
+     "Das Wetter war heute Morgen kalt."),
+    ("She asked whether the train would be late.", "Sie fragte, ob der Zug spät sein würde.",
+     "Sie fragte, ob der Zug Verspätung haben würde."),
+    ("We bought bread at the market yesterday.", "Wir kauften gestern Brot auf dem Markt.",
+     "Wir haben gestern Brot auf dem Markt gekauft."),
+    ("The children are playing in the garden.", "Die Kinder spielen in dem Garten.",
+     "Die Kinder spielen im Garten."),
+    ("Please close the window before you leave.", "Bitte schließen das Fenster, bevor du gehst.",
+     "Bitte schließ das Fenster, bevor du gehst."),
+    ("My brother works in another city.", "Mein Bruder arbeitet in einer anderen Stadt.",
+     "Mein Bruder arbeitet in einer anderen Stadt."),
+    ("It was already dark when they arrived.", "Es war schon dunkel, wenn sie ankamen.",
+     "Es war schon dunkel, als sie ankamen."),
+    ("Would you like some more coffee?", "Möchtest du etwas mehr Kaffee?",
+     "Möchtest du noch etwas Kaffee?"),
+    ("The meeting starts earlier next week.", "Die Besprechung beginnt früher nächste Woche.",
+     "Die Besprechung beginnt nächste Woche früher."),
+    ("He could not find the keys to the car.", "Er konnte nicht die Schlüssel für das Auto finden.",
+     "Er konnte die Autoschlüssel nicht finden."),
+    ("There is nothing better than warm tea.", "Es gibt nichts besser als warmen Tee.",
+     "Es gibt nichts Besseres als warmen Tee."),
+    ("Their mother was reading a book.", "Ihre Mutter war lesend ein Buch.",
+     "Ihre Mutter las ein Buch."),
+    ("“Where is the station?” he asked.", "„Wo ist der Bahnhof?“, fragte er.",
+     "„Wo ist der Bahnhof?“, fragte er."),
+    ("The answer depends on the time we have.", "Die Antwort hängt ab von der Zeit, die wir haben.",
+     "Die Antwort hängt von der Zeit ab, die wir haben."),
+    ("The village by the lake is very small.", "Das Dorf am See ist sehr klein.",
+     "Das Dorf am See ist sehr klein."),
+    ("They will stay for dinner after work.", "Sie werden bleiben zum Abendessen nach der Arbeit.",
+     "Sie bleiben nach der Arbeit zum Abendessen."),
+    ("The shop is closed today.", "Das Geschäft ist heute geschlossen.",
+     "Das Geschäft ist heute geschlossen."),
+    ("Everyone agreed with the new plan.", "Alle waren einverstanden mit dem neuen Plan.",
+     "Alle waren mit dem neuen Plan einverstanden."),
+    ("The streets were still quiet.", "Die Straßen waren noch ruhig.",
+     "Die Straßen waren noch still."),
+    ("‘Nobody knew it,’ she said.", "‚Niemand wusste es‘, sagte sie.",
+     "‚Niemand wusste es‘, sagte sie."),
+    ("We have to leave for the station now.", "Wir müssen jetzt zum Bahnhof aufbrechen.",
+     "Wir müssen jetzt zum Bahnhof aufbrechen."),
+    ("The broken window is downstairs.", "Das kaputte Fenster ist unten.",
+     "Das kaputte Fenster ist unten."),
+    ("It rains outside again today.", "Es regnet draußen wieder heute.",
+     "Es regnet heute wieder draußen."),
+    ("She visits us during the holidays.", "Sie besucht uns während den Ferien.",
+     "Sie besucht uns in den Ferien."),
+    # Planted faults, one for each filter stage that removes triplets.
+    ("Yes.", "Ja, das ist wirklich eine sehr gute und wichtige Frage.",
+     "Ja, das ist wirklich eine sehr gute und wichtige Frage, die wir heute beantworten müssen."),
+    ("Thank you very much.", "Vielen Dank.", ""),
+    ("The shop is closed today.", "Das Geschäft ist heute geschlossen.", "Der Laden ist heute zu."),
+    ("The garden is green in spring.", "Der Garten ist grün im Frühling.",
+     "The garden is green in the spring."),
+]
+FILTER_CONFIG = {"t": 0.3, "dev_size": 3, "test_size": 3, "seed": 11}
+SCORES = "size,replicate,value\n100,0,31.5\n100,1,32.25\n200,0,35.0\n200,1,34.5\n400,1,38.125\n400,0,37.75\n"
+
+
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
+def write_inputs(directory: Path) -> None:
+    """The corpus, the filter config and the external scores file."""
+    rows = [
+        json.dumps({"id": f"t{i:02d}", "src": s, "mt": m, "pe": p}, ensure_ascii=False) + "\n"
+        for i, (s, m, p) in enumerate(TRIPLETS, 1)
+    ]
+    _write(directory / "in" / "corpus.jsonl", "".join(rows))
+    _write(directory / "in" / "filter_config.json", json.dumps(FILTER_CONFIG) + "\n")
+    _write(directory / "in" / "scores.csv", SCORES)
+
+
+def _run(console: list, argv: list) -> int:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    console.append(f"{' '.join(argv)}: exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
+    return code
+
+
+def run_commands(directory: Path) -> dict:
+    """Run filter, stats and ablate in `directory`.
+
+    Returns {file name: text}: each report without its timestamp, the
+    filter splits, the ablate CSV, and console.txt with every command's
+    exit code, stdout and stderr.
+    """
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        console = []
+        outputs = {}
+        filter_args = ["filter", "--in", "in/corpus.jsonl", "--config", "in/filter_config.json"]
+        for name, extra in (("filter", []), ("filter_seed4", ["--seed", "4"])):
+            _run(console, [*filter_args, "--out-dir", f"out/{name}", *extra])
+            report = Path(f"out/{name}/filter_report.json").read_text(encoding="utf-8")
+            outputs[f"{name}_report.json"] = without_timestamp(report)
+            for split in ("train", "dev", "test"):
+                outputs[f"{name}_{split}.jsonl"] = Path(f"out/{name}/{split}.jsonl").read_text(encoding="utf-8")
+
+        _run(console, ["stats", "--in", "in/corpus.jsonl", "--out", "out/stats.json"])
+        _run(console, ["ablate", "--in", "in/corpus.jsonl", "--sizes", "4,8,16", "--replicates", "2",
+                       "--seed", "3", "--baseline", "61.5", "--out", "out/ablate_corpus.json",
+                       "--out-csv", "out/ablate_corpus.csv"])
+        _run(console, ["ablate", "--scores", "in/scores.csv", "--sizes", "100,200,400", "--replicates", "2",
+                       "--metric", "bleu", "--out", "out/ablate_scores.json"])
+        for name in ("stats.json", "ablate_corpus.json", "ablate_scores.json"):
+            outputs[name] = without_timestamp(Path("out", name).read_text(encoding="utf-8"))
+        outputs["ablate_corpus.csv"] = Path("out/ablate_corpus.csv").read_text(encoding="utf-8")
+        outputs["console.txt"] = "".join(console)
+        shutil.rmtree("out")
+        return outputs
+    finally:
+        os.chdir(previous)
+
+
+def main() -> int:
+    write_inputs(OUT)
+    for name, text in run_commands(OUT).items():
+        _write(OUT / name, text)
+    print(f"wrote {OUT}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -202,6 +202,12 @@ class TestCsvIngestion:
         assert "line 2" in str(err.value)
         assert "line 3" in str(err.value)
 
+    def test_line_numbers_count_newlines_inside_quoted_fields(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('A,"i\n1",nmt,3\nA,i2,nmt,bad\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"line 3: bad score 'bad'"):
+            read_adequacy_csv(path)
+
 
 class TestSharedRatings:
     def test_items_with_any_cant_decide_dropped(self):

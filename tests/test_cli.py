@@ -80,6 +80,22 @@ class TestFilterCommand:
         code = main(["filter", "--in", str(path), "--out-dir", str(tmp_path / "o"), "--config", str(config)])
         assert code == 1
 
+    @pytest.mark.parametrize("config_text, message", [
+        ('{"dev_size": 0.5}', "dev_size must be an integer >= 0, got 0.5"),
+        ('{"seed": 1.5}', "seed must be an integer from 0 to 2**64 - 1, got 1.5"),
+        ('{"seed": true}', "seed must be an integer from 0 to 2**64 - 1, got True"),
+        ('{"ratio_numerator": "foo"}', "ratio_numerator must be one of src, mt, pe, got 'foo'"),
+        ('[1]', "the filter config must be a JSON object, not list"),
+    ])
+    def test_bad_config_value_names_the_key(self, tmp_path, capsys, config_text, message):
+        path, _ = make_corpus_file(tmp_path, synthetic_rows(30))
+        config = tmp_path / "config.json"
+        config.write_text(config_text, encoding="utf-8")
+        out_dir = tmp_path / "o"
+        code = main(["filter", "--in", str(path), "--out-dir", str(out_dir), "--config", str(config)])
+        assert (code, capsys.readouterr().err) == (1, f"error: invalid filter config: {message}\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("key", ["expected_src_lang", "expected_tgt_lang"])
     def test_language_unknown_to_the_classifier_is_config_error(self, tmp_path, capsys, key):
         path, _ = make_corpus_file(tmp_path, synthetic_rows(30))
@@ -250,7 +266,7 @@ class TestEvaluateCommand:
         lowercased = TokenizerConfig(scheme="punct_split", lowercase=True)
         expected = bootstrap_significance(hyps_a, hyps_b, refs, n_samples=200, seed=4, tok=lowercased)
         assert expected.wins_a == 200
-        assert load_json(out)["bootstrap"] == expected.to_dict()
+        assert load_json(out)["bootstrap"] == vars(expected)
 
 
 class TestSignificanceCommand:
@@ -749,6 +765,26 @@ UNREAD_FLAGS = (
     + [(command, "--seed") for command in ("agreement", "adequacy", "stats")]
     + [(command, "--threads") for command in ("agreement", "adequacy", "stats", "ablate")]
 )
+
+
+SEEDED_COMMANDS = ["filter", "preprocess", "postprocess", "evaluate", "significance", "ablate", "buckets"]
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+@pytest.mark.parametrize("value", ["-1", str(2**64), "1.5", "x"])
+def test_seed_outside_the_seed_rule_is_a_usage_error(tmp_path, monkeypatch, capsys, command, value):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *REQUIRED_ARGS[command], "--seed", value]) == 1
+    err = capsys.readouterr().err
+    assert "argument --seed: " in err
+    if value.lstrip("-").isdigit():
+        assert f"must be an integer from 0 to 2**64 - 1, got {value}" in err
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_largest_seed_parses(command):
+    args = build_parser().parse_args([command, *REQUIRED_ARGS[command], "--seed", str(2**64 - 1)])
+    assert args.seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)

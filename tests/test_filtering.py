@@ -307,8 +307,20 @@ class TestPipeline:
 
     def test_config_json_round_trip(self):
         config = FilterConfig(t=0.3, dev_size=2, test_size=2, seed=99)
-        assert FilterConfig.from_dict(config.to_dict()) == config
+        assert FilterConfig.from_dict(vars(config)) == config
 
     def test_config_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
-            FilterConfig(t=1.5).validate()
+            FilterConfig(t=1.5)
+
+    @pytest.mark.parametrize("key, value", [
+        ("t", "0.2"), ("t", 0.0), ("ratio_numerator", "foo"), ("ratio_denominator", None),
+        ("dev_size", 0.5), ("test_size", -1), ("seed", 1.5), ("seed", True), ("seed", -1),
+        ("seed", 2**64), ("expected_src_lang", 5),
+    ])
+    def test_config_checks_every_key_when_built(self, key, value):
+        with pytest.raises(ValueError, match=rf"^{key} must be .*, got {value!r}$"):
+            FilterConfig(**{key: value})
+
+    def test_config_accepts_the_largest_seed(self):
+        assert FilterConfig(seed=2**64 - 1).seed == 2**64 - 1
