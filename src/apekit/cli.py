@@ -37,7 +37,7 @@ from .analysis import (
 from .bleu import bleu_corpus
 from .bootstrap import DEFAULT_SAMPLES, STATISTICS, bootstrap_significance
 from .chrf import chrf
-from .corpus import TEXT_FIELDS, Corpus, CorpusFormatError, corpus_stats, read_corpus, read_lines, write_corpus
+from .corpus import TEXT_FIELDS, corpus_stats, read_corpus, read_lines, require_file, write_corpus, write_lines
 from .filtering import SEED_RULE, FilterConfig, is_seed, run_filter_pipeline
 from .langid import NgramLanguageClassifier
 from .segments import postprocess_all, preprocess, read_changelog, write_changelog
@@ -68,13 +68,6 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _require_file(path) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise ValueError(f"input file not found: {p}")
-    return p
-
-
 def _manifest(subcommand: str, inputs, seed=None, config: dict = None) -> dict:
     return {
         "toolkit_version": __version__,
@@ -99,30 +92,24 @@ def _write_report(path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _read_lines(path) -> list:
-    try:
-        return list(read_lines(_require_file(path)))
-    except CorpusFormatError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+def _write_csv(path, header: list, rows) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _read_aligned(*paths) -> list:
     """Read a subcommand's line files, one item per line; each must have as
     many lines as the last, the reference. A path of None (an optional
     input left out) reads as None."""
-    files = [_read_lines(path) if path else None for path in paths]
+    files = [list(read_lines(path)) if path else None for path in paths]
     refs = files[-1]
     for path, lines in zip(paths, files):
         if lines is not None and len(lines) != len(refs):
             raise ValueError(f"line count mismatch: {path} has {len(lines)}, {paths[-1]} has {len(refs)}")
     return files
-
-
-def _read_corpus_checked(path, format: str) -> Corpus:
-    try:
-        return read_corpus(_require_file(path), format=format)
-    except CorpusFormatError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _tokenizer_from_args(args) -> TokenizerConfig:
@@ -168,11 +155,10 @@ def cmd_filter(args) -> int:
                 f"knows only {', '.join(classifier.languages)}"
             )
 
-    corpus = _read_corpus_checked(args.input, args.format)
+    corpus = read_corpus(args.input, args.format)
     train, dev, test, report = run_filter_pipeline(corpus, config, classifier)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, split in (("train", train), ("dev", dev), ("test", test)):
         write_corpus(split, out_dir / f"{name}.jsonl", format="jsonl")
     payload = {
@@ -189,26 +175,21 @@ def cmd_filter(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    corpus = _read_corpus_checked(args.input, args.format)
+    corpus = read_corpus(args.input, args.format)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     cleaned_records = []
     logs = []
     for triplet in corpus:
         for name in TEXT_FIELDS:
             if "\n" in triplet.text(name) or "\r" in triplet.text(name):
-                raise ValueError(
-                    f"triplet {triplet.id!r}: field {name!r} contains a newline or carriage return; "
-                    "line-oriented decoding files cannot represent it"
-                )
+                raise ValueError(f"triplet {triplet.id!r}: field {name!r} contains a newline or carriage return; "
+                                 "line-oriented decoding files cannot represent it")
         parts, log = preprocess(triplet)
         logs.append(log)
         cleaned_records.extend(parts)
 
-    with open(out_dir / "cleaned.jsonl", "w", encoding="utf-8") as handle:
-        for part in cleaned_records:  # vars: the fields in declaration order, at half asdict's cost
-            handle.write(json.dumps(vars(part), ensure_ascii=False) + "\n")
+    # vars: the fields in declaration order, at half asdict's cost
+    write_lines(out_dir / "cleaned.jsonl", (json.dumps(vars(part), ensure_ascii=False) for part in cleaned_records))
     n_parts = write_changelog(out_dir / "changelog.jsonl", logs, _sha256_file(args.input))
 
     payload = {
@@ -222,24 +203,19 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
-    _require_file(args.changelog)
     header, logs = read_changelog(args.changelog)
-    restored, dropped_total = postprocess_all(_read_lines(args.outputs), logs, args.field)
+    restored, dropped_total = postprocess_all(list(read_lines(args.outputs)), logs, args.field)
     if args.orig:
-        orig_digest = _sha256_file(_require_file(args.orig))
+        orig_digest = _sha256_file(require_file(args.orig))
         if orig_digest != header.get("input_sha256"):
             raise ValueError(
                 f"changelog digest mismatch: changelog was produced from input "
                 f"{header.get('input_sha256')}, but {args.orig} hashes to {orig_digest}"
             )
 
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        for line in restored:
-            handle.write(line + "\n")
+    write_lines(args.out, restored)
     print(
-        f"postprocess: restored {len(restored)} segment(s) to {out_path}"
+        f"postprocess: restored {len(restored)} segment(s) to {Path(args.out)}"
         + (f" ({dropped_total} irrecoverable record(s) dropped)" if dropped_total else "")
     )
     return 0
@@ -309,7 +285,7 @@ def cmd_significance(args) -> int:
 
 
 def cmd_agreement(args) -> int:
-    table = read_adequacy_csv(_require_file(args.csv))
+    table = read_adequacy_csv(require_file(args.csv))
     items, ratings = shared_decided_ratings(table)
     plain = pairwise_average_kappa(ratings, weighting="none")
     weighted = pairwise_average_kappa(ratings, weighting="quadratic", scale_min=1, scale_max=5)
@@ -328,7 +304,7 @@ def cmd_agreement(args) -> int:
 
 
 def cmd_adequacy(args) -> int:
-    summary = adequacy_summary(read_adequacy_csv(_require_file(args.csv)))
+    summary = adequacy_summary(read_adequacy_csv(require_file(args.csv)))
     payload = {"manifest": _manifest("adequacy", [args.csv]), "summary": summary}
     _write_report(args.out, payload)
     for row in (*summary.per_annotator, summary.overall):
@@ -352,7 +328,7 @@ def _read_scores(path, spec: SampleSpec) -> list:
     that the --sizes and --replicates of ``spec`` describe."""
     rows = []
     runs = set()
-    with open(_require_file(path), encoding="utf-8", newline="") as handle:
+    with open(require_file(path), encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         for row in reader:
             if not row or row[0].strip().lower() == "size":
@@ -386,11 +362,10 @@ def cmd_ablate(args) -> int:
         results = _read_scores(args.scores, spec)
         points = curve_report(results, metric=args.metric)
     else:
-        corpus = _read_corpus_checked(args.input, args.format)
+        corpus = read_corpus(args.input, args.format)
         samples = draw_samples(corpus, spec)
         if args.emit_samples:
             samples_dir = Path(args.emit_samples)
-            samples_dir.mkdir(parents=True, exist_ok=True)
             for size, replicate, sample in samples:
                 write_corpus(sample, samples_dir / f"sample_{size}_{replicate}.jsonl")
         results, points = run_size_ablation(samples, scorer=mock_scorer, metric=args.metric)
@@ -407,11 +382,7 @@ def cmd_ablate(args) -> int:
     }
     _write_report(args.out, payload)
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["size", "mean", "min", "max"])
-            for p in points:
-                writer.writerow([p.size, p.mean, p.min, p.max])
+        _write_csv(args.out_csv, ["size", "mean", "min", "max"], ([p.size, p.mean, p.min, p.max] for p in points))
     print(f"ablate: {len(results)} runs -> {len(points)} curve points")
     return 0
 
@@ -426,11 +397,8 @@ def cmd_buckets(args) -> int:
     }
     _write_report(args.out, payload)
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["bucket", "count", "baseline_ter", "ape_ter", "delta_ter"])
-            for b in analysis.buckets:
-                writer.writerow([b.label, b.count, b.baseline_ter, b.ape_ter, b.delta_ter])
+        rows = ([b.label, b.count, b.baseline_ter, b.ape_ter, b.delta_ter] for b in analysis.buckets)
+        _write_csv(args.out_csv, ["bucket", "count", "baseline_ter", "ape_ter", "delta_ter"], rows)
     print(f"buckets: {analysis.total} items over {len(analysis.buckets)} buckets")
     return 0
 
@@ -439,7 +407,7 @@ def cmd_buckets(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    corpus = _read_corpus_checked(args.input, args.format)
+    corpus = read_corpus(args.input, args.format)
     stats = corpus_stats(corpus)
     payload = {"manifest": _manifest("stats", [args.input]), "stats": stats}
     _write_report(args.out, payload)

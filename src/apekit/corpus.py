@@ -1,8 +1,10 @@
-"""Post-editing triplet data model, corpus container, and serialization.
+"""Post-editing triplet data model, corpus container, and line files.
 
 A triplet is one (source, machine translation, post-edit) record. Corpora
 are immutable ordered sequences of triplets; every downstream stage relies
 on insertion order being stable, so seeded operations stay deterministic.
+Every line-framed file (corpus, line file, changelog) is read by
+``read_lines`` and written by ``write_lines``.
 """
 
 from __future__ import annotations
@@ -11,13 +13,21 @@ import json
 from dataclasses import dataclass, replace
 from operator import add
 from pathlib import Path
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Tuple
 
 TEXT_FIELDS = ("src", "mt", "pe")
 
 
 class CorpusFormatError(ValueError):
     """A corpus file violates the JSONL/TSV record schema."""
+
+
+class DuplicateIdError(ValueError):
+    """Two triplets share the id ``triplet_id``."""
+
+    def __init__(self, triplet_id: str):
+        super().__init__(f"duplicate triplet id {triplet_id!r}")
+        self.triplet_id = triplet_id
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,7 @@ class Corpus:
         seen = set()
         for t in self.triplets:
             if t.id in seen:
-                raise ValueError(f"duplicate triplet id {t.id!r}")
+                raise DuplicateIdError(t.id)
             seen.add(t.id)
 
     def __len__(self) -> int:
@@ -117,72 +127,113 @@ def _triplet_from_json_line(line: str, line_no: int) -> Triplet:
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        raise CorpusFormatError(f"invalid JSON ({exc.msg})") from exc
     if not isinstance(record, dict):
-        raise CorpusFormatError(f"line {line_no}: expected a JSON object")
+        raise CorpusFormatError("expected a JSON object")
     for name in TEXT_FIELDS:
         if name not in record:
-            raise CorpusFormatError(f"line {line_no}: missing field {name!r}")
+            raise CorpusFormatError(f"missing field {name!r}")
         if not isinstance(record[name], str):
-            raise CorpusFormatError(f"line {line_no}: field {name!r} must be a string")
+            raise CorpusFormatError(f"field {name!r} must be a string")
     triplet_id = record.get("id")
     if triplet_id is None:
         triplet_id = _ordinal_id(line_no)
     elif not isinstance(triplet_id, str):
-        raise CorpusFormatError(f"line {line_no}: field 'id' must be a string")
+        raise CorpusFormatError("field 'id' must be a string")
     meta = record.get("meta")
     if meta is not None and not isinstance(meta, dict):
-        raise CorpusFormatError(f"line {line_no}: field 'meta' must be an object")
+        raise CorpusFormatError("field 'meta' must be an object")
     return Triplet(id=triplet_id, src=record["src"], mt=record["mt"], pe=record["pe"], meta=meta)
 
 
 def _triplet_from_tsv_line(line: str, line_no: int) -> Triplet:
     columns = line.split("\t")
     if len(columns) != 3:
-        raise CorpusFormatError(
-            f"line {line_no}: expected 3 tab-separated columns, found {len(columns)}"
-        )
+        raise CorpusFormatError(f"expected 3 tab-separated columns, found {len(columns)}")
     return Triplet(id=_ordinal_id(line_no), src=columns[0], mt=columns[1], pe=columns[2])
+
+
+def require_file(path) -> Path:
+    p = Path(path)
+    if not p.is_file():
+        raise ValueError(f"input file not found: {p}")
+    return p
 
 
 def read_lines(path) -> Iterator[str]:
     """Yield the lines of a UTF-8 file without their endings, LF or CRLF.
 
-    Any other carriage return raises CorpusFormatError naming the line; it
-    is never a line break, so it cannot shift one file against another.
+    A missing file raises ValueError; any other carriage return (never a
+    line break, so it cannot shift one file against another) or bytes that
+    are not UTF-8 raise CorpusFormatError naming ``path`` and the line.
     """
-    with open(path, encoding="utf-8", newline="\n") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line[:-2] if line.endswith("\r\n") else line.rstrip("\n")
-            if "\r" in line:
-                raise CorpusFormatError(
-                    f"line {line_no}: carriage return inside a line "
-                    "(line files end lines with \\n or \\r\\n only)"
-                )
+    with open(require_file(path), "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            raw = raw[:-2] if raw.endswith(b"\r\n") else raw.rstrip(b"\n")
+            if b"\r" in raw:
+                raise CorpusFormatError(f"{path}: line {line_no}: carriage return inside a line "
+                                        "(line files end lines with \\n or \\r\\n only)")
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"{path}: line {line_no}: byte {exc.start + 1} is not UTF-8 "
+                                        f"({exc.reason})") from None
             yield line
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each line and a \\n to a UTF-8 file, creating its directory; ``lines`` is consumed lazily."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(line + "\n" for line in lines)
+
+
+def _records(path, format: str) -> Iterator[Tuple[int, str]]:
+    """The numbered lines that hold a record: every TSV line, every non-blank JSONL line."""
+    return ((n, line) for n, line in enumerate(read_lines(path), start=1) if format == "tsv" or line.strip())
 
 
 def read_corpus(path, format: str = "jsonl") -> Corpus:
     """Read a corpus from JSONL or TSV, preserving file order.
 
     Lines are framed by read_lines. Ids are auto-assigned as zero-padded
-    1-based line ordinals when absent. Malformed records raise
-    CorpusFormatError naming the line; duplicate explicit ids raise too
-    (via the Corpus id-uniqueness check).
+    1-based line ordinals when absent. A malformed record or a repeated id
+    raises CorpusFormatError naming ``path`` and the line.
     """
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown corpus format {format!r}")
     parse = _triplet_from_json_line if format == "jsonl" else _triplet_from_tsv_line
     triplets = []
-    for line_no, line in enumerate(read_lines(path), start=1):
-        if format == "jsonl" and not line.strip():
-            continue
-        triplets.append(parse(line, line_no))
-    return Corpus(tuple(triplets))
+    for line_no, line in _records(path, format):
+        try:
+            triplets.append(parse(line, line_no))
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{path}: line {line_no}: {exc}") from exc
+    try:
+        return Corpus(tuple(triplets))
+    except DuplicateIdError as exc:  # only a failed read maps triplets back to lines
+        first, repeat = [n for (n, _), t in zip(_records(path, format), triplets) if t.id == exc.triplet_id][:2]
+        raise CorpusFormatError(f"{path}: line {repeat}: {exc} (first on line {first})") from exc
+
+
+def _jsonl_record(t: Triplet) -> str:
+    record = {"id": t.id, "src": t.src, "mt": t.mt, "pe": t.pe}
+    if t.meta:
+        record["meta"] = dict(t.meta)
+    return json.dumps(record, ensure_ascii=False)
+
+
+def _tsv_record(t: Triplet) -> str:
+    for name in TEXT_FIELDS:
+        text = t.text(name)
+        if "\t" in text or "\r" in text or "\n" in text:
+            raise ValueError(f"triplet {t.id!r}: field {name!r} contains a tab, carriage return or newline, "
+                             "which TSV cannot encode; use jsonl")
+    return f"{t.src}\t{t.mt}\t{t.pe}"
 
 
 def write_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:
-    """Write a corpus to JSONL or TSV.
+    """Write a corpus to JSONL or TSV through write_lines.
 
     TSV carries only the three text columns (no ids, no meta) and refuses
     texts containing tabs, carriage returns or newlines rather than
@@ -192,20 +243,4 @@ def write_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:
     """
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown corpus format {format!r}")
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        for t in corpus:
-            if format == "jsonl":
-                record = {"id": t.id, "src": t.src, "mt": t.mt, "pe": t.pe}
-                if t.meta:
-                    record["meta"] = dict(t.meta)
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-            else:
-                for name in TEXT_FIELDS:
-                    text = t.text(name)
-                    if "\t" in text or "\r" in text or "\n" in text:
-                        raise ValueError(
-                            f"triplet {t.id!r}: field {name!r} contains a tab, carriage return "
-                            "or newline, which TSV cannot encode; use jsonl"
-                        )
-                handle.write(f"{t.src}\t{t.mt}\t{t.pe}\n")
+    write_lines(path, map(_jsonl_record if format == "jsonl" else _tsv_record, corpus))

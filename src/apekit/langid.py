@@ -14,6 +14,7 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Dict, Iterable, Mapping, Protocol
 
+from .corpus import read_lines
 from .tokenizer import ngrams_by_order
 
 
@@ -151,8 +152,7 @@ class TabFileClassifier:
 
     @classmethod
     def from_file(cls, path) -> "TabFileClassifier":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_lines(handle)
+        return cls.from_lines(read_lines(path))
 
     def classify(self, text: str) -> str:
         return self._table[text]

@@ -18,11 +18,11 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import __version__
-from .corpus import TEXT_FIELDS, CorpusFormatError, Triplet, read_lines
+from .corpus import TEXT_FIELDS, Triplet, read_lines, write_lines
 
 TAG_RE = re.compile(r"<[a-zA-Z/][^>]*>")
 # The group makes BR_RE.split keep each separator literal between the parts.
@@ -69,6 +69,8 @@ class ChangeRecord:
         for name in ("kind", "payload", "replacement"):
             if type(data[name]) is not str:
                 raise ValueError(f"change record {name} must be a string, got {data[name]!r}")
+            if name != "kind" and ("\n" in data[name] or "\r" in data[name]):
+                raise ValueError(f"change record {name} {data[name]!r} holds a line break")
         if record.field not in TEXT_FIELDS:
             raise ValueError(f"change record field {record.field!r} is not one of {TEXT_FIELDS}")
         if record.anchor not in ANCHORS:
@@ -386,10 +388,7 @@ def write_changelog(path, logs: Sequence[ChangeLog], input_sha256: str) -> Dict[
     n_parts = _part_totals(logs)
     header = {"type": "header", "toolkit_version": __version__, "input_sha256": input_sha256,
               "n_triplets": len(logs), "n_parts": n_parts}
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for log in logs:
-            handle.write(log.to_json() + "\n")
+    write_lines(path, chain([json.dumps(header, ensure_ascii=False)], map(ChangeLog.to_json, logs)))
     return n_parts
 
 
@@ -397,12 +396,9 @@ def read_changelog(path) -> Tuple[dict, List[ChangeLog]]:
     """Read the header and the logs of a changelog; blank log lines are skipped.
 
     Raises ValueError naming ``path``, and the line for a line that does not
-    parse or a header whose counts disagree with the logs.
+    frame or parse or a header whose counts disagree with the logs.
     """
-    try:
-        lines = list(read_lines(path))
-    except CorpusFormatError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    lines = list(read_lines(path))
     if not lines:
         raise ValueError(f"{path}: empty changelog")
     logs = []

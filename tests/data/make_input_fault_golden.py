@@ -1,0 +1,153 @@
+"""Generate input_fault_golden/: the console line and exit code of every input fault the CLI rejects.
+
+Each rejected command's exit code, stdout and stderr go to one console
+file. The faults are a missing file, a bare carriage return in a corpus,
+a line file and a changelog, a corpus line that is not JSON, a corpus
+record without a field, a TSV line with the wrong column count, line
+files of different lengths, and an empty TER reference. They run through
+``stats``, ``filter``, ``preprocess``, ``postprocess``, ``evaluate``,
+``significance`` and ``buckets``. Commands run in the
+``input_fault_golden`` directory on relative paths, so paths in messages
+are stable. Regenerate only when a change of messages is intended:
+
+    PYTHONPATH=src python tests/data/make_input_fault_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import shutil
+import sys
+from pathlib import Path
+
+from apekit.cli import main as cli_main
+
+OUT = Path(__file__).with_name("input_fault_golden")
+
+_TRIPLETS = [
+    {"id": "t1", "src": "- Where are you going?", "mt": "- Wohin gehst du?", "pe": "- Wohin gehst du?"},
+    {"id": "t2", "src": "<i>Come back.</i>", "mt": "<i>Komm zurück.</i>", "pe": "<i>Komm sofort zurück.</i>"},
+    {"id": "t3", "src": "The night is long.", "mt": "Die Nacht ist lang.", "pe": "Die Nacht ist so lang."},
+]
+
+
+def _write(path: Path, data: bytes) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+
+
+def write_inputs(directory: Path) -> None:
+    """The faulty corpora and line files, each fault on line 2 or 3."""
+    rows = [json.dumps(t, ensure_ascii=False).encode("utf-8") + b"\n" for t in _TRIPLETS]
+    inputs = {
+        "corpus.jsonl": b"".join(rows),
+        "cr.jsonl": rows[0] + rows[1].replace(b'", "', b'",\r "', 1) + rows[2],
+        "bad_json.jsonl": rows[0] + b"{not json\n" + rows[2],
+        "missing_field.jsonl": rows[0] + b'{"id": "t2", "src": "a", "mt": "b"}\n' + rows[2],
+        "columns.tsv": b"a\tb\tc\nd\te\n",
+        "hyp.txt": b"Die Nacht ist lang.\nKomm zur\xc3\xbcck.\nWohin gehst du?\n",
+        "ref.txt": b"Die Nacht ist so lang.\nKomm sofort zur\xc3\xbcck.\nWohin gehst du?\n",
+        "cr.txt": b"Die Nacht ist lang.\nKomm zur\xc3\xbcck.\nWohin\rgehst du?\n",
+        "short.txt": b"Die Nacht ist lang.\nKomm zur\xc3\xbcck.\n",
+        "empty_ref.txt": b"Die Nacht ist so lang.\n\nWohin gehst du?\n",
+    }
+    for name, data in inputs.items():
+        _write(directory / "in" / name, data)
+
+
+def _run(console: list, argv: list) -> int:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    console.append(f"{' '.join(argv)}: exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
+    return code
+
+
+def run_commands(directory: Path) -> dict:
+    """Run every faulty command in `directory`; return {"console.txt": text}."""
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        console = []
+        # A valid changelog for the postprocess faults, and a copy with a bare CR on line 2.
+        if _run(console, ["preprocess", "--in", "in/corpus.jsonl", "--out-dir", "out/pre"]) != 0:
+            raise RuntimeError("preprocess of the valid corpus failed")
+        changelog = Path("out/pre/changelog.jsonl").read_bytes().split(b"\n")
+        changelog[1] = changelog[1].replace(b'", "', b'",\r "', 1)
+        Path("out/cr_changelog.jsonl").write_bytes(b"\n".join(changelog))
+        mt = [json.loads(line)["mt"] for line in Path("out/pre/cleaned.jsonl").read_text(encoding="utf-8").splitlines()]
+        Path("out/mt.txt").write_text("".join(line + "\n" for line in mt), encoding="utf-8")
+        Path("out/mt_cr.txt").write_bytes("".join(line + "\n" for line in mt).replace("\n", "\r", 1).encode("utf-8"))
+        Path("out/mt_short.txt").write_text("".join(line + "\n" for line in mt[:-1]), encoding="utf-8")
+
+        corpus_faults = [
+            ["--in", "in/missing.jsonl"],
+            ["--in", "in/cr.jsonl"],
+            ["--in", "in/bad_json.jsonl"],
+            ["--in", "in/missing_field.jsonl"],
+            ["--in", "in/columns.tsv", "--format", "tsv"],
+        ]
+        for fault in corpus_faults:
+            _run(console, ["stats", *fault, "--out", "out/stats.json"])
+            _run(console, ["filter", *fault, "--out-dir", "out/filter"])
+            _run(console, ["preprocess", *fault, "--out-dir", "out/preprocess"])
+
+        restore = ["postprocess", "--out", "out/restored.txt"]
+        for fault in (
+            ["--outputs", "out/missing.txt", "--changelog", "out/pre/changelog.jsonl"],
+            ["--outputs", "out/mt.txt", "--changelog", "out/missing.jsonl"],
+            ["--outputs", "out/mt.txt", "--changelog", "out/pre/changelog.jsonl", "--orig", "in/missing.jsonl"],
+            ["--outputs", "out/mt_cr.txt", "--changelog", "out/pre/changelog.jsonl"],
+            ["--outputs", "out/mt.txt", "--changelog", "out/cr_changelog.jsonl"],
+            ["--outputs", "out/mt_short.txt", "--changelog", "out/pre/changelog.jsonl"],
+        ):
+            _run(console, [*restore, *fault])
+
+        for fault in (
+            ["--hyp", "in/missing.txt", "--ref", "in/ref.txt"],
+            ["--hyp", "in/hyp.txt", "--ref", "in/missing.txt"],
+            ["--hyp", "in/hyp.txt", "--ref", "in/ref.txt", "--hyp-b", "in/missing.txt"],
+            ["--hyp", "in/cr.txt", "--ref", "in/ref.txt"],
+            ["--hyp", "in/hyp.txt", "--ref", "in/cr.txt"],
+            ["--hyp", "in/short.txt", "--ref", "in/ref.txt"],
+            ["--hyp", "in/hyp.txt", "--ref", "in/ref.txt", "--hyp-b", "in/short.txt"],
+            ["--hyp", "in/hyp.txt", "--ref", "in/empty_ref.txt"],
+        ):
+            _run(console, ["evaluate", *fault, "--out", "out/evaluate.json"])
+
+        significance = ["significance", "--statistic", "ter", "--n-samples", "10", "--out", "out/sig.json"]
+        for fault in (
+            ["--hyp-a", "in/missing.txt", "--hyp-b", "in/hyp.txt", "--ref", "in/ref.txt"],
+            ["--hyp-a", "in/hyp.txt", "--hyp-b", "in/cr.txt", "--ref", "in/ref.txt"],
+            ["--hyp-a", "in/hyp.txt", "--hyp-b", "in/short.txt", "--ref", "in/ref.txt"],
+            ["--hyp-a", "in/hyp.txt", "--hyp-b", "in/hyp.txt", "--ref", "in/empty_ref.txt"],
+        ):
+            _run(console, [*significance, *fault])
+
+        for fault in (
+            ["--baseline", "in/hyp.txt", "--ape", "in/missing.txt", "--ref", "in/ref.txt"],
+            ["--baseline", "in/cr.txt", "--ape", "in/hyp.txt", "--ref", "in/ref.txt"],
+            ["--baseline", "in/hyp.txt", "--ape", "in/short.txt", "--ref", "in/ref.txt"],
+            ["--baseline", "in/hyp.txt", "--ape", "in/hyp.txt", "--ref", "in/empty_ref.txt"],
+        ):
+            _run(console, ["buckets", *fault, "--out", "out/buckets.json"])
+        shutil.rmtree("out")
+        return {"console.txt": "".join(console)}
+    finally:
+        os.chdir(previous)
+
+
+def main() -> int:
+    write_inputs(OUT)
+    for name, text in run_commands(OUT).items():
+        with open(OUT / name, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    print(f"wrote {OUT}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -720,6 +720,92 @@ def test_corpus_reader_rejects_bare_carriage_return(tmp_path, capsys):
     assert not out.exists()
 
 
+def _preprocessed(tmp_path, rows):
+    """Preprocess ``rows``; return the corpus path, the changelog path and the decoded mt parts file."""
+    path, _ = make_corpus_file(tmp_path, rows)
+    assert main(["preprocess", "--in", str(path), "--out-dir", str(tmp_path / "pre")]) == 0
+    parts = (tmp_path / "pre" / "cleaned.jsonl").read_text(encoding="utf-8").splitlines()
+    decoded = write_lines(tmp_path / "decoded.txt", [json.loads(part)["mt"] for part in parts])
+    return path, tmp_path / "pre" / "changelog.jsonl", decoded
+
+
+def _with_ff_on_line_2(path):
+    """Put a 0xff byte after the first space of line 2; return the byte's 1-based position there."""
+    lines = path.read_bytes().split(b"\n")
+    at = lines[1].index(b" ") + 1
+    lines[1] = lines[1][:at] + b"\xff" + lines[1][at:]
+    path.write_bytes(b"\n".join(lines))
+    return at + 1
+
+
+@pytest.mark.parametrize("command", ["stats", "filter", "preprocess", "postprocess-outputs",
+                                     "postprocess-changelog", "evaluate", "significance", "buckets"])
+def test_bytes_that_are_not_utf8_name_file_and_line(tmp_path, capsys, command):
+    corpus, changelog, decoded = _preprocessed(tmp_path, [("a b", "<i>c d</i>", "e f"), ("g h", "i j", "k l")])
+    out = str(tmp_path / "out" / "r.json")
+    argv, bad = {
+        "stats": (["stats", "--in", str(corpus), "--out", out], corpus),
+        "filter": (["filter", "--in", str(corpus), "--out-dir", str(tmp_path / "out")], corpus),
+        "preprocess": (["preprocess", "--in", str(corpus), "--out-dir", str(tmp_path / "out")], corpus),
+        "postprocess-outputs": (["postprocess", "--outputs", str(decoded), "--changelog", str(changelog),
+                                 "--out", out], decoded),
+        "postprocess-changelog": (["postprocess", "--outputs", str(decoded), "--changelog", str(changelog),
+                                   "--out", out], changelog),
+        "evaluate": (_line_file_argv("evaluate", tmp_path, decoded), decoded),
+        "significance": (_line_file_argv("significance", tmp_path, decoded), decoded),
+        "buckets": (_line_file_argv("buckets", tmp_path, decoded), decoded),
+    }[command]
+    write_lines(tmp_path / "clean.txt", ["a b", "c d"])  # as long as the decoded file
+    position = _with_ff_on_line_2(bad)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 2: byte {position} is not UTF-8 (invalid start byte)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "filter", "preprocess"])
+def test_duplicate_id_names_both_lines(tmp_path, capsys, command):
+    path = tmp_path / "c.jsonl"
+    rows = [{"id": i, "src": "a b", "mt": "c d", "pe": "e f"} for i in ("a", "b", "a")]
+    path.write_text("".join(json.dumps(row) + "\n\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {"stats": ["stats", "--in", str(path), "--out", str(out / "s.json")],
+            "filter": ["filter", "--in", str(path), "--out-dir", str(out)],
+            "preprocess": ["preprocess", "--in", str(path), "--out-dir", str(out)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 5: duplicate triplet id 'a' (first on line 1)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("payload", "<i>\nX"), ("payload", "<i>\r"), ("replacement", "\n"),
+                                        ("replacement", "\r")])
+def test_postprocess_rejects_a_line_break_in_a_changelog_record(tmp_path, capsys, key, value):
+    _, changelog, decoded = _preprocessed(tmp_path, [("a", "<i>b</i>", "c"), ("d", "e", "f")])
+    lines = changelog.read_text(encoding="utf-8").splitlines()
+    log = json.loads(lines[1])
+    log["records"][0][key] = value
+    lines[1] = json.dumps(log)
+    write_lines(changelog, lines)
+    out = tmp_path / "restored.txt"
+    assert main(["postprocess", "--outputs", str(decoded), "--changelog", str(changelog), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {changelog}: line 2: malformed changelog (change record {key} {value!r} holds a line break)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ablate", "buckets"])
+def test_out_csv_creates_its_directory(tmp_path, command):
+    if command == "ablate":
+        path, _ = make_corpus_file(tmp_path, synthetic_rows(20))
+        argv = ["ablate", "--in", str(path), "--sizes", "5,10", "--replicates", "2"]
+    else:
+        argv = _line_file_argv("buckets", tmp_path, write_lines(tmp_path / "ape.txt", ["a b", "d e f", "g"]))
+    csv_path = tmp_path / "no" / "dir" / "table.csv"
+    assert main([*argv, "--out", str(tmp_path / "rep" / "r.json"), "--out-csv", str(csv_path)]) == 0
+    header = csv_path.read_text(encoding="utf-8").splitlines()[0]
+    assert header == ("size,mean,min,max" if command == "ablate" else "bucket,count,baseline_ter,ape_ter,delta_ter")
+
+
 @pytest.mark.parametrize("command", ["evaluate", "significance"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_n_samples_below_one_is_a_usage_error(tmp_path, capsys, command, value):

@@ -13,6 +13,7 @@ from apekit.corpus import (
     read_corpus,
     read_lines,
     write_corpus,
+    write_lines,
 )
 
 
@@ -51,6 +52,25 @@ class TestReadCorpus:
         rows = '{"id":"x","src":"a","mt":"b","pe":"c"}\n' * 2
         path.write_text(rows, encoding="utf-8")
         with pytest.raises(ValueError, match="duplicate"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("lines, message", [
+        (['{"id":"x","src":"a","mt":"b","pe":"c"}', '{"id":"y","src":"a","mt":"b","pe":"c"}', "",
+          '{"id":"x","src":"d","mt":"e","pe":"f"}'], "line 4: duplicate triplet id 'x' (first on line 1)"),
+        (['{"src":"a","mt":"b","pe":"c"}', '{"id":"000001","src":"a","mt":"b","pe":"c"}'],
+         "line 2: duplicate triplet id '000001' (first on line 1)"),
+    ])
+    def test_duplicate_id_names_both_lines(self, tmp_path, lines, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as caught:
+            read_corpus(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_record_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"src":"a","mt":"b","pe":"c"}\n\n{oops\n', encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=f"^{path}: line 3: invalid JSON"):
             read_corpus(path)
 
     def test_bad_json_names_line(self, tmp_path):
@@ -191,6 +211,36 @@ class TestTsvLineBreaks:
         path.write_bytes(b"a\nb\r")
         with pytest.raises(CorpusFormatError, match="line 2: carriage return inside a line"):
             list(read_lines(path))
+
+    def test_bytes_that_are_not_utf8_name_the_file_line_and_byte(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes("a\nMüde \xff\n".encode("utf-8").replace(b"\xc3\xbf", b"\xff"))
+        with pytest.raises(CorpusFormatError, match=f"^{path}: line 2: byte 7 is not UTF-8 \\(invalid start byte\\)$"):
+            list(read_lines(path))
+        path.write_bytes(b"ok\r\ncut \xc3\r\n")
+        with pytest.raises(CorpusFormatError, match="line 2: byte 5 is not UTF-8"):
+            list(read_lines(path))
+
+    def test_missing_file_is_named(self, tmp_path):
+        with pytest.raises(ValueError, match="input file not found: .*nope.txt"):
+            list(read_lines(tmp_path / "nope.txt"))
+
+    def test_write_lines_creates_the_directory_and_ends_every_line(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "lines.txt"
+        write_lines(path, ["a", "b\u2028c", ""])
+        assert path.read_bytes() == "a\nb\u2028c\n\n".encode("utf-8")
+        assert list(read_lines(path)) == ["a", "b\u2028c", ""]
+
+    def test_write_lines_consumes_its_lines_lazily(self, tmp_path):
+        def lines():
+            yield "a"
+            yield "b"
+            raise RuntimeError("stop")
+
+        path = tmp_path / "lines.txt"
+        with pytest.raises(RuntimeError):
+            write_lines(path, lines())
+        assert path.read_text(encoding="utf-8") == "a\nb\n"
 
     line_text = st.text(alphabet="ab \r\x85\u2028", min_size=1, max_size=6)
 
