@@ -1,0 +1,196 @@
+"""Compare source trees on the benchmark and on the corpus-build round trip at several sizes.
+
+With --seeds, each tree's own `perfbench/run.py` runs every workload of
+--workloads once per seed (`--trace 0`), the trees alternating in order
+from seed to seed; the end-to-end metrics of each run and their medians
+are recorded. Then `filter`, `preprocess` and `postprocess` run at each
+of --sizes input triplets, on inputs from `perfbench/generate.py` (the
+`build` workload's generator). For every tree the three commands run one
+after another, each in a fresh interpreter that reports its own wall
+time and `ru_maxrss`. Linux counts in a child's `ru_maxrss` the memory of
+the process that started it, so this script keeps its own small: the
+generator also runs in child processes. Trees alternate in order from
+one repetition to the next, so a drifting host affects them alike. The
+outputs of every tree are hashed, so the result also shows whether the
+trees wrote the same bytes.
+
+    python3 scripts/bench_round_trip.py --tree parent=<commit>:<parent checkout>/src \\
+        --tree change=<commit>:src --seeds 3,4,5 --sizes 8000,40000,120000 --out BENCH_11.json
+
+A tree is `label=commit:src_dir`, where `src_dir` is the `src` directory
+of a checkout; the commit is recorded as given.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+from importlib import metadata
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PAPER_TRIPLETS = 161_413
+PAPER_HELDOUT = 10_000  # dev and test size each at paper scale
+# One command in a fresh interpreter: apekit.cli.main(argv), then its
+# exit code, wall time and peak RSS (KiB on Linux) as one JSON line.
+CHILD = (
+    "import json, resource, sys, time\n"
+    "start = time.perf_counter()\n"
+    "from apekit.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "wall = time.perf_counter() - start\n"
+    "print(json.dumps({'exit': code, 'wall_s': wall,\n"
+    "                  'peak_rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))\n"
+)
+# perfbench/generate.py in a child: <function> followed by its arguments.
+GENERATE = (
+    "import sys\n"
+    "from pathlib import Path\n"
+    f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+    "import generate\n"
+    "name, *args = sys.argv[1:]\n"
+    "getattr(generate, name)(*(Path(a) if '/' in a else int(a) for a in args))\n"
+)
+
+
+def _generate(*args) -> None:
+    subprocess.run([sys.executable, "-c", GENERATE, *map(str, args)], check=True)
+
+
+def _sha256(path: Path) -> str:
+    with open(path, "rb") as handle:  # in chunks: a whole file read here would raise every later child's ru_maxrss
+        return hashlib.file_digest(handle, "sha256").hexdigest()
+
+
+def _source_digest(src: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((src / "apekit").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def _run(src: Path, work: Path, argv: list) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=work, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{argv[0]} failed:\n{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if result["exit"] != 0:
+        raise RuntimeError(f"{argv[0]} exited with {result['exit']}:\n{proc.stdout[-2000:]}")
+    return {"wall_s": round(result["wall_s"], 3), "peak_rss_mb": round(result["peak_rss_mb"], 2)}
+
+
+def _round_trip(src: Path, work: Path, seed: int) -> dict:
+    """Run filter, preprocess and postprocess in `work`; return each command's figures and output digests."""
+    for name in ("filtered", "pre", "restored"):
+        shutil.rmtree(work / name, ignore_errors=True)
+    runs = {"filter": _run(src, work, ["filter", "--in", "in/corpus.jsonl", "--out-dir", "filtered",
+                                       "--config", "in/filter.json", "--seed", str(seed)])}
+    runs["preprocess"] = _run(src, work, ["preprocess", "--in", "filtered/train.jsonl", "--out-dir", "pre"])
+    decoded = work / "in" / "decoded.txt"
+    if not decoded.exists():
+        _generate("write_decoded", work / "pre" / "cleaned.jsonl", decoded, seed)
+    runs["postprocess"] = _run(src, work, ["postprocess", "--outputs", "in/decoded.txt", "--changelog",
+                                           "pre/changelog.jsonl", "--out", "restored/mt.txt", "--field", "mt",
+                                           "--orig", "filtered/train.jsonl"])
+    outputs = ["filtered/train.jsonl", "pre/cleaned.jsonl", "pre/changelog.jsonl", "restored/mt.txt"]
+    with open(work / "filtered" / "train.jsonl", "rb") as train:
+        train_triplets = sum(1 for _ in train)
+    return {"commands": runs, "output_sha256": {name: _sha256(work / name) for name in outputs},
+            "train_triplets": train_triplets}
+
+
+def _perfbench(src: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `perfbench/run.py --trace 0` run of the checkout that holds `src`; its end-to-end metrics."""
+    run = src.resolve().parent / "perfbench" / "run.py"
+    proc = subprocess.run([sys.executable, str(run), "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{run} {workload} seed {seed} failed:\n{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    metrics = {name: round(m["value"], 4) for name, m in result["metrics"].items()}
+    return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"], **metrics}
+
+
+def _benchmark(trees, workloads, seeds, seconds) -> dict:
+    out = {}
+    for workload in workloads:
+        runs = {label: [] for label, _, _ in trees}
+        for k, seed in enumerate(seeds):
+            for label, _, src in (trees if k % 2 == 0 else trees[::-1]):
+                runs[label].append(_perfbench(src, workload, seed, seconds))
+                print(f"{workload} {label} {json.dumps(runs[label][-1])}", file=sys.stderr, flush=True)
+        medians = {label: {name: statistics.median(run[name] for run in label_runs)
+                           for name in ("setup_s", "items_per_norm_s", "peak_rss_mb")}
+                   for label, label_runs in runs.items()}
+        out[workload] = {"runs": runs, "medians": medians}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", action="append", required=True, help="label=commit:src_dir")
+    parser.add_argument("--sizes", default="8000,40000,120000", help="comma-separated input triplet counts")
+    parser.add_argument("--workloads", default="build,eval_subtitle,eval_news")
+    parser.add_argument("--seeds", default="", help="comma-separated benchmark seeds; none skips the benchmark")
+    parser.add_argument("--seconds", type=float, default=32.0, help="benchmark run length")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the round-trip inputs")
+    parser.add_argument("--repeats", type=int, default=1)
+    parser.add_argument("--work", default=".bench_work/round_trip")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    trees = []
+    for spec in args.tree:
+        label, _, rest = spec.partition("=")
+        commit, _, src = rest.rpartition(":")
+        trees.append((label, commit, Path(src)))
+    result = {
+        "stamp": {
+            "python": platform.python_version(),
+            "numpy": metadata.version("numpy"),
+            "nproc": len(os.sched_getaffinity(0)),
+            "trees": {label: {"git_commit": commit, "source_sha256": _source_digest(src)}
+                      for label, commit, src in trees},
+        },
+        "benchmark": {"seconds": args.seconds, "workloads": {}},
+        "seed": args.seed,
+        "sizes": [],
+    }
+    if args.seeds:
+        result["benchmark"]["workloads"] = _benchmark(trees, args.workloads.split(","),
+                                                      [int(s) for s in args.seeds.split(",")], args.seconds)
+    for n in map(int, args.sizes.split(",")):
+        heldout = round(n * PAPER_HELDOUT / PAPER_TRIPLETS)
+        base = Path(args.work) / str(n)
+        shutil.rmtree(base, ignore_errors=True)
+        _generate("write_build_inputs", base / "in", args.seed, n, heldout, heldout)
+        row = {"input_triplets": n, "heldout_each": heldout, "runs": {label: [] for label, _, _ in trees}}
+        for repeat in range(args.repeats):
+            order = trees if repeat % 2 == 0 else trees[::-1]
+            for label, _, src in order:
+                work = base / label
+                if not (work / "in").exists():
+                    shutil.copytree(base / "in", work / "in")
+                run = _round_trip(src, work, args.seed)
+                row["train_triplets"] = run.pop("train_triplets")
+                row["runs"][label].append(run)
+                print(f"{n} {label} {json.dumps(run['commands'])}", file=sys.stderr, flush=True)
+        digests = {json.dumps(run["output_sha256"], sort_keys=True) for runs in row["runs"].values() for run in runs}
+        row["outputs_identical"] = len(digests) == 1
+        result["sizes"].append(row)
+        shutil.rmtree(base, ignore_errors=True)
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

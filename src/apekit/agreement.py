@@ -7,10 +7,11 @@ whenever any of its three system scores is "can't decide".
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from .corpus import read_csv
 
 CANT_DECIDE = "X"
 SYSTEMS = ("nmt", "ape", "human")
@@ -190,25 +191,22 @@ def read_adequacy_csv(path) -> AdequacyTable:
     """Ingest annotator_id,item_id,system,score rows (header optional)."""
     table = AdequacyTable()
     errors = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for row in reader:
-            line_no = reader.line_num
-            if not row or (line_no == 1 and [c.lower() for c in row[:2]] == ["annotator_id", "item_id"]):
-                continue
-            if len(row) != 4:
-                errors.append(f"line {line_no}: expected 4 columns, found {len(row)}")
-                continue
-            annotator, item, system, raw_score = (c.strip() for c in row)
-            try:
-                score = raw_score if raw_score == CANT_DECIDE else int(raw_score)
-            except ValueError:
-                errors.append(f"line {line_no}: bad score {raw_score!r}")
-                continue
-            try:
-                table.add(annotator, item, system.lower(), score)
-            except ValueError as exc:
-                errors.append(f"line {line_no}: {exc}")
+    for line_no, row in read_csv(path):
+        if not row or (line_no == 1 and [c.lower() for c in row[:2]] == ["annotator_id", "item_id"]):
+            continue
+        if len(row) != 4:
+            errors.append(f"line {line_no}: expected 4 columns, found {len(row)}")
+            continue
+        annotator, item, system, raw_score = (c.strip() for c in row)
+        try:
+            score = raw_score if raw_score == CANT_DECIDE else int(raw_score)
+        except ValueError:
+            errors.append(f"line {line_no}: bad score {raw_score!r}")
+            continue
+        try:
+            table.add(annotator, item, system.lower(), score)
+        except ValueError as exc:
+            errors.append(f"line {line_no}: {exc}")
     if errors:
         raise ValueError("malformed adequacy rows: " + "; ".join(errors))
     return table

@@ -37,7 +37,18 @@ from .analysis import (
 from .bleu import bleu_corpus
 from .bootstrap import DEFAULT_SAMPLES, STATISTICS, bootstrap_significance
 from .chrf import chrf
-from .corpus import TEXT_FIELDS, corpus_stats, read_corpus, read_lines, require_file, write_corpus, write_lines
+from .corpus import (
+    TEXT_FIELDS,
+    corpus_stats,
+    iter_corpus,
+    open_lines,
+    read_corpus,
+    read_csv,
+    read_lines,
+    require_file,
+    staged_outputs,
+    write_corpus,
+)
 from .filtering import SEED_RULE, FilterConfig, is_seed, run_filter_pipeline
 from .langid import NgramLanguageClassifier
 from .segments import postprocess_all, preprocess, read_changelog, write_changelog
@@ -174,48 +185,66 @@ def cmd_filter(args) -> int:
 # ---------------------------------------------------- preprocess / postprocess
 
 
+def _line_break_fault(triplet):
+    for name in TEXT_FIELDS:
+        if "\n" in triplet.text(name) or "\r" in triplet.text(name):
+            return ValueError(f"triplet {triplet.id!r}: field {name!r} contains a newline or carriage return; "
+                              "line-oriented decoding files cannot represent it")
+    return None
+
+
+def _preprocessed(triplets, cleaned):
+    """Write each triplet's cleaned parts to ``cleaned`` and yield its log. The
+    first field holding a line break is raised after every triplet is read,
+    so a fault of the corpus itself is raised first."""
+    fault = None
+    for triplet in triplets:
+        fault = fault or _line_break_fault(triplet)
+        if fault is None:
+            parts, log = preprocess(triplet)
+            # vars: the fields in declaration order, at half asdict's cost
+            cleaned.writelines(json.dumps(vars(part), ensure_ascii=False) + "\n" for part in parts)
+            yield log
+    if fault is not None:
+        raise fault
+
+
 def cmd_preprocess(args) -> int:
-    corpus = read_corpus(args.input, args.format)
+    input_sha256 = _sha256_file(require_file(args.input))
     out_dir = Path(args.out_dir)
-    cleaned_records = []
-    logs = []
-    for triplet in corpus:
-        for name in TEXT_FIELDS:
-            if "\n" in triplet.text(name) or "\r" in triplet.text(name):
-                raise ValueError(f"triplet {triplet.id!r}: field {name!r} contains a newline or carriage return; "
-                                 "line-oriented decoding files cannot represent it")
-        parts, log = preprocess(triplet)
-        logs.append(log)
-        cleaned_records.extend(parts)
-
-    # vars: the fields in declaration order, at half asdict's cost
-    write_lines(out_dir / "cleaned.jsonl", (json.dumps(vars(part), ensure_ascii=False) for part in cleaned_records))
-    n_parts = write_changelog(out_dir / "changelog.jsonl", logs, _sha256_file(args.input))
-
-    payload = {
-        "manifest": _manifest("preprocess", [args.input]),
-        "n_triplets": len(corpus),
-        "n_parts": n_parts,
-    }
-    _write_report(out_dir / "preprocess_report.json", payload)
-    print(f"preprocess: {len(corpus)} triplets -> {n_parts['mt']} mt parts in {out_dir}")
+    outputs = (out_dir / name for name in ("cleaned.jsonl", "changelog.jsonl", "preprocess_report.json"))
+    with staged_outputs(*outputs) as (cleaned_path, changelog_path, report_path):
+        with open_lines(cleaned_path) as cleaned:
+            header = write_changelog(changelog_path, _preprocessed(iter_corpus(args.input, args.format), cleaned),
+                                     input_sha256)
+        payload = {
+            "manifest": _manifest("preprocess", [args.input]),
+            "n_triplets": header["n_triplets"],
+            "n_parts": header["n_parts"],
+        }
+        _write_report(report_path, payload)
+    print(f"preprocess: {header['n_triplets']} triplets -> {header['n_parts']['mt']} mt parts in {out_dir}")
     return 0
 
 
 def cmd_postprocess(args) -> int:
     header, logs = read_changelog(args.changelog)
-    restored, dropped_total = postprocess_all(list(read_lines(args.outputs)), logs, args.field)
-    if args.orig:
-        orig_digest = _sha256_file(require_file(args.orig))
-        if orig_digest != header.get("input_sha256"):
-            raise ValueError(
-                f"changelog digest mismatch: changelog was produced from input "
-                f"{header.get('input_sha256')}, but {args.orig} hashes to {orig_digest}"
-            )
-
-    write_lines(args.out, restored)
+    restored = dropped_total = 0
+    with staged_outputs(args.out) as (out,):
+        with open_lines(out) as handle:
+            for text, dropped in postprocess_all(read_lines(args.outputs), logs, args.field):
+                handle.write(text + "\n")
+                restored += 1
+                dropped_total += dropped
+        if args.orig:
+            orig_digest = _sha256_file(require_file(args.orig))
+            if orig_digest != header.get("input_sha256"):
+                raise ValueError(
+                    f"changelog digest mismatch: changelog was produced from input "
+                    f"{header.get('input_sha256')}, but {args.orig} hashes to {orig_digest}"
+                )
     print(
-        f"postprocess: restored {len(restored)} segment(s) to {Path(args.out)}"
+        f"postprocess: restored {restored} segment(s) to {Path(args.out)}"
         + (f" ({dropped_total} irrecoverable record(s) dropped)" if dropped_total else "")
     )
     return 0
@@ -328,26 +357,24 @@ def _read_scores(path, spec: SampleSpec) -> list:
     that the --sizes and --replicates of ``spec`` describe."""
     rows = []
     runs = set()
-    with open(require_file(path), encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for row in reader:
-            if not row or row[0].strip().lower() == "size":
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != 3:
-                raise ValueError(f"{where}: expected size,replicate,value")
-            try:
-                size, replicate, value = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            if size not in spec.sizes:
-                raise ValueError(f"{where}: size {size} is not in --sizes")
-            if not 0 <= replicate < spec.replicates:
-                raise ValueError(f"{where}: replicate {replicate} is outside 0..{spec.replicates - 1}")
-            if (size, replicate) in runs:
-                raise ValueError(f"{where}: size {size} replicate {replicate} repeats")
-            runs.add((size, replicate))
-            rows.append((size, replicate, value))
+    for line_no, row in read_csv(path):
+        if not row or row[0].strip().lower() == "size":
+            continue
+        where = f"{path}: line {line_no}"
+        if len(row) != 3:
+            raise ValueError(f"{where}: expected size,replicate,value")
+        try:
+            size, replicate, value = int(row[0]), int(row[1]), float(row[2])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        if size not in spec.sizes:
+            raise ValueError(f"{where}: size {size} is not in --sizes")
+        if not 0 <= replicate < spec.replicates:
+            raise ValueError(f"{where}: replicate {replicate} is outside 0..{spec.replicates - 1}")
+        if (size, replicate) in runs:
+            raise ValueError(f"{where}: size {size} replicate {replicate} repeats")
+        runs.add((size, replicate))
+        rows.append((size, replicate, value))
     missing = sorted(set(spec.sizes) - {size for size, _ in runs})
     if missing:
         raise ValueError(f"{path}: no rows for --sizes {','.join(map(str, missing))}")
@@ -407,8 +434,7 @@ def cmd_buckets(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    corpus = read_corpus(args.input, args.format)
-    stats = corpus_stats(corpus)
+    stats = corpus_stats(iter_corpus(args.input, args.format))
     payload = {"manifest": _manifest("stats", [args.input]), "stats": stats}
     _write_report(args.out, payload)
     print(

@@ -3,17 +3,22 @@
 A triplet is one (source, machine translation, post-edit) record. Corpora
 are immutable ordered sequences of triplets; every downstream stage relies
 on insertion order being stable, so seeded operations stay deterministic.
-Every line-framed file (corpus, line file, changelog) is read by
-``read_lines`` and written by ``write_lines``.
+Every line-framed file (corpus, line file, changelog, CSV input) is read
+by ``read_lines`` and written by ``write_lines``, or by ``open_lines``
+when it is written in step with another; ``staged_outputs`` makes a
+command's writes all or nothing.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from operator import add
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Tuple
+from typing import IO, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 TEXT_FIELDS = ("src", "mt", "pe")
 
@@ -106,17 +111,18 @@ def count_chars(text: str) -> int:
     return len(text.strip())
 
 
-def corpus_stats(corpus: Corpus) -> CorpusStats:
-    """Aggregate token and character counts over a corpus.
+def corpus_stats(triplets: Iterable[Triplet]) -> CorpusStats:
+    """Aggregate token and character counts over triplets, one at a time.
 
     Additive and order invariant: stats(A ++ B) == stats(A) + stats(B).
     """
-    columns = [[t.text(name) for t in corpus] for name in TEXT_FIELDS]
-    return CorpusStats(
-        len(corpus),
-        *(sum(map(count_tokens, column)) for column in columns),
-        *(sum(map(count_chars, column)) for column in columns),
-    )
+    n_triplets, tokens, chars = 0, [0] * len(TEXT_FIELDS), [0] * len(TEXT_FIELDS)
+    for n_triplets, t in enumerate(triplets, start=1):
+        for k, name in enumerate(TEXT_FIELDS):
+            text = t.text(name)
+            tokens[k] += count_tokens(text)
+            chars[k] += count_chars(text)
+    return CorpusStats(n_triplets, *tokens, *chars)
 
 
 def _ordinal_id(line_no: int) -> str:
@@ -181,11 +187,61 @@ def read_lines(path) -> Iterator[str]:
             yield line
 
 
+def read_csv(path) -> Iterator[Tuple[int, List[str]]]:
+    """Yield each CSV row with the number of its last physical line.
+
+    Physical lines are framed and decoded by read_lines, so a fault names
+    its line even inside a quoted field that spans lines; such a field
+    holds its line breaks as \\n.
+    """
+    reader = csv.reader(line + "\n" for line in read_lines(path))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise CorpusFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def open_lines(path) -> IO[str]:
+    """Open a UTF-8 file for writing lines that each end in \\n, creating its directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_lines(path, lines: Iterable[str]) -> None:
     """Write each line and a \\n to a UTF-8 file, creating its directory; ``lines`` is consumed lazily."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open_lines(path) as handle:
         handle.writelines(line + "\n" for line in lines)
+
+
+@contextmanager
+def staged_outputs(*paths) -> Iterator[List[Path]]:
+    """Make the writes to ``paths`` all or nothing.
+
+    Yields a ``<path>.tmp`` for each path, in a directory made if needed.
+    When the block ends normally each is renamed over its path; when it
+    raises they are removed, with every directory made for them.
+    """
+    targets = [Path(p) for p in paths]
+    made = []
+    for target in targets:
+        directory = target.parent
+        while not directory.exists() and directory not in made:
+            made.append(directory)
+            directory = directory.parent
+        target.parent.mkdir(parents=True, exist_ok=True)
+    temps = [target.with_name(target.name + ".tmp") for target in targets]
+    try:
+        yield temps
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        for directory in sorted(made, key=lambda d: len(d.parts), reverse=True):
+            with suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 def _records(path, format: str) -> Iterator[Tuple[int, str]]:
@@ -193,27 +249,38 @@ def _records(path, format: str) -> Iterator[Tuple[int, str]]:
     return ((n, line) for n, line in enumerate(read_lines(path), start=1) if format == "tsv" or line.strip())
 
 
-def read_corpus(path, format: str = "jsonl") -> Corpus:
-    """Read a corpus from JSONL or TSV, preserving file order.
+def iter_corpus(path, format: str = "jsonl") -> Iterator[Triplet]:
+    """Yield the triplets of a JSONL or TSV corpus one at a time, in file order.
 
     Lines are framed by read_lines. Ids are auto-assigned as zero-padded
-    1-based line ordinals when absent. A malformed record or a repeated id
-    raises CorpusFormatError naming ``path`` and the line.
+    1-based line ordinals when absent. A malformed record raises
+    CorpusFormatError naming ``path`` and the line as it is met. Only the
+    ids are kept: the first repeated id is raised, naming both of its
+    lines, once the rest of the file has framed and parsed.
     """
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown corpus format {format!r}")
     parse = _triplet_from_json_line if format == "jsonl" else _triplet_from_tsv_line
-    triplets = []
+    seen = set()
+    repeat = None  # (line, id) of the first repeated id
     for line_no, line in _records(path, format):
         try:
-            triplets.append(parse(line, line_no))
+            triplet = parse(line, line_no)
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{path}: line {line_no}: {exc}") from exc
-    try:
-        return Corpus(tuple(triplets))
-    except DuplicateIdError as exc:  # only a failed read maps triplets back to lines
-        first, repeat = [n for (n, _), t in zip(_records(path, format), triplets) if t.id == exc.triplet_id][:2]
-        raise CorpusFormatError(f"{path}: line {repeat}: {exc} (first on line {first})") from exc
+        if repeat is None and triplet.id in seen:
+            repeat = (line_no, triplet.id)
+        seen.add(triplet.id)
+        yield triplet
+    if repeat is not None:  # only a failed read maps the id back to its first line
+        line_no, triplet_id = repeat
+        first = next(n for n, line in _records(path, format) if parse(line, n).id == triplet_id)
+        raise CorpusFormatError(f"{path}: line {line_no}: {DuplicateIdError(triplet_id)} (first on line {first})")
+
+
+def read_corpus(path, format: str = "jsonl") -> Corpus:
+    """Read a whole corpus through iter_corpus, preserving file order."""
+    return Corpus(iter_corpus(path, format))
 
 
 def _jsonl_record(t: Triplet) -> str:

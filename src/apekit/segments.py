@@ -18,8 +18,9 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
-from typing import Dict, List, Mapping, Sequence, Tuple
+from itertools import islice
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from . import __version__
 from .corpus import TEXT_FIELDS, Triplet, read_lines, write_lines
@@ -110,7 +111,10 @@ class ChangeLog:
     @classmethod
     def from_dict(cls, data: dict) -> "ChangeLog":
         """Read a log written by ``to_dict``; raise ValueError on counts that do not fit."""
-        records = tuple(ChangeRecord.from_dict(r) for r in data["records"])
+        # From lists, not generators: a tuple grown from a generator skips
+        # CPython's per-length free lists when made but lands in them when
+        # freed, so they filled up as a changelog was read.
+        records = tuple([ChangeRecord.from_dict(r) for r in data["records"]])
         parts = {f: data["parts"][f] for f in TEXT_FIELDS}
         digests = {f: data["clean_digests"][f] for f in TEXT_FIELDS}
         for f, n in parts.items():
@@ -287,7 +291,7 @@ def preprocess(triplet: Triplet, music_chars: str = MUSIC_CHARS) -> Tuple[List[C
         triplet_id=triplet.id,
         records=tuple(records),
         parts={f: len(cleaned[f]) for f in TEXT_FIELDS},
-        clean_digests={f: tuple(_digest(p) for p in cleaned[f]) for f in TEXT_FIELDS},
+        clean_digests={f: tuple([_digest(p) for p in cleaned[f]]) for f in TEXT_FIELDS},  # see from_dict
     )
     return clean_triplets, log
 
@@ -360,61 +364,124 @@ def postprocess(outputs: Sequence[str], log: ChangeLog, field_name: str = "mt") 
 
 
 def postprocess_all(
-    outputs: Sequence[str], logs: Sequence[ChangeLog], field_name: str = "mt"
-) -> Tuple[List[str], int]:
+    outputs: Iterable[str], logs: Iterable[ChangeLog], field_name: str = "mt"
+) -> Iterator[Tuple[str, int]]:
     """Restore one field of every logged triplet from decoded parts, one per line.
 
-    Returns the restored texts and the total count of dropped records.
+    Walks ``logs`` and ``outputs`` in step and yields each restored text
+    with its count of dropped records. A fault of ``logs`` is raised as it
+    is met; one in reading ``outputs``, and then a total part count that
+    differs from the number of decoded lines, once every log is read.
     """
-    expected = sum(log.parts[field_name] for log in logs)
-    if len(outputs) != expected:
+    lines = iter(outputs)
+    expected = read = 0
+    fault = None
+    for log in logs:
+        n = log.parts[field_name]
+        expected += n
+        if fault is not None or read + n != expected:  # outputs failed, or ran out before this log
+            continue
+        try:
+            parts = list(islice(lines, n))
+        except (OSError, ValueError) as exc:
+            fault = exc
+            continue
+        read += len(parts)
+        if len(parts) == n:
+            yield postprocess_with_report(parts, log, field_name)
+    if fault is None:
+        try:
+            read += sum(1 for _ in lines)
+        except (OSError, ValueError) as exc:
+            fault = exc
+    if fault is not None:
+        raise fault
+    if read != expected:
         raise PartCountError(
             f"outputs/changelog mismatch: changelog expects {expected} {field_name} part(s), "
-            f"decoded file has {len(outputs)} line(s); is this the changelog of another corpus?"
+            f"decoded file has {read} line(s); is this the changelog of another corpus?"
         )
-    lines = iter(outputs)
-    results = [
-        postprocess_with_report(list(islice(lines, log.parts[field_name])), log, field_name) for log in logs
-    ]
-    return [text for text, _ in results], sum(dropped for _, dropped in results)
 
 
-def _part_totals(logs: Sequence[ChangeLog]) -> Dict[str, int]:
-    return {f: sum(log.parts[f] for log in logs) for f in TEXT_FIELDS}
+def _counted(logs: Iterable[ChangeLog], counts: dict) -> Iterator[ChangeLog]:
+    """Pass ``logs`` through, adding each to the header counts in ``counts``."""
+    for log in logs:
+        counts["n_triplets"] += 1
+        for f in TEXT_FIELDS:
+            counts["n_parts"][f] += log.parts[f]
+        yield log
 
 
-def write_changelog(path, logs: Sequence[ChangeLog], input_sha256: str) -> Dict[str, int]:
-    """Write the header line and one log per line; return the per-field part totals."""
-    n_parts = _part_totals(logs)
-    header = {"type": "header", "toolkit_version": __version__, "input_sha256": input_sha256,
-              "n_triplets": len(logs), "n_parts": n_parts}
-    write_lines(path, chain([json.dumps(header, ensure_ascii=False)], map(ChangeLog.to_json, logs)))
-    return n_parts
+def _no_counts() -> dict:
+    return {"n_triplets": 0, "n_parts": dict.fromkeys(TEXT_FIELDS, 0)}
 
 
-def read_changelog(path) -> Tuple[dict, List[ChangeLog]]:
-    """Read the header and the logs of a changelog; blank log lines are skipped.
+def write_changelog(path, logs: Iterable[ChangeLog], input_sha256: str) -> dict:
+    """Write the header line and one log per line, consuming ``logs`` lazily; return the header.
 
-    Raises ValueError naming ``path``, and the line for a line that does not
-    frame or parse or a header whose counts disagree with the logs.
+    The header states the totals, so the logs go to ``<path>.logs`` first
+    and are copied after it.
     """
-    lines = list(read_lines(path))
-    if not lines:
+    body = Path(f"{path}.logs")
+    counts = _no_counts()
+    try:
+        write_lines(body, map(ChangeLog.to_json, _counted(logs, counts)))
+        header = {"type": "header", "toolkit_version": __version__, "input_sha256": input_sha256, **counts}
+        write_lines(path, [json.dumps(header, ensure_ascii=False)])
+        with open(path, "ab") as handle, open(body, "rb") as written:
+            while chunk := written.read(1 << 16):
+                handle.write(chunk)
+    finally:
+        body.unlink(missing_ok=True)
+    return header
+
+
+def read_changelog(path) -> Tuple[dict, Iterator[ChangeLog]]:
+    """Read the header of a changelog, and return it with a stream of its logs.
+
+    Blank log lines are skipped. Raises ValueError naming ``path``, and the
+    line for a line that does not frame or parse or a header whose counts
+    disagree with the logs. A line that does not frame comes first wherever
+    it is, so a bad header is raised, and a bad log is raised by the
+    stream, only once every later line has framed; the stream checks the
+    header counts after the last log.
+    """
+    lines = enumerate(read_lines(path), start=1)
+    first = next(lines, None)
+    if first is None:
         raise ValueError(f"{path}: empty changelog")
-    logs = []
-    for number, line in enumerate(lines, 1):
-        try:
-            if number == 1:
-                header = json.loads(line)
-                kind = header.get("type")
-            elif line.strip():
-                logs.append(ChangeLog.from_json(line))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"{path}: line {number}: malformed changelog ({exc})") from exc
-        if kind != "header":  # line 1 is checked before any log parses
-            raise ValueError(f"{path}: missing changelog header")
-    counts = (len(logs), _part_totals(logs))
-    if (header.get("n_triplets"), header.get("n_parts")) != counts:
+    try:
+        header = json.loads(first[1])
+        fault = None if header.get("type") == "header" else ValueError(f"{path}: missing changelog header")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        fault = ValueError(f"{path}: line 1: malformed changelog ({exc})")
+    if fault is not None:
+        for _ in lines:
+            pass
+        raise fault
+    return header, _read_logs(path, header, lines)
+
+
+def _read_logs(path, header: dict, lines: Iterator[Tuple[int, str]]) -> Iterator[ChangeLog]:
+    counts = _no_counts()
+    yield from _counted(_parsed_logs(path, lines), counts)
+    if (header.get("n_triplets"), header.get("n_parts")) != (counts["n_triplets"], counts["n_parts"]):
         raise ValueError(f"{path}: line 1: header counts {header.get('n_triplets')!r} triplet(s) with parts "
-                         f"{header.get('n_parts')!r}, but the logs hold {counts[0]} triplet(s) with parts {counts[1]}")
-    return header, logs
+                         f"{header.get('n_parts')!r}, but the logs hold {counts['n_triplets']} triplet(s) "
+                         f"with parts {counts['n_parts']}")
+
+
+def _parsed_logs(path, lines: Iterator[Tuple[int, str]]) -> Iterator[ChangeLog]:
+    """Parse each non-blank line; the first that does not parse is raised after the rest have framed."""
+    fault = None
+    for number, line in lines:
+        if fault is not None or not line.strip():
+            continue
+        try:
+            log = ChangeLog.from_json(line)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            fault = ValueError(f"{path}: line {number}: malformed changelog ({exc})")
+            continue
+        yield log
+    if fault is not None:
+        raise fault

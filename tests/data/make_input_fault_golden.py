@@ -6,7 +6,11 @@ a line file and a changelog, a corpus line that is not JSON, a corpus
 record without a field, a TSV line with the wrong column count, line
 files of different lengths, and an empty TER reference. They run through
 ``stats``, ``filter``, ``preprocess``, ``postprocess``, ``evaluate``,
-``significance`` and ``buckets``. Commands run in the
+``significance`` and ``buckets``. Inputs with two faults each pin which
+fault ``preprocess`` and ``postprocess`` report first; after each of
+those runs the console also says whether anything under ``out/`` was
+added, removed or changed, since a rejected run must write nothing.
+Commands run in the
 ``input_fault_golden`` directory on relative paths, so paths in messages
 are stable. Regenerate only when a change of messages is intended:
 
@@ -40,8 +44,9 @@ def _write(path: Path, data: bytes) -> None:
 
 
 def write_inputs(directory: Path) -> None:
-    """The faulty corpora and line files, each fault on line 2 or 3."""
+    """The faulty corpora and line files: each single fault on line 2 or 3, then the inputs with two."""
     rows = [json.dumps(t, ensure_ascii=False).encode("utf-8") + b"\n" for t in _TRIPLETS]
+    newline = json.dumps({**_TRIPLETS[0], "mt": "- Wohin\ngehst du?"}, ensure_ascii=False).encode("utf-8") + b"\n"
     inputs = {
         "corpus.jsonl": b"".join(rows),
         "cr.jsonl": rows[0] + rows[1].replace(b'", "', b'",\r "', 1) + rows[2],
@@ -53,6 +58,10 @@ def write_inputs(directory: Path) -> None:
         "cr.txt": b"Die Nacht ist lang.\nKomm zur\xc3\xbcck.\nWohin\rgehst du?\n",
         "short.txt": b"Die Nacht ist lang.\nKomm zur\xc3\xbcck.\n",
         "empty_ref.txt": b"Die Nacht ist so lang.\n\nWohin gehst du?\n",
+        # Two faults each, in the order the file shows them.
+        "newline_then_bad_json.jsonl": newline + rows[1] + b"{not json\n",
+        "repeat_then_missing_field.jsonl": rows[0] + rows[0] + rows[2] + b'{"id": "t4", "src": "a", "mt": "b"}\n',
+        "newline_then_repeat.jsonl": newline + rows[1] + rows[1],
     }
     for name, data in inputs.items():
         _write(directory / "in" / name, data)
@@ -64,6 +73,19 @@ def _run(console: list, argv: list) -> int:
         code = cli_main(argv)
     console.append(f"{' '.join(argv)}: exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
     return code
+
+
+def _tree() -> dict:
+    return {str(p): p.read_bytes() if p.is_file() else None for p in sorted(Path("out").rglob("*"))}
+
+
+def _run_rejected(console: list, argv: list) -> None:
+    """Run a command that must fail; say whether it added, removed or changed anything under out/."""
+    before = _tree()
+    _run(console, argv)
+    after = _tree()
+    touched = sorted(p for p in before.keys() | after.keys() if before.get(p, 0) != after.get(p, 0))
+    console.append(f"out/ {'changed: ' + ', '.join(touched) if touched else 'unchanged'}\n")
 
 
 def run_commands(directory: Path) -> dict:
@@ -134,6 +156,33 @@ def run_commands(directory: Path) -> dict:
             ["--baseline", "in/hyp.txt", "--ape", "in/hyp.txt", "--ref", "in/empty_ref.txt"],
         ):
             _run(console, ["buckets", *fault, "--out", "out/buckets.json"])
+        # Two faults in one input: the first reported is pinned, and a
+        # rejected run leaves earlier outputs and absent directories alone.
+        for name in ("newline_then_bad_json.jsonl", "repeat_then_missing_field.jsonl", "newline_then_repeat.jsonl"):
+            _run_rejected(console, ["preprocess", "--in", f"in/{name}", "--out-dir", "out/pre"])
+            _run_rejected(console, ["preprocess", "--in", f"in/{name}", "--out-dir", "out/new/pre"])
+
+        changelog = Path("out/pre/changelog.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        bad_line3 = "".join([*changelog[:2], "{not json\n", *changelog[3:]]).encode("utf-8")
+        Path("out/bad_line3_changelog.jsonl").write_bytes(bad_line3)
+        line4 = bad_line3.index(b"\n{not json\n") + len(b"\n{not json\n")
+        Path("out/bad_line3_ff_line4_changelog.jsonl").write_bytes(bad_line3[:line4] + b"\xff" + bad_line3[line4:])
+        header = json.loads(changelog[0])
+        header["n_parts"]["mt"] += 1
+        Path("out/bad_header_changelog.jsonl").write_text(json.dumps(header) + "\n" + "".join(changelog[1:]),
+                                                          encoding="utf-8")
+        Path("out/mt_ff.txt").write_bytes(b"\xff" + Path("out/mt.txt").read_bytes())
+        if _run(console, [*restore, "--outputs", "out/mt.txt", "--changelog", "out/pre/changelog.jsonl"]) != 0:
+            raise RuntimeError("postprocess of the valid changelog failed")
+        for fault in (
+            ["--outputs", "out/mt_short.txt", "--changelog", "out/bad_line3_changelog.jsonl"],
+            ["--outputs", "out/mt_short.txt", "--changelog", "out/bad_header_changelog.jsonl"],
+            ["--outputs", "out/mt_ff.txt", "--changelog", "out/bad_line3_changelog.jsonl"],
+            ["--outputs", "out/mt.txt", "--changelog", "out/bad_line3_ff_line4_changelog.jsonl"],
+            ["--outputs", "out/mt_short.txt", "--changelog", "out/pre/changelog.jsonl", "--orig", "in/missing.jsonl"],
+        ):
+            _run_rejected(console, [*restore, *fault])
+            _run_rejected(console, ["postprocess", "--out", "out/new/restored.txt", *fault])
         shutil.rmtree("out")
         return {"console.txt": "".join(console)}
     finally:

@@ -686,6 +686,7 @@ def test_preprocess_rejects_line_break_in_a_field(tmp_path, capsys, break_char):
     assert "triplet '000002': field 'mt' contains a newline or carriage return" in capsys.readouterr().err
     assert not (tmp_path / "pre" / "cleaned.jsonl").exists()
     assert not (tmp_path / "pre" / "changelog.jsonl").exists()
+    assert not (tmp_path / "pre").exists()
 
 
 @pytest.mark.parametrize("edit, decoded", [
@@ -889,3 +890,35 @@ def test_every_benchmark_command_line_still_parses(monkeypatch):
                                           "significance", "buckets"}
     for argv in argvs:
         parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("command, data, line", [
+    pytest.param("agreement", b'A,i1,nmt,3\nA,i2,ape,\xff4\n', 2, id="agreement"),
+    pytest.param("adequacy", b'A,i1,nmt,3\nA,i2,ape,\xff4\n', 2, id="adequacy"),
+    pytest.param("agreement", b'A,i1,nmt,3\nA,"i\n\xff2",ape,4\n', 3, id="inside-a-quoted-field"),
+    pytest.param("ablate", b'size,replicate,value\n10,0,50\n10,1,\xff5\n', 3, id="ablate-scores"),
+])
+def test_csv_bytes_that_are_not_utf8_name_file_and_line(tmp_path, capsys, command, data, line):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    argv = ["ablate", "--scores", str(path), "--sizes", "10"] if command == "ablate" else [command, "--csv", str(path)]
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+    assert f"error: {path}: line {line}: byte " in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_rejected_preprocess_and_postprocess_keep_earlier_outputs(tmp_path, capsys):
+    """A rejected run leaves the files of an earlier run as they were, and no temporary file."""
+    corpus, changelog, decoded = _preprocessed(tmp_path, [("a", "<i>b</i>", "c"), ("d", "- e", "f")])
+    restored = tmp_path / "restored.txt"
+    assert main(["postprocess", "--outputs", str(decoded), "--changelog", str(changelog), "--out", str(restored)]) == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    bad, _ = make_corpus_file(tmp_path, [("a", "b", "c"), ("d", "e\nf", "g")], name="bad.jsonl")
+    before[bad] = bad.read_bytes()
+    assert main(["preprocess", "--in", str(bad), "--out-dir", str(tmp_path / "pre")]) == 2
+    short = write_lines(tmp_path / "short.txt", ["b"])
+    before[short] = short.read_bytes()
+    assert main(["postprocess", "--outputs", str(short), "--changelog", str(changelog), "--out", str(restored)]) == 2
+    assert main(["postprocess", "--outputs", str(decoded), "--changelog", str(changelog), "--out", str(restored),
+                 "--orig", str(bad)]) == 2
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before

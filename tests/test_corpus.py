@@ -10,8 +10,11 @@ from apekit.corpus import (
     CorpusStats,
     Triplet,
     corpus_stats,
+    iter_corpus,
     read_corpus,
+    read_csv,
     read_lines,
+    staged_outputs,
     write_corpus,
     write_lines,
 )
@@ -256,3 +259,67 @@ class TestTsvLineBreaks:
             assert any("\r" in text for row in rows for text in row)
             return
         assert read_corpus(path, format="tsv") == corpus
+
+
+class TestIterCorpus:
+    def test_yields_each_triplet_before_reading_on(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "src": "s", "mt": "m", "pe": "p"}\n{not json\n', encoding="utf-8")
+        triplets = iter_corpus(path)
+        assert next(triplets).id == "a"
+        with pytest.raises(CorpusFormatError, match="line 2: invalid JSON"):
+            next(triplets)
+
+    def test_a_repeated_id_is_raised_after_the_last_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        rows = [{"id": i, "src": "s", "mt": "m", "pe": "p"} for i in ("a", "b", "a", "c", "b")]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        triplets = iter_corpus(path)
+        assert [next(triplets).id for _ in rows] == ["a", "b", "a", "c", "b"]
+        with pytest.raises(CorpusFormatError, match=r"line 3: duplicate triplet id 'a' \(first on line 1\)"):
+            next(triplets)
+
+    def test_stats_of_a_stream_equal_stats_of_the_corpus(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_corpus(make_corpus([("one two", "eins", "eins zwei"), (" x ", "y", "z z z")]), path)
+        assert corpus_stats(iter_corpus(path)) == corpus_stats(read_corpus(path))
+
+
+class TestReadCsv:
+    def test_rows_carry_their_last_physical_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'a,b\r\n"c\r\nd",e\n\nf,"g"\n')
+        assert list(read_csv(path)) == [(1, ["a", "b"]), (3, ["c\nd", "e"]), (4, []), (5, ["f", "g"])]
+
+    def test_a_byte_that_is_not_utf8_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'a,"b\nc\xff",d\n')
+        with pytest.raises(CorpusFormatError, match=r"t.csv: line 2: byte 2 is not UTF-8"):
+            list(read_csv(path))
+
+    def test_a_csv_error_names_the_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n" + "x" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"t.csv: line 2: field larger than field limit"):
+            list(read_csv(path))
+
+
+class TestStagedOutputs:
+    def test_outputs_appear_only_when_the_block_ends(self, tmp_path):
+        target = tmp_path / "new" / "dir" / "out.txt"
+        with staged_outputs(target) as (temp,):
+            write_lines(temp, ["x"])
+            assert temp.name == "out.txt.tmp" and not target.exists()
+        assert target.read_text(encoding="utf-8") == "x\n"
+        assert sorted(p.name for p in target.parent.iterdir()) == ["out.txt"]
+
+    def test_a_failed_block_leaves_old_files_and_makes_no_directory(self, tmp_path):
+        old = tmp_path / "old.txt"
+        old.write_text("old\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="boom"):
+            with staged_outputs(old, tmp_path / "new" / "dir" / "out.txt") as temps:
+                for temp in temps:
+                    write_lines(temp, ["half"])
+                raise ValueError("boom")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+        assert old.read_text(encoding="utf-8") == "old\n"

@@ -9,6 +9,8 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import pytest
+
 GOLDEN_DIR = Path(__file__).parent / "data" / "input_fault_golden"
 _spec = importlib.util.spec_from_file_location(
     "make_input_fault_golden", Path(__file__).parent / "data" / "make_input_fault_golden.py"
@@ -25,10 +27,22 @@ def test_inputs_are_the_generated_ones(tmp_path):
         assert (tmp_path / "in" / name).read_bytes() == (GOLDEN_DIR / "in" / name).read_bytes()
 
 
-def test_console_matches_golden(tmp_path):
-    shutil.copytree(GOLDEN_DIR / "in", tmp_path / "in")
-    outputs = make_input_fault_golden.run_commands(tmp_path)
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("input_fault_golden")
+    shutil.copytree(GOLDEN_DIR / "in", work / "in")
+    return make_input_fault_golden.run_commands(work)
+
+
+def test_console_matches_golden(outputs):
     golden = sorted(p.name for p in GOLDEN_DIR.iterdir() if p.is_file())
     assert sorted(outputs) == golden
     for name in golden:
         assert outputs[name] == (GOLDEN_DIR / name).read_text(encoding="utf-8"), name
+
+
+def test_rejected_runs_write_nothing(outputs):
+    """No rejected preprocess or postprocess adds, removes or changes a file or directory under out/."""
+    verdicts = [line for line in outputs["console.txt"].splitlines() if line.startswith("out/ ")]
+    assert len(verdicts) == 16
+    assert set(verdicts) == {"out/ unchanged"}

@@ -210,10 +210,12 @@ class TestPostprocess:
     def test_postprocess_all_checks_the_total_part_count_once(self):
         logs = [preprocess(triplet("A<br>B", "C<br>D", "E<br>F", id="a"))[1],
                 preprocess(triplet("a <i>b</i> c", "H", "I", id="b"))[1]]
-        assert postprocess_all(["C", "D", "H"], logs, "mt") == (["C<br>D", "H"], 0)
-        assert postprocess_all(["A", "B", "x y z"], logs, "src") == (["A<br>B", "x y z"], 2)
+        assert list(postprocess_all(["C", "D", "H"], logs, "mt")) == [("C<br>D", 0), ("H", 0)]
+        assert list(postprocess_all(["A", "B", "x y z"], logs, "src")) == [("A<br>B", 0), ("x y z", 2)]
         with pytest.raises(PartCountError, match="changelog expects 3 mt part.*decoded file has 2 line"):
-            postprocess_all(["C", "D"], logs, "mt")
+            list(postprocess_all(["C", "D"], logs, "mt"))
+        with pytest.raises(PartCountError, match="changelog expects 3 mt part.*decoded file has 4 line"):
+            list(postprocess_all(["C", "D", "H", "J"], logs, "mt"))
 
     def test_br_fallback_round_trip(self):
         t = triplet("A<br>B<br/>C", "no breaks", "none either")
@@ -305,15 +307,35 @@ class TestChangelogFile:
 
     def test_round_trip(self, tmp_path):
         logs = self.logs()
-        assert write_changelog(tmp_path / "c.jsonl", logs, "ab12") == {"src": 4, "mt": 4, "pe": 4}
+        written = write_changelog(tmp_path / "c.jsonl", iter(logs), "ab12")
         header, read = read_changelog(tmp_path / "c.jsonl")
-        assert header == {"type": "header", "toolkit_version": "0.1.0", "input_sha256": "ab12",
-                          "n_triplets": 3, "n_parts": {"src": 4, "mt": 4, "pe": 4}}
-        assert read == logs
+        assert header == written == {"type": "header", "toolkit_version": "0.1.0", "input_sha256": "ab12",
+                                     "n_triplets": 3, "n_parts": {"src": 4, "mt": 4, "pe": 4}}
+        assert list(read) == logs
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+    def test_logs_are_written_and_read_one_at_a_time(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+
+        def logs():
+            yield from self.logs()[:2]
+            raise ValueError("stop")
+
+        with pytest.raises(ValueError, match="stop"):
+            write_changelog(path, logs(), "ab12")
+        assert not (tmp_path / "c.jsonl.logs").exists()
+        write_changelog(path, self.logs(), "ab12")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([*lines[:3], "{not json"]) + "\n", encoding="utf-8")
+        header, read = read_changelog(path)
+        assert header["n_triplets"] == 3
+        assert [next(read), next(read)] == self.logs()[:2]
+        with pytest.raises(ValueError, match="line 4: malformed changelog"):
+            next(read)
 
     def test_blank_log_lines_are_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_changelog(path, self.logs(), "ab12")
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join([lines[0], "", *lines[1:], "  "]) + "\n", encoding="utf-8")
-        assert read_changelog(path)[1] == self.logs()
+        assert list(read_changelog(path)[1]) == self.logs()
