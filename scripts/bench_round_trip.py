@@ -1,4 +1,4 @@
-"""Compare source trees on the benchmark and on the corpus-build round trip at several sizes.
+"""Compare source trees on the benchmark, the corpus-build round trip at several sizes, and the eval commands.
 
 With --seeds, each tree's own `perfbench/run.py` runs every workload of
 --workloads once per seed (`--trace 0`), the trees alternating in order
@@ -13,6 +13,13 @@ generator also runs in child processes. Trees alternate in order from
 one repetition to the next, so a drifting host affects them alike. The
 outputs of every tree are hashed, so the result also shows whether the
 trees wrote the same bytes.
+
+Last, the eval commands run at the north star's test-set sizes, the same
+way (fresh interpreters, trees alternating per repetition), on
+`generate.write_eval_inputs` pairs with the benchmark's specs:
+`evaluate --hyp-b --per-sentence`, `significance --statistic ter` and
+`buckets` on 2,000 subtitle pairs, and `evaluate` on 1,000 news pairs.
+Their reports are hashed with `manifest.timestamp` removed.
 
     python3 scripts/bench_round_trip.py --tree parent=<commit>:<parent checkout>/src \\
         --tree change=<commit>:src --seeds 3,4,5 --sizes 8000,40000,120000 --out BENCH_11.json
@@ -59,6 +66,29 @@ GENERATE = (
     "name, *args = sys.argv[1:]\n"
     "getattr(generate, name)(*(Path(a) if '/' in a else int(a) for a in args))\n"
 )
+# perfbench's eval pairs in a child: <out_dir> <seed> <spec name in perfbench/workloads.py> <n>.
+EVAL_INPUTS = (
+    "import sys\n"
+    "from pathlib import Path\n"
+    f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+    "import generate, workloads\n"
+    "out, seed, spec, n = sys.argv[1:]\n"
+    "generate.write_eval_inputs(Path(out), int(seed), **dict(getattr(workloads, spec), n=int(n)))\n"
+)
+# (spec name, pairs, commands): the eval workloads' commands at the north star's test-set sizes.
+EVAL_SETS = [
+    ("SUBTITLE_PAIRS", 2000, [
+        ["evaluate", "--hyp", "in/ape.txt", "--ref", "in/ref.txt", "--hyp-b", "in/mt.txt", "--per-sentence",
+         "--out", "reports/evaluate.json"],
+        ["significance", "--hyp-a", "in/ape.txt", "--hyp-b", "in/mt.txt", "--ref", "in/ref.txt",
+         "--statistic", "ter", "--out", "reports/significance.json"],
+        ["buckets", "--baseline", "in/mt.txt", "--ape", "in/ape.txt", "--ref", "in/ref.txt",
+         "--out", "reports/buckets.json"],
+    ]),
+    ("NEWS_PAIRS", 1000, [
+        ["evaluate", "--hyp", "in/ape.txt", "--ref", "in/ref.txt", "--out", "reports/evaluate.json"],
+    ]),
+]
 
 
 def _generate(*args) -> None:
@@ -88,6 +118,20 @@ def _run(src: Path, work: Path, argv: list) -> dict:
     return {"wall_s": round(result["wall_s"], 3), "peak_rss_mb": round(result["peak_rss_mb"], 2)}
 
 
+def _report_digest(path: Path) -> str:
+    """Digest of a JSON report without its manifest timestamp, the one field allowed to differ."""
+    report = json.loads(path.read_text(encoding="utf-8"))
+    del report["manifest"]["timestamp"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def _eval_commands(src: Path, work: Path, seed: int, commands: list) -> dict:
+    """Run the eval commands in `work`; return each command's figures and report digest."""
+    shutil.rmtree(work / "reports", ignore_errors=True)
+    runs = {argv[0]: _run(src, work, argv + ["--seed", str(seed)]) for argv in commands}
+    return {"commands": runs, "report_sha256": {argv[0]: _report_digest(work / argv[-1]) for argv in commands}}
+
+
 def _round_trip(src: Path, work: Path, seed: int) -> dict:
     """Run filter, preprocess and postprocess in `work`; return each command's figures and output digests."""
     for name in ("filtered", "pre", "restored"):
@@ -108,8 +152,32 @@ def _round_trip(src: Path, work: Path, seed: int) -> dict:
             "train_triplets": train_triplets}
 
 
+def _alternating(trees, repeats: int, base: Path, run) -> dict:
+    """{label: [run(src, work), ...]}: `repeats` runs per tree, each tree in
+    its own copy of `base/in`, the trees' order alternating per repetition."""
+    runs = {label: [] for label, _, _ in trees}
+    for repeat in range(repeats):
+        for label, _, src in (trees if repeat % 2 == 0 else trees[::-1]):
+            work = base / label
+            if not (work / "in").exists():
+                shutil.copytree(base / "in", work / "in")
+            runs[label].append(run(src, work))
+            print(f"{base.name} {label} {json.dumps(runs[label][-1]['commands'])}", file=sys.stderr, flush=True)
+    return runs
+
+
+def _identical(runs: dict, key: str) -> bool:
+    """Whether every run of every tree holds the same digests under `key`."""
+    return len({json.dumps(run[key], sort_keys=True) for label_runs in runs.values() for run in label_runs}) == 1
+
+
 def _perfbench(src: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` run of the checkout that holds `src`; its end-to-end metrics."""
+    """One `perfbench/run.py --trace 0` run of the checkout that holds `src`.
+
+    Returns its end-to-end metrics, and the raw throughput and calibration
+    time that `items_per_norm_s` is the product of, so a change in it can
+    be told apart from a change in the calibration kernel's speed.
+    """
     run = src.resolve().parent / "perfbench" / "run.py"
     proc = subprocess.run([sys.executable, str(run), "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"], capture_output=True, text=True)
@@ -117,6 +185,10 @@ def _perfbench(src: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{run} {workload} seed {seed} failed:\n{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     metrics = {name: round(m["value"], 4) for name, m in result["metrics"].items()}
+    for line in proc.stdout.splitlines():
+        words = line.split()
+        if len(words) == 4 and words[0] == workload and words[1] in ("items_per_s", "calibration_ms"):
+            metrics[words[1]] = round(float(words[2]), 4)
     return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"], **metrics}
 
 
@@ -138,11 +210,12 @@ def _benchmark(trees, workloads, seeds, seconds) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", required=True, help="label=commit:src_dir")
-    parser.add_argument("--sizes", default="8000,40000,120000", help="comma-separated input triplet counts")
+    parser.add_argument("--sizes", default="8000,40000,120000",
+                        help="comma-separated input triplet counts; none skips the round trip")
     parser.add_argument("--workloads", default="build,eval_subtitle,eval_news")
     parser.add_argument("--seeds", default="", help="comma-separated benchmark seeds; none skips the benchmark")
     parser.add_argument("--seconds", type=float, default=32.0, help="benchmark run length")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the round-trip inputs")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the round-trip and eval inputs")
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument("--work", default=".bench_work/round_trip")
     parser.add_argument("--out", required=True)
@@ -168,25 +241,26 @@ def main(argv=None) -> int:
     if args.seeds:
         result["benchmark"]["workloads"] = _benchmark(trees, args.workloads.split(","),
                                                       [int(s) for s in args.seeds.split(",")], args.seconds)
-    for n in map(int, args.sizes.split(",")):
+    for n in (map(int, args.sizes.split(",")) if args.sizes else ()):
         heldout = round(n * PAPER_HELDOUT / PAPER_TRIPLETS)
         base = Path(args.work) / str(n)
         shutil.rmtree(base, ignore_errors=True)
         _generate("write_build_inputs", base / "in", args.seed, n, heldout, heldout)
-        row = {"input_triplets": n, "heldout_each": heldout, "runs": {label: [] for label, _, _ in trees}}
-        for repeat in range(args.repeats):
-            order = trees if repeat % 2 == 0 else trees[::-1]
-            for label, _, src in order:
-                work = base / label
-                if not (work / "in").exists():
-                    shutil.copytree(base / "in", work / "in")
-                run = _round_trip(src, work, args.seed)
-                row["train_triplets"] = run.pop("train_triplets")
-                row["runs"][label].append(run)
-                print(f"{n} {label} {json.dumps(run['commands'])}", file=sys.stderr, flush=True)
-        digests = {json.dumps(run["output_sha256"], sort_keys=True) for runs in row["runs"].values() for run in runs}
-        row["outputs_identical"] = len(digests) == 1
-        result["sizes"].append(row)
+        runs = _alternating(trees, args.repeats, base, lambda src, work: _round_trip(src, work, args.seed))
+        train = {run.pop("train_triplets") for label_runs in runs.values() for run in label_runs}
+        result["sizes"].append({"input_triplets": n, "heldout_each": heldout, "runs": runs,
+                                "train_triplets": train.pop(), "outputs_identical": _identical(runs, "output_sha256")})
+        shutil.rmtree(base, ignore_errors=True)
+    result["eval"] = []
+    for spec, n, commands in EVAL_SETS:
+        base = Path(args.work) / "eval" / spec
+        shutil.rmtree(base, ignore_errors=True)
+        subprocess.run([sys.executable, "-c", EVAL_INPUTS, str(base / "in"), str(args.seed), spec, str(n)],
+                       check=True)
+        runs = _alternating(trees, args.repeats, base,
+                            lambda src, work: _eval_commands(src, work, args.seed, commands))
+        result["eval"].append({"spec": spec, "pairs": n, "runs": runs,
+                               "reports_identical": _identical(runs, "report_sha256")})
         shutil.rmtree(base, ignore_errors=True)
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -208,7 +208,7 @@ def read_adequacy_csv(path) -> AdequacyTable:
         except ValueError as exc:
             errors.append(f"line {line_no}: {exc}")
     if errors:
-        raise ValueError("malformed adequacy rows: " + "; ".join(errors))
+        raise ValueError(f"{path}: malformed adequacy rows: " + "; ".join(errors))
     return table
 
 

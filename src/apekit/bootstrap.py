@@ -3,21 +3,24 @@
 Both systems are rescored on the same resampled sentence sets, built from
 per-sentence sufficient statistics so a thousand samples stay cheap. The
 p-value is the one-sided win proportion: 1 - wins(winner) / n_samples,
-with ties counting as wins for neither system.
+with ties counting as wins for neither system. numpy is imported inside
+the functions that resample, so importing this module (as the CLI does
+for every command) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import bleu as bleu_mod
 from .tokenizer import BLEU_TOKENIZER, TER_NORMALIZED_TOKENIZER, TokenizerConfig
 from .ter import score_from_ter_stats, ter_sentence
 
 DEFAULT_SAMPLES = 1000
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # statistic -> (per-sentence rows of one system, score of the rows summed
 # over a sample of n sentences). Higher scores win, so TER is negated. The
@@ -50,6 +53,8 @@ class BootstrapResult:
 
 
 def _sample_scores(rows, indices, score) -> np.ndarray:
+    import numpy as np
+
     rows = np.asarray(rows)
     # One gather per sample keeps memory flat on large test sets. The sums
     # reach the scorer as Python numbers, which it combines faster than
@@ -83,6 +88,8 @@ def bootstrap_significance(
         raise ValueError(f"unknown statistic {statistic!r}, expected one of {tuple(STATISTICS)}")
     if tok is None:
         tok = TER_NORMALIZED_TOKENIZER if statistic == "ter" else BLEU_TOKENIZER
+
+    import numpy as np
 
     n = len(refs)
     rng = np.random.default_rng(seed)

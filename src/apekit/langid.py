@@ -138,7 +138,8 @@ class TabFileClassifier:
         self._table = dict(table)
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "TabFileClassifier":
+    def from_lines(cls, lines: Iterable[str], prefix: str = "") -> "TabFileClassifier":
+        """Build the table; a malformed line raises ValueError naming it after `prefix`."""
         table = {}
         for i, raw in enumerate(lines, start=1):
             line = raw.rstrip("\n")
@@ -146,13 +147,13 @@ class TabFileClassifier:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ValueError(f"line {i}: expected 'text<TAB>lang', found {len(parts)} columns")
+                raise ValueError(f"{prefix}line {i}: expected 'text<TAB>lang', found {len(parts)} columns")
             table[parts[0]] = parts[1]
         return cls(table)
 
     @classmethod
     def from_file(cls, path) -> "TabFileClassifier":
-        return cls.from_lines(read_lines(path))
+        return cls.from_lines(read_lines(path), f"{path}: ")
 
     def classify(self, text: str) -> str:
         return self._table[text]

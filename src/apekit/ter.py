@@ -11,15 +11,17 @@ exhaustive desk-scale oracle over bounded shift sequences is included so
 the greedy result can be sandwiched in tests:
 
     oracle cost <= greedy cost <= shift-free edit distance
+
+numpy is imported inside the shift-search functions, not at module
+level, so commands that never run a shift search (every corpus-build
+and human-evaluation command) never pay for loading it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig, overlap_stats, tokenize
 
@@ -28,6 +30,9 @@ MAX_SHIFT_DISTANCE = 50
 ORACLE_MAX_TOKENS = 8
 ORACLE_MAX_DEPTH = 3
 SCAN_CELLS = 1 << 18  # candidate tokens scored in one batch, which bounds its memory
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EmptyReferenceError(ValueError):
@@ -236,6 +241,8 @@ def _shift_grid(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Start, end and destination of every shift within the span and
     distance caps, as arrays in scan order: by start, then end, then
     destination."""
+    import numpy as np
+
     start = np.arange(n)[:, None, None]
     length = np.arange(1, MAX_SHIFT_SPAN + 1)[None, :, None]
     destination = np.arange(n)[None, None, :]
@@ -262,6 +269,8 @@ def _shifted_positions(n: int, start: np.ndarray, end: np.ndarray, destination: 
     the tokens it jumps over, so each row is a running sum of the offset
     changes at the three run boundaries.
     """
+    import numpy as np
+
     length = end - start + 1
     backward = destination < start
     # Backward, the block comes first, then the tokens it jumped over;
@@ -286,6 +295,8 @@ def _word_tables(pattern: Sequence[str]) -> Tuple[Dict[str, int], List[np.ndarra
     """Token ids for the pattern's vocabulary and, per 64-bit word of the
     pattern, each id's match mask; the id one past the vocabulary stands
     for every other token and matches nothing."""
+    import numpy as np
+
     ids: Dict[str, int] = {}
     for token in pattern:
         ids.setdefault(token, len(ids))
@@ -298,20 +309,6 @@ def _word_tables(pattern: Sequence[str]) -> Tuple[Dict[str, int], List[np.ndarra
     return ids, tables
 
 
-_ONE = np.uint64(1)
-_ZERO = np.uint64(0)
-_TOP_SHIFT = np.uint64(63)
-
-
-def _shift_left(words: List[np.ndarray], fill: np.uint64) -> List[np.ndarray]:
-    """Bit vectors split into 64-bit words (lowest first), shifted left by
-    one with `fill` as the new lowest bit."""
-    out = [(words[0] << _ONE) | fill]
-    for low, high in zip(words, words[1:]):
-        out.append((high << _ONE) | (low >> _TOP_SHIFT))
-    return out
-
-
 def _batch_distances(columns: np.ndarray, tables: List[np.ndarray], m: int) -> np.ndarray:
     """Levenshtein distances of many texts to one pattern of length m.
 
@@ -320,6 +317,21 @@ def _batch_distances(columns: np.ndarray, tables: List[np.ndarray], m: int) -> n
     with the pattern split into 64-bit words (carries cross words in the
     addition and the shifts).
     """
+    import numpy as np
+
+    # uint64 scalars, not Python ints: numpy 1.x rejects a uint64 array
+    # shifted by a Python int. Made once per call; each costs about as
+    # much as one array operation of the loop below.
+    one, zero, top_shift = np.uint64(1), np.uint64(0), np.uint64(63)
+
+    def shift_left(words: List[np.ndarray], fill: np.uint64) -> List[np.ndarray]:
+        """Bit vectors split into 64-bit words (lowest first), shifted left
+        by one with `fill` as the new lowest bit."""
+        out = [(words[0] << one) | fill]
+        for low, high in zip(words, words[1:]):
+            out.append((high << one) | (low >> top_shift))
+        return out
+
     count = columns.shape[1]
     k = len(tables)
     full = [np.uint64(0xFFFFFFFFFFFFFFFF)] * (k - 1) + [np.uint64((1 << (m - 64 * (k - 1))) - 1)]
@@ -342,9 +354,9 @@ def _batch_distances(columns: np.ndarray, tables: List[np.ndarray], m: int) -> n
             xh.append((total ^ p) | e)
         ph = [n | ~(x | p) for n, x, p in zip(vn, xh, vp)]
         mh = [p & x for p, x in zip(vp, xh)]
-        score += ((ph[top_word] >> top_bit) & _ONE).astype(np.int64)
-        score -= ((mh[top_word] >> top_bit) & _ONE).astype(np.int64)
-        ph, mh = _shift_left(ph, _ONE), _shift_left(mh, _ZERO)
+        score += ((ph[top_word] >> top_bit) & one).astype(np.int64)
+        score -= ((mh[top_word] >> top_bit) & one).astype(np.int64)
+        ph, mh = shift_left(ph, one), shift_left(mh, zero)
         vp = [(h | ~(x | p)) & f for h, x, p, f in zip(mh, xv, ph, full)]
         vn = [p & x for p, x in zip(ph, xv)]
     return score
@@ -366,6 +378,8 @@ def _best_shift(
     multiset floor: no later candidate can beat it, and ties never
     replace the earlier winner.
     """
+    import numpy as np
+
     n = len(current)
     other = len(ref_ids)
     current_ids = np.array([ref_ids.get(token, other) for token in current], dtype=np.int32)

@@ -208,6 +208,15 @@ class TestCsvIngestion:
         with pytest.raises(ValueError, match=r"line 3: bad score 'bad'"):
             read_adequacy_csv(path)
 
+    def test_malformed_rows_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("A,i1,nmt,3\nA,i1,ape\nA,i1,human,4\nA,i2,nmt,3\nA,i2,ape,bad\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_adequacy_csv(path)
+        assert str(err.value) == (
+            f"{path}: malformed adequacy rows: line 2: expected 4 columns, found 3; line 5: bad score 'bad'"
+        )
+
 
 class TestSharedRatings:
     def test_items_with_any_cant_decide_dropped(self):

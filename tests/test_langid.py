@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from apekit.langid import NgramLanguageClassifier, _char_ngrams
+from apekit.langid import NgramLanguageClassifier, TabFileClassifier, _char_ngrams
 
 GOLDEN = Path(__file__).parent / "data" / "langid_golden.jsonl"
 # The golden scores were summed with plain double additions; from 3.12 the
@@ -38,3 +38,13 @@ def test_languages_are_the_sorted_profile_names(classifier):
 def test_blank_text_is_rejected(classifier):
     with pytest.raises(ValueError, match="empty text"):
         classifier.classify(" \t ")
+
+
+def test_tab_file_classifier_names_file_and_line(tmp_path):
+    path = tmp_path / "decisions.tsv"
+    path.write_text("guten Morgen\tde\n\nno tab here\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        TabFileClassifier.from_file(path)
+    assert str(err.value) == f"{path}: line 3: expected 'text<TAB>lang', found 1 columns"
+    path.write_text("guten Morgen\tde\n", encoding="utf-8")
+    assert TabFileClassifier.from_file(path).classify("guten Morgen") == "de"
