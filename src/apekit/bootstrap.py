@@ -18,6 +18,11 @@ from .tokenizer import BLEU_TOKENIZER, TER_NORMALIZED_TOKENIZER, TokenizerConfig
 from .ter import score_from_ter_stats, ter_sentence
 
 DEFAULT_SAMPLES = 1000
+# Resample indices are drawn in blocks of whole samples holding at most this
+# many indices (512 KiB of int64), so memory does not grow with n_samples.
+# Consecutive draws continue one random stream: any blocking yields the
+# indices a single draw of every sample would.
+BLOCK_CELLS = 1 << 16
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,7 +79,8 @@ def bootstrap_significance(
     """Compare two systems by rescoring seeded resamples of the test set.
 
     Each sample draws len(refs) sentence indices with replacement; both
-    systems are scored on the identical sample. Deterministic per seed.
+    systems are scored on the identical sample, one block of samples at a
+    time. Deterministic per seed.
     """
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
         raise ValueError(
@@ -93,14 +99,18 @@ def bootstrap_significance(
 
     n = len(refs)
     rng = np.random.default_rng(seed)
-    indices = rng.integers(0, n, size=(n_samples, n))
-
     rows, score = STATISTICS[statistic]
-    scores_a = _sample_scores(rows(hyps_a, refs, tok), indices, score)
-    scores_b = _sample_scores(rows(hyps_b, refs, tok), indices, score)
+    rows_a = np.asarray(rows(hyps_a, refs, tok))
+    rows_b = np.asarray(rows(hyps_b, refs, tok))
 
-    wins_a = int(np.sum(scores_a > scores_b))
-    wins_b = int(np.sum(scores_b > scores_a))
+    wins_a = wins_b = 0
+    block = max(1, BLOCK_CELLS // n)
+    for start in range(0, n_samples, block):
+        indices = rng.integers(0, n, size=(min(block, n_samples - start), n))
+        scores_a = _sample_scores(rows_a, indices, score)
+        scores_b = _sample_scores(rows_b, indices, score)
+        wins_a += int(np.sum(scores_a > scores_b))
+        wins_b += int(np.sum(scores_b > scores_a))
     ties = n_samples - wins_a - wins_b
     p_value = 1.0 - max(wins_a, wins_b) / n_samples
     return BootstrapResult(

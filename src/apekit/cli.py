@@ -278,7 +278,7 @@ def cmd_evaluate(args) -> int:
         inputs.append(args.hyp_b)
         payload["system_b"] = _metric_report(hyps_b, refs, bleu_tok, ter_tok)
         payload["bootstrap"] = bootstrap_significance(
-            hyps, hyps_b, refs, n_samples=args.n_samples, seed=seed, tok=bleu_tok
+            hyps, hyps_b, refs, n_samples=args.n_samples or DEFAULT_SAMPLES, seed=seed, tok=bleu_tok
         )
 
     payload["manifest"] = _manifest("evaluate", inputs, seed=seed)
@@ -353,12 +353,12 @@ def _parse_sizes(raw: str):
 
 
 def _read_scores(path, spec: SampleSpec) -> list:
-    """Read external size,replicate,value rows; each must be a distinct run
-    that the --sizes and --replicates of ``spec`` describe."""
+    """Read external size,replicate,value rows (a header on line 1 only); each
+    must be a distinct run that the --sizes and --replicates of ``spec`` describe."""
     rows = []
     runs = set()
     for line_no, row in read_csv(path):
-        if not row or row[0].strip().lower() == "size":
+        if not row or (line_no == 1 and row[0].strip().lower() == "size"):
             continue
         where = f"{path}: line {line_no}"
         if len(row) != 3:
@@ -503,7 +503,8 @@ def build_parser() -> _Parser:
     p.add_argument("--no-ter-normalize", dest="ter_normalize", action="store_false",
                    help="score TER with the BLEU tokenizer instead of lowercased punct split")
     p.add_argument("--per-sentence", action="store_true", help="include per-sentence TER rows")
-    p.add_argument("--n-samples", type=count, default=DEFAULT_SAMPLES)
+    p.add_argument("--n-samples", type=count, default=None,
+                   help=f"bootstrap resample count (default {DEFAULT_SAMPLES}); needs --hyp-b")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("significance", parents=[seeded, threads], help="paired bootstrap test")
@@ -561,6 +562,8 @@ def main(argv=None) -> int:
             raise ConfigError("ablate needs --in (corpus to sample) or --scores (external results)")
         if args.command == "ablate" and not args.scores and args.metric != "mock":
             raise ConfigError(f"ablate --metric {args.metric} needs --scores (--in samples are mock-scored)")
+        if args.command == "evaluate" and args.n_samples is not None and not args.hyp_b:
+            raise ConfigError("evaluate --n-samples needs --hyp-b (it sets the bootstrap's resample count)")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

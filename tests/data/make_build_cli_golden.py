@@ -23,43 +23,18 @@ input holding a newline in a field.
 
 from __future__ import annotations
 
-import contextlib
-import importlib.util
-import io
 import json
-import os
 import random
-import re
 import shutil
-import sys
 from pathlib import Path
 
-from apekit.cli import main as cli_main
 from apekit.corpus import TEXT_FIELDS
+
+import golden
+import make_segments_golden
 
 SEED = 2027
 OUT = Path(__file__).with_name("build_cli_golden")
-_spec = importlib.util.spec_from_file_location(
-    "make_segments_golden", Path(__file__).with_name("make_segments_golden.py")
-)
-make_segments_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_segments_golden)
-
-_TIMESTAMP = re.compile(r',\n\s*"timestamp": "[^"]*"')
-
-
-def without_timestamp(report_text: str) -> str:
-    """The report with its manifest timestamp key removed, still valid JSON."""
-    stripped, count = _TIMESTAMP.subn("", report_text)
-    if count != 1:
-        raise ValueError(f"expected one manifest timestamp, found {count}")
-    return stripped
-
-
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
 
 
 def write_inputs(directory: Path) -> None:
@@ -68,17 +43,9 @@ def write_inputs(directory: Path) -> None:
         json.dumps({"id": t.id, "src": t.src, "mt": t.mt, "pe": t.pe}, ensure_ascii=False) + "\n"
         for t, _ in make_segments_golden.triplets()
     ]
-    _write(directory / "in" / "corpus.jsonl", "".join(rows))
+    golden.write(directory / "in" / "corpus.jsonl", "".join(rows))
     broken = {"id": "nl", "src": "a", "mt": "b\nc", "pe": "d"}
-    _write(directory / "in" / "broken.jsonl", rows[0] + json.dumps(broken) + "\n")
-
-
-def _run(console: list, argv: list) -> int:
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli_main(argv)
-    console.append(f"{' '.join(argv)}: exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
-    return code
+    golden.write(directory / "in" / "broken.jsonl", rows[0] + json.dumps(broken) + "\n")
 
 
 def _edit(rng, part: str) -> str:
@@ -97,15 +64,13 @@ def run_commands(directory: Path) -> dict:
     preprocess report without its timestamp, each restored file, and
     console.txt with every command's exit code, stdout and stderr.
     """
-    previous = os.getcwd()
-    os.chdir(directory)
-    try:
+    with golden.cd(directory):
         console = []
-        _run(console, ["preprocess", "--in", "in/corpus.jsonl", "--out-dir", "out"])
+        golden.run(console, ["preprocess", "--in", "in/corpus.jsonl", "--out-dir", "out"])
         outputs = {
             "cleaned.jsonl": Path("out/cleaned.jsonl").read_text(encoding="utf-8"),
             "changelog.jsonl": Path("out/changelog.jsonl").read_text(encoding="utf-8"),
-            "preprocess_report.json": without_timestamp(
+            "preprocess_report.json": golden.without_timestamp(
                 Path("out/preprocess_report.json").read_text(encoding="utf-8")
             ),
         }
@@ -115,19 +80,19 @@ def run_commands(directory: Path) -> dict:
             cleaned = [part[field] for part in parts]
             decoded = {"unedited": cleaned, "edited": [_edit(rng, text) for text in cleaned]}
             for kind, lines in decoded.items():
-                _write(Path("out") / f"{field}_{kind}.txt", "".join(line + "\n" for line in lines))
+                golden.write(Path("out") / f"{field}_{kind}.txt", "".join(line + "\n" for line in lines))
                 for orig in ([], ["--orig", "in/corpus.jsonl"]):
                     name = f"{field}_{kind}{'_orig' if orig else ''}_restored.txt"
                     argv = ["postprocess", "--field", field, "--outputs", f"out/{field}_{kind}.txt",
                             "--changelog", "out/changelog.jsonl", "--out", f"out/{name}", *orig]
-                    if _run(console, argv) == 0:
+                    if golden.run(console, argv) == 0:
                         outputs[name] = (Path("out") / name).read_text(encoding="utf-8")
 
         changelog = outputs["changelog.jsonl"].splitlines(keepends=True)
-        _write(Path("out/short.txt"), "".join(line + "\n" for line in decoded["unedited"][:-1]))
-        _write(Path("out/empty.jsonl"), "")
-        _write(Path("out/headerless.jsonl"), "".join(changelog[1:]))
-        _write(Path("out/malformed.jsonl"), "".join([*changelog[:3], "{not json\n", *changelog[4:]]))
+        golden.write(Path("out/short.txt"), "".join(line + "\n" for line in decoded["unedited"][:-1]))
+        golden.write(Path("out/empty.jsonl"), "")
+        golden.write(Path("out/headerless.jsonl"), "".join(changelog[1:]))
+        golden.write(Path("out/malformed.jsonl"), "".join([*changelog[:3], "{not json\n", *changelog[4:]]))
         pe = ["--field", "pe", "--outputs", "out/pe_unedited.txt", "--out", "out/rejected.txt"]
         for argv in (
             ["postprocess", "--field", "pe", "--outputs", "out/short.txt", "--changelog", "out/changelog.jsonl",
@@ -139,21 +104,11 @@ def run_commands(directory: Path) -> dict:
             ["postprocess", *pe, "--changelog", "out/missing.jsonl"],
             ["preprocess", "--in", "in/broken.jsonl", "--out-dir", "out/broken"],
         ):
-            _run(console, argv)
+            golden.run(console, argv)
         outputs["console.txt"] = "".join(console)
         shutil.rmtree("out")
         return outputs
-    finally:
-        os.chdir(previous)
-
-
-def main() -> int:
-    write_inputs(OUT)
-    for name, text in run_commands(OUT).items():
-        _write(OUT / name, text)
-    print(f"wrote {OUT}", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    golden.main(OUT, write_inputs, run_commands)

@@ -23,15 +23,10 @@ hold an ``X`` makes agreement exit 2; its console file records that.
 
 from __future__ import annotations
 
-import contextlib
-import io
-import os
 import random
-import re
-import sys
 from pathlib import Path
 
-from apekit.cli import main as cli_main
+import golden
 
 SEED = 1960
 OUT = Path(__file__).with_name("human_eval_golden")
@@ -48,16 +43,6 @@ SPECS = [
     (5, 40, 0.3),
     (3, 4, 0.9),
 ]
-
-_TIMESTAMP = re.compile(r',\n\s*"timestamp": "[^"]*"')
-
-
-def without_timestamp(report_text: str) -> str:
-    """The report with its manifest timestamp key removed, still valid JSON."""
-    stripped, count = _TIMESTAMP.subn("", report_text)
-    if count != 1:
-        raise ValueError(f"expected one manifest timestamp, found {count}")
-    return stripped
 
 
 def csv_text(rng: random.Random, n_annotators: int, n_items: int, x_share: float) -> str:
@@ -88,51 +73,32 @@ def csv_text(rng: random.Random, n_annotators: int, n_items: int, x_share: float
 
 
 def write_inputs(directory: Path) -> None:
-    (directory / "in").mkdir(parents=True, exist_ok=True)
     rng = random.Random(SEED)
     for k, spec in enumerate(SPECS):
-        with open(directory / "in" / f"h{k}.csv", "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(csv_text(rng, *spec))
+        golden.write(directory / "in" / f"h{k}.csv", csv_text(rng, *spec))
 
 
-def run_reports(directory: Path) -> dict:
+def run_commands(directory: Path) -> dict:
     """Run both commands on every CSV in `directory`.
 
     Returns {file name: text}: each written report without its timestamp,
     and per CSV a console file with each command's exit code, stdout and
     stderr, agreement first.
     """
-    previous = os.getcwd()
-    os.chdir(directory)
-    try:
+    with golden.cd(directory):
         outputs = {}
         for k in range(len(SPECS)):
             console = []
             for command in ("agreement", "adequacy"):
                 out = Path("out") / f"h{k}_{command}.json"
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = cli_main([command, "--csv", f"in/h{k}.csv", "--out", str(out)])
-                console.append(f"{command}: exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
-                if code == 0:
-                    outputs[out.name] = without_timestamp(out.read_text(encoding="utf-8"))
+                if golden.run(console, [command, "--csv", f"in/h{k}.csv", "--out", str(out)], label=command) == 0:
+                    outputs[out.name] = golden.without_timestamp(out.read_text(encoding="utf-8"))
                     out.unlink()
             outputs[f"h{k}_console.txt"] = "".join(console)
         if Path("out").exists():
             Path("out").rmdir()
         return outputs
-    finally:
-        os.chdir(previous)
-
-
-def main() -> int:
-    write_inputs(OUT)
-    for name, text in run_reports(OUT).items():
-        with open(OUT / name, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    print(f"wrote {OUT}", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    golden.main(OUT, write_inputs, run_commands)

@@ -19,15 +19,11 @@ are stable. Regenerate only when a change of messages is intended:
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
-import os
 import shutil
-import sys
 from pathlib import Path
 
-from apekit.cli import main as cli_main
+import golden
 
 OUT = Path(__file__).with_name("input_fault_golden")
 
@@ -36,11 +32,6 @@ _TRIPLETS = [
     {"id": "t2", "src": "<i>Come back.</i>", "mt": "<i>Komm zurück.</i>", "pe": "<i>Komm sofort zurück.</i>"},
     {"id": "t3", "src": "The night is long.", "mt": "Die Nacht ist lang.", "pe": "Die Nacht ist so lang."},
 ]
-
-
-def _write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
 
 
 def write_inputs(directory: Path) -> None:
@@ -63,16 +54,9 @@ def write_inputs(directory: Path) -> None:
         "repeat_then_missing_field.jsonl": rows[0] + rows[0] + rows[2] + b'{"id": "t4", "src": "a", "mt": "b"}\n',
         "newline_then_repeat.jsonl": newline + rows[1] + rows[1],
     }
+    (directory / "in").mkdir(parents=True, exist_ok=True)
     for name, data in inputs.items():
-        _write(directory / "in" / name, data)
-
-
-def _run(console: list, argv: list) -> int:
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli_main(argv)
-    console.append(f"{' '.join(argv)}: exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
-    return code
+        (directory / "in" / name).write_bytes(data)
 
 
 def _tree() -> dict:
@@ -82,7 +66,7 @@ def _tree() -> dict:
 def _run_rejected(console: list, argv: list) -> None:
     """Run a command that must fail; say whether it added, removed or changed anything under out/."""
     before = _tree()
-    _run(console, argv)
+    golden.run(console, argv)
     after = _tree()
     touched = sorted(p for p in before.keys() | after.keys() if before.get(p, 0) != after.get(p, 0))
     console.append(f"out/ {'changed: ' + ', '.join(touched) if touched else 'unchanged'}\n")
@@ -90,12 +74,10 @@ def _run_rejected(console: list, argv: list) -> None:
 
 def run_commands(directory: Path) -> dict:
     """Run every faulty command in `directory`; return {"console.txt": text}."""
-    previous = os.getcwd()
-    os.chdir(directory)
-    try:
+    with golden.cd(directory):
         console = []
         # A valid changelog for the postprocess faults, and a copy with a bare CR on line 2.
-        if _run(console, ["preprocess", "--in", "in/corpus.jsonl", "--out-dir", "out/pre"]) != 0:
+        if golden.run(console, ["preprocess", "--in", "in/corpus.jsonl", "--out-dir", "out/pre"]) != 0:
             raise RuntimeError("preprocess of the valid corpus failed")
         changelog = Path("out/pre/changelog.jsonl").read_bytes().split(b"\n")
         changelog[1] = changelog[1].replace(b'", "', b'",\r "', 1)
@@ -113,9 +95,9 @@ def run_commands(directory: Path) -> dict:
             ["--in", "in/columns.tsv", "--format", "tsv"],
         ]
         for fault in corpus_faults:
-            _run(console, ["stats", *fault, "--out", "out/stats.json"])
-            _run(console, ["filter", *fault, "--out-dir", "out/filter"])
-            _run(console, ["preprocess", *fault, "--out-dir", "out/preprocess"])
+            golden.run(console, ["stats", *fault, "--out", "out/stats.json"])
+            golden.run(console, ["filter", *fault, "--out-dir", "out/filter"])
+            golden.run(console, ["preprocess", *fault, "--out-dir", "out/preprocess"])
 
         restore = ["postprocess", "--out", "out/restored.txt"]
         for fault in (
@@ -126,7 +108,7 @@ def run_commands(directory: Path) -> dict:
             ["--outputs", "out/mt.txt", "--changelog", "out/cr_changelog.jsonl"],
             ["--outputs", "out/mt_short.txt", "--changelog", "out/pre/changelog.jsonl"],
         ):
-            _run(console, [*restore, *fault])
+            golden.run(console, [*restore, *fault])
 
         for fault in (
             ["--hyp", "in/missing.txt", "--ref", "in/ref.txt"],
@@ -138,7 +120,7 @@ def run_commands(directory: Path) -> dict:
             ["--hyp", "in/hyp.txt", "--ref", "in/ref.txt", "--hyp-b", "in/short.txt"],
             ["--hyp", "in/hyp.txt", "--ref", "in/empty_ref.txt"],
         ):
-            _run(console, ["evaluate", *fault, "--out", "out/evaluate.json"])
+            golden.run(console, ["evaluate", *fault, "--out", "out/evaluate.json"])
 
         significance = ["significance", "--statistic", "ter", "--n-samples", "10", "--out", "out/sig.json"]
         for fault in (
@@ -147,7 +129,7 @@ def run_commands(directory: Path) -> dict:
             ["--hyp-a", "in/hyp.txt", "--hyp-b", "in/short.txt", "--ref", "in/ref.txt"],
             ["--hyp-a", "in/hyp.txt", "--hyp-b", "in/hyp.txt", "--ref", "in/empty_ref.txt"],
         ):
-            _run(console, [*significance, *fault])
+            golden.run(console, [*significance, *fault])
 
         for fault in (
             ["--baseline", "in/hyp.txt", "--ape", "in/missing.txt", "--ref", "in/ref.txt"],
@@ -155,7 +137,7 @@ def run_commands(directory: Path) -> dict:
             ["--baseline", "in/hyp.txt", "--ape", "in/short.txt", "--ref", "in/ref.txt"],
             ["--baseline", "in/hyp.txt", "--ape", "in/hyp.txt", "--ref", "in/empty_ref.txt"],
         ):
-            _run(console, ["buckets", *fault, "--out", "out/buckets.json"])
+            golden.run(console, ["buckets", *fault, "--out", "out/buckets.json"])
         # Two faults in one input: the first reported is pinned, and a
         # rejected run leaves earlier outputs and absent directories alone.
         for name in ("newline_then_bad_json.jsonl", "repeat_then_missing_field.jsonl", "newline_then_repeat.jsonl"):
@@ -172,7 +154,7 @@ def run_commands(directory: Path) -> dict:
         Path("out/bad_header_changelog.jsonl").write_text(json.dumps(header) + "\n" + "".join(changelog[1:]),
                                                           encoding="utf-8")
         Path("out/mt_ff.txt").write_bytes(b"\xff" + Path("out/mt.txt").read_bytes())
-        if _run(console, [*restore, "--outputs", "out/mt.txt", "--changelog", "out/pre/changelog.jsonl"]) != 0:
+        if golden.run(console, [*restore, "--outputs", "out/mt.txt", "--changelog", "out/pre/changelog.jsonl"]) != 0:
             raise RuntimeError("postprocess of the valid changelog failed")
         for fault in (
             ["--outputs", "out/mt_short.txt", "--changelog", "out/bad_line3_changelog.jsonl"],
@@ -185,18 +167,7 @@ def run_commands(directory: Path) -> dict:
             _run_rejected(console, ["postprocess", "--out", "out/new/restored.txt", *fault])
         shutil.rmtree("out")
         return {"console.txt": "".join(console)}
-    finally:
-        os.chdir(previous)
-
-
-def main() -> int:
-    write_inputs(OUT)
-    for name, text in run_commands(OUT).items():
-        with open(OUT / name, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    print(f"wrote {OUT}", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    golden.main(OUT, write_inputs, run_commands)

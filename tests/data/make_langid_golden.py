@@ -22,12 +22,12 @@ and case-folding edge cases.
 
 from __future__ import annotations
 
-import json
 import random
-import sys
 from pathlib import Path
 
 from apekit.langid import NgramLanguageClassifier, _char_ngrams
+
+import golden
 
 SEED = 1994
 ORDER = 3
@@ -100,15 +100,7 @@ def record(classifier, kind, text) -> dict:
     }
 
 
-def main() -> int:
+if __name__ == "__main__":
     classifier = NgramLanguageClassifier.default()
     # ASCII escapes keep the odd whitespace characters intact in any editor.
-    with open(OUT, "w", encoding="utf-8") as handle:
-        for kind, text in texts():
-            handle.write(json.dumps(record(classifier, kind, text)) + "\n")
-    print(f"wrote {OUT}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    golden.write_jsonl(OUT, (record(classifier, kind, text) for kind, text in texts()), ensure_ascii=True)

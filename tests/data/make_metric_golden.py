@@ -18,13 +18,10 @@ fixes part of it, or is empty.
 
 from __future__ import annotations
 
-import os
 import random
-import re
-import sys
 from pathlib import Path
 
-from apekit.cli import main as cli_main
+import golden
 
 SEED = 2004
 N_PAIRS = 40
@@ -52,17 +49,6 @@ COMMANDS = [
     ("buckets.json",
      ["buckets", "--baseline", "in/mt.txt", "--ape", "in/ape.txt", "--ref", "in/ref.txt"]),
 ]
-
-_TIMESTAMP = re.compile(r',\n\s*"timestamp": "[^"]*"')
-
-
-def without_timestamp(report_text: str) -> str:
-    """The report with its manifest timestamp key removed, still valid JSON."""
-    stripped, count = _TIMESTAMP.subn("", report_text)
-    if count != 1:
-        raise ValueError(f"expected one manifest timestamp, found {count}")
-    return stripped
-
 
 def _mt_from(rng, ref):
     out = []
@@ -110,38 +96,24 @@ def pairs():
 
 
 def write_inputs(directory: Path) -> None:
-    (directory / "in").mkdir(parents=True, exist_ok=True)
     for name, lines in zip(("mt", "ape", "ref"), pairs()):
-        with open(directory / "in" / f"{name}.txt", "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("".join(line + "\n" for line in lines))
+        golden.write(directory / "in" / f"{name}.txt", "".join(line + "\n" for line in lines))
 
 
-def run_reports(directory: Path) -> dict:
+def run_commands(directory: Path) -> dict:
     """Run every command in `directory`; return {report name: text without timestamp}."""
-    previous = os.getcwd()
-    os.chdir(directory)
-    try:
+    with golden.cd(directory):
         reports = {}
         for name, argv in COMMANDS:
             out = Path("out") / name
-            if cli_main(argv + ["--out", str(out)]) != 0:
-                raise RuntimeError(f"{' '.join(argv)} failed")
-            reports[name] = without_timestamp(out.read_text(encoding="utf-8"))
+            console = []
+            if golden.run(console, argv + ["--out", str(out)]) != 0:
+                raise RuntimeError(console[0])
+            reports[name] = golden.without_timestamp(out.read_text(encoding="utf-8"))
             out.unlink()
         Path("out").rmdir()
         return reports
-    finally:
-        os.chdir(previous)
-
-
-def main() -> int:
-    write_inputs(OUT)
-    for name, text in run_reports(OUT).items():
-        with open(OUT / name, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    print(f"wrote {OUT}", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    golden.main(OUT, write_inputs, run_commands)

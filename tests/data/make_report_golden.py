@@ -22,24 +22,13 @@ on an external scores file.
 
 from __future__ import annotations
 
-import contextlib
-import importlib.util
-import io
 import json
-import os
 import shutil
-import sys
 from pathlib import Path
 
-from apekit.cli import main as cli_main
+import golden
 
 OUT = Path(__file__).with_name("report_golden")
-_spec = importlib.util.spec_from_file_location(
-    "make_build_cli_golden", Path(__file__).with_name("make_build_cli_golden.py")
-)
-make_build_cli_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_build_cli_golden)
-without_timestamp = make_build_cli_golden.without_timestamp
 
 # (src, mt, pe): English source, German MT and post-edit.
 TRIPLETS = [
@@ -103,29 +92,15 @@ FILTER_CONFIG = {"t": 0.3, "dev_size": 3, "test_size": 3, "seed": 11}
 SCORES = "size,replicate,value\n100,0,31.5\n100,1,32.25\n200,0,35.0\n200,1,34.5\n400,1,38.125\n400,0,37.75\n"
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
 def write_inputs(directory: Path) -> None:
     """The corpus, the filter config and the external scores file."""
     rows = [
         json.dumps({"id": f"t{i:02d}", "src": s, "mt": m, "pe": p}, ensure_ascii=False) + "\n"
         for i, (s, m, p) in enumerate(TRIPLETS, 1)
     ]
-    _write(directory / "in" / "corpus.jsonl", "".join(rows))
-    _write(directory / "in" / "filter_config.json", json.dumps(FILTER_CONFIG) + "\n")
-    _write(directory / "in" / "scores.csv", SCORES)
-
-
-def _run(console: list, argv: list) -> int:
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli_main(argv)
-    console.append(f"{' '.join(argv)}: exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
-    return code
+    golden.write(directory / "in" / "corpus.jsonl", "".join(rows))
+    golden.write(directory / "in" / "filter_config.json", json.dumps(FILTER_CONFIG) + "\n")
+    golden.write(directory / "in" / "scores.csv", SCORES)
 
 
 def run_commands(directory: Path) -> dict:
@@ -135,42 +110,30 @@ def run_commands(directory: Path) -> dict:
     filter splits, the ablate CSV, and console.txt with every command's
     exit code, stdout and stderr.
     """
-    previous = os.getcwd()
-    os.chdir(directory)
-    try:
+    with golden.cd(directory):
         console = []
         outputs = {}
         filter_args = ["filter", "--in", "in/corpus.jsonl", "--config", "in/filter_config.json"]
         for name, extra in (("filter", []), ("filter_seed4", ["--seed", "4"])):
-            _run(console, [*filter_args, "--out-dir", f"out/{name}", *extra])
+            golden.run(console, [*filter_args, "--out-dir", f"out/{name}", *extra])
             report = Path(f"out/{name}/filter_report.json").read_text(encoding="utf-8")
-            outputs[f"{name}_report.json"] = without_timestamp(report)
+            outputs[f"{name}_report.json"] = golden.without_timestamp(report)
             for split in ("train", "dev", "test"):
                 outputs[f"{name}_{split}.jsonl"] = Path(f"out/{name}/{split}.jsonl").read_text(encoding="utf-8")
 
-        _run(console, ["stats", "--in", "in/corpus.jsonl", "--out", "out/stats.json"])
-        _run(console, ["ablate", "--in", "in/corpus.jsonl", "--sizes", "4,8,16", "--replicates", "2",
-                       "--seed", "3", "--baseline", "61.5", "--out", "out/ablate_corpus.json",
-                       "--out-csv", "out/ablate_corpus.csv"])
-        _run(console, ["ablate", "--scores", "in/scores.csv", "--sizes", "100,200,400", "--replicates", "2",
-                       "--metric", "bleu", "--out", "out/ablate_scores.json"])
+        golden.run(console, ["stats", "--in", "in/corpus.jsonl", "--out", "out/stats.json"])
+        golden.run(console, ["ablate", "--in", "in/corpus.jsonl", "--sizes", "4,8,16", "--replicates", "2",
+                             "--seed", "3", "--baseline", "61.5", "--out", "out/ablate_corpus.json",
+                             "--out-csv", "out/ablate_corpus.csv"])
+        golden.run(console, ["ablate", "--scores", "in/scores.csv", "--sizes", "100,200,400", "--replicates", "2",
+                             "--metric", "bleu", "--out", "out/ablate_scores.json"])
         for name in ("stats.json", "ablate_corpus.json", "ablate_scores.json"):
-            outputs[name] = without_timestamp(Path("out", name).read_text(encoding="utf-8"))
+            outputs[name] = golden.without_timestamp(Path("out", name).read_text(encoding="utf-8"))
         outputs["ablate_corpus.csv"] = Path("out/ablate_corpus.csv").read_text(encoding="utf-8")
         outputs["console.txt"] = "".join(console)
         shutil.rmtree("out")
         return outputs
-    finally:
-        os.chdir(previous)
-
-
-def main() -> int:
-    write_inputs(OUT)
-    for name, text in run_commands(OUT).items():
-        _write(OUT / name, text)
-    print(f"wrote {OUT}", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    golden.main(OUT, write_inputs, run_commands)

@@ -21,13 +21,13 @@ empty fields, and the ``music_chars`` settings ``""`` and ``"♪"``.
 
 from __future__ import annotations
 
-import json
 import random
-import sys
 from pathlib import Path
 
 from apekit.corpus import TEXT_FIELDS, Triplet
 from apekit.segments import MUSIC_CHARS, postprocess_with_report, preprocess
+
+import golden
 
 SEED = 2026
 N_TRIPLETS = 200
@@ -137,13 +137,5 @@ def records():
     return [record(triplet, music_chars, rng) for triplet, music_chars in triplets()]
 
 
-def main() -> int:
-    with open(OUT, "w", encoding="utf-8", newline="\n") as handle:
-        for item in records():
-            handle.write(json.dumps(item, ensure_ascii=False) + "\n")
-    print(f"wrote {OUT}", file=sys.stderr)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    golden.write_jsonl(OUT, records())

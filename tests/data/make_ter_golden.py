@@ -15,13 +15,13 @@ text under the normalizing tokenizer.
 
 from __future__ import annotations
 
-import json
 import random
-import sys
 from pathlib import Path
 
 from apekit.ter import ter_sentence
 from apekit.tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig
+
+import golden
 
 SEED = 2009
 OUT = Path(__file__).with_name("ter_golden.jsonl")
@@ -100,13 +100,5 @@ def record(kind, hyp, ref, tok) -> dict:
     }
 
 
-def main() -> int:
-    with open(OUT, "w", encoding="utf-8") as handle:
-        for kind, hyp, ref, tok in pairs():
-            handle.write(json.dumps(record(kind, hyp, ref, tok), ensure_ascii=False) + "\n")
-    print(f"wrote {OUT}", file=sys.stderr)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    golden.write_jsonl(OUT, (record(*pair) for pair in pairs()))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apekit import bleu as bleu_mod
+from apekit import bootstrap as bootstrap_mod
 from apekit.bootstrap import STATISTICS, BootstrapResult, _sample_scores, bootstrap_significance
 from apekit.ter import ter_sentence
 from apekit.tokenizer import BLEU_TOKENIZER, TER_NORMALIZED_TOKENIZER
@@ -165,3 +167,33 @@ def test_sample_scores_match_the_old_scorers_bit_for_bit(statistic):
     indices = np.random.default_rng(11).integers(0, len(refs), size=(300, len(refs)))
     old = OLD_SCORERS[statistic](hyps_a, refs, indices, tok)
     assert _sample_scores(rows(hyps_a, refs, tok), indices, score).tolist() == old.tolist()
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 64])
+@pytest.mark.parametrize("n", [3, 32])
+def test_blocked_draws_match_one_draw_of_every_sample(monkeypatch, block_cells, n):
+    # Blocks of 1 to 21 samples of 3 or 32 indices, the last one short,
+    # continue the random stream that one draw of all 45 samples reads.
+    hyps_a, hyps_b, refs = make_test_set(n=n, seed=5)
+    monkeypatch.setattr(bootstrap_mod, "BLOCK_CELLS", block_cells)
+    for statistic in sorted(STATISTICS):
+        new = bootstrap_significance(hyps_a, hyps_b, refs, n_samples=45, seed=9, statistic=statistic)
+        assert new == _old_bootstrap(hyps_a, hyps_b, refs, 45, 9, statistic)
+
+
+def _peak_bytes(n_samples, hyps_a, hyps_b, refs):
+    tracemalloc.start()
+    try:
+        bootstrap_significance(hyps_a, hyps_b, refs, n_samples=n_samples, statistic="sentence_bleu")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_resample_memory_does_not_grow_with_n_samples():
+    # A single draw of every sample's indices holds n_samples x 2,000 int64
+    # cells at once: 45.8 MiB more at 4,000 samples than at 1,000.
+    hyps_a, hyps_b, refs = make_test_set(n=2000, seed=3)
+    _peak_bytes(1, hyps_a, hyps_b, refs)  # numpy's first-use allocations
+    rise = _peak_bytes(4000, hyps_a, hyps_b, refs) - _peak_bytes(1000, hyps_a, hyps_b, refs)
+    assert rise < 2 * 2**20

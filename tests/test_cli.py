@@ -416,6 +416,8 @@ class TestAblateCommand:
                      "line 2: could not convert string to float", id="bad-value"),
         pytest.param("10,0,50\nten,1,51\n", ["--sizes", "10"],
                      "line 2: invalid literal for int()", id="bad-size"),
+        pytest.param("10,0,50\nsize,replicate,value\n10,1,51\n", ["--sizes", "10"],
+                     "line 2: invalid literal for int() with base 10: 'size'", id="header-after-line-1"),
     ])
     def test_external_scores_must_match_sizes_and_replicates(self, tmp_path, capsys, csv_text, extra, message):
         scores = tmp_path / "scores.csv"
@@ -814,6 +816,14 @@ def test_n_samples_below_one_is_a_usage_error(tmp_path, capsys, command, value):
             "--n-samples", value]
     assert main(argv) == 1
     assert "argument --n-samples: must be at least 1" in capsys.readouterr().err
+
+
+def test_evaluate_n_samples_needs_a_second_system(tmp_path, capsys):
+    argv = [*_line_file_argv("evaluate", tmp_path, write_lines(tmp_path / "h.txt", ["a", "b", "c"])),
+            "--n-samples", "7"]
+    assert main(argv) == 1
+    assert "error: evaluate --n-samples needs --hyp-b" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 class TestStatsCommand:

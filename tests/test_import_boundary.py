@@ -7,7 +7,6 @@ once it reaches a shift search or a bootstrap, and its report still
 matches metric_golden/.
 """
 
-import importlib.util
 import json
 import os
 import shutil
@@ -18,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import apekit
+import make_metric_golden
+from golden import without_timestamp
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(apekit.__file__).resolve().parents[1]
@@ -27,9 +28,6 @@ CHILD = (
     "code = main(sys.argv[1:])\n"
     "print(json.dumps({'exit': code, 'numpy': 'numpy' in sys.modules}))\n"
 )
-_spec = importlib.util.spec_from_file_location("make_metric_golden", DATA / "make_metric_golden.py")
-make_metric_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_metric_golden)
 
 
 def _loads_numpy(work: Path, argv: list) -> bool:
@@ -93,5 +91,5 @@ def test_bootstrap_loads_numpy_and_matches_golden(tmp_path):
     name, argv = next(command for command in make_metric_golden.COMMANDS if command[0] == "significance_bleu.json")
     work = _work(tmp_path, "metric_golden")
     assert _loads_numpy(work, argv + ["--out", f"out/{name}"])
-    report = make_metric_golden.without_timestamp((work / "out" / name).read_text(encoding="utf-8"))
+    report = without_timestamp((work / "out" / name).read_text(encoding="utf-8"))
     assert report == (DATA / "metric_golden" / name).read_text(encoding="utf-8")

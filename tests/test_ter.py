@@ -19,6 +19,8 @@ from apekit.ter import (
 )
 from apekit.tokenizer import TokenizerConfig, tokenize
 
+import make_ter_golden
+
 WS = TokenizerConfig(scheme="whitespace")
 GOLDEN = Path(__file__).parent / "data" / "ter_golden.jsonl"
 
@@ -250,21 +252,16 @@ def test_edit_distance_at_word_boundaries(n):
 
 @pytest.mark.parametrize("scan_cells", [ter_mod.SCAN_CELLS, 3000])
 def test_golden_sentence_scores(scan_cells, monkeypatch):
-    # Pinned by tests/data/make_ter_golden.py; any change in greedy TER
-    # results, shift choices or alignment tie-breaking shows up here. The
-    # small batches split long scans, so ties across batches are checked.
+    # Pinned by tests/data/make_ter_golden.py; any change in the seeded
+    # pairs, greedy TER results, shift choices or alignment tie-breaking
+    # shows up here. The small batches split long scans, so ties across
+    # batches are checked.
     monkeypatch.setattr(ter_mod, "SCAN_CELLS", scan_cells)
     records = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
-    assert len(records) == 180
-    for rec in records:
-        tok = TokenizerConfig(**rec["tokenizer"])
-        score, script = ter_sentence(rec["hyp"], rec["ref"], tok)
-        got = {
-            "score": score.to_dict(),
-            "shifts": [[s.start, s.end, s.destination] for s in script.shifts],
-            "ops": [[op.kind, op.hyp_token, op.ref_token] for op in script.ops],
-        }
-        assert got == {k: rec[k] for k in ("score", "shifts", "ops")}, (rec["hyp"], rec["ref"])
+    pairs = list(make_ter_golden.pairs())
+    assert len(records) == len(pairs) == 180
+    for pair, rec in zip(pairs, records):
+        assert make_ter_golden.record(*pair) == rec, (rec["hyp"], rec["ref"])
 
 
 def test_golden_corpus_score():
