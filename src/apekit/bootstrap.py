@@ -3,7 +3,14 @@
 Both systems are rescored on the same resampled sentence sets, built from
 per-sentence sufficient statistics so a thousand samples stay cheap. The
 p-value is the one-sided win proportion: 1 - wins(winner) / n_samples,
-with ties counting as wins for neither system. numpy is imported inside
+with ties counting as wins for neither system.
+
+Samples are drawn and summed a block at a time: one gather of the block's
+rows and one sum over its sentence axis give every sample's totals. The
+results are those of summing each sample alone: integer rows (BLEU, TER)
+sum exactly in any order, and the float scores of sentence_bleu are
+summed along each sample's contiguous row, which numpy sums pairwise the
+same way as a single sample's vector. numpy is imported inside
 the functions that resample, so importing this module (as the CLI does
 for every command) does not load it.
 """
@@ -18,10 +25,11 @@ from .tokenizer import BLEU_TOKENIZER, TER_NORMALIZED_TOKENIZER, TokenizerConfig
 from .ter import score_from_ter_stats, ter_sentence
 
 DEFAULT_SAMPLES = 1000
-# Resample indices are drawn in blocks of whole samples holding at most this
-# many indices (512 KiB of int64), so memory does not grow with n_samples.
-# Consecutive draws continue one random stream: any blocking yields the
-# indices a single draw of every sample would.
+# Samples are drawn in blocks whose gathered rows hold at most this many
+# cells (512 KiB of int64 or float64; a sample gathers rows.size cells), so
+# memory does not grow with n_samples. Consecutive draws continue one
+# random stream: any blocking yields the indices a single draw of every
+# sample would.
 BLOCK_CELLS = 1 << 16
 
 if TYPE_CHECKING:
@@ -58,13 +66,15 @@ class BootstrapResult:
 
 
 def _sample_scores(rows, indices, score) -> np.ndarray:
+    """Score of every sample (a row of `indices`) of the per-sentence rows."""
     import numpy as np
 
     rows = np.asarray(rows)
-    # One gather per sample keeps memory flat on large test sets. The sums
-    # reach the scorer as Python numbers, which it combines faster than
-    # numpy scalars.
-    return np.array([score(rows[sample].sum(axis=0).tolist(), len(sample)) for sample in indices])
+    # The sums reach the scorer as Python numbers, which it combines
+    # faster than numpy scalars.
+    totals = rows[indices].sum(axis=1).tolist()
+    n = indices.shape[1]
+    return np.array([score(total, n) for total in totals])
 
 
 def bootstrap_significance(
@@ -104,7 +114,7 @@ def bootstrap_significance(
     rows_b = np.asarray(rows(hyps_b, refs, tok))
 
     wins_a = wins_b = 0
-    block = max(1, BLOCK_CELLS // n)
+    block = max(1, BLOCK_CELLS // rows_a.size)
     for start in range(0, n_samples, block):
         indices = rng.integers(0, n, size=(min(block, n_samples - start), n))
         scores_a = _sample_scores(rows_a, indices, score)

@@ -5,10 +5,12 @@ single block shift that most reduces the word-level edit distance to the
 reference (unit cost per shift), then charge the remaining edit distance.
 Distances come from a bit-parallel kernel with the reference as the
 pattern, which scores a batch of shift candidates in one pass of array
-operations, and the shift search stops once it reaches the multiset
-floor, a lower bound on the distance that no shift can change. An
-exhaustive desk-scale oracle over bounded shift sequences is included so
-the greedy result can be sandwiched in tests:
+operations. A swap of two adjacent runs of at most MAX_SHIFT_SPAN tokens
+each is scored once, not once per run that could move. The shift search
+stops once it reaches the multiset floor, a lower bound on the distance
+that no shift can change. An exhaustive desk-scale oracle over bounded
+shift sequences is included so the greedy result can be sandwiched in
+tests:
 
     oracle cost <= greedy cost <= shift-free edit distance
 
@@ -240,7 +242,18 @@ def _apply_shift(tokens: Sequence[str], start: int, end: int, destination: int) 
 def _shift_grid(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Start, end and destination of every shift within the span and
     distance caps, as arrays in scan order: by start, then end, then
-    destination."""
+    destination.
+
+    A shift swaps two adjacent runs, the block and the tokens it jumps
+    over, so the same sequence is reachable as a forward move of either
+    run or a backward move of the other. A backward move over at most
+    MAX_SHIFT_SPAN tokens is left out: moving the jumped-over tokens
+    forward past the block gives the same sequence, is always within both
+    caps, and starts earlier, so it comes first in scan order and the
+    first-best shift is the one a scan of every move finds. This halves
+    the candidates of short sentences and cuts those of long ones by
+    about a tenth.
+    """
     import numpy as np
 
     start = np.arange(n)[:, None, None]
@@ -249,7 +262,8 @@ def _shift_grid(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     valid = (
         (start + length <= n)
         & (destination <= n - length)
-        & (destination != start)
+        # forward, or backward over more tokens than a block may hold
+        & ((destination > start) | (start - destination > MAX_SHIFT_SPAN))
         & (np.abs(destination - start) <= MAX_SHIFT_DISTANCE)
     )
     start, extra, destination = np.nonzero(valid)  # row-major, so scan order
@@ -257,7 +271,9 @@ def _shift_grid(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _shift_candidates(n: int) -> Iterator[Tuple[int, int, int]]:
-    """All (start, end, destination) triples within the span and distance caps."""
+    """All (start, end, destination) triples within the span and distance
+    caps, less the backward moves _shift_grid leaves out as twins of an
+    earlier forward move."""
     return zip(*(axis.tolist() for axis in _shift_grid(n)))
 
 
@@ -373,7 +389,8 @@ def _best_shift(
     """The first shift (in scan order) achieving the largest distance drop.
 
     Candidates are scored in batches of up to SCAN_CELLS tokens, in scan
-    order; all candidates of a sentence of up to 32 tokens fit in one.
+    order; all candidates of a sentence of up to 36 tokens fit in one,
+    as _shift_grid leaves out the backward twins of forward moves.
     The scan stops after the batch in which a candidate reaches the
     multiset floor: no later candidate can beat it, and ties never
     replace the earlier winner.

@@ -209,6 +209,21 @@ class TestEvaluateCommand:
         report_b["manifest"].pop("timestamp")
         assert json.dumps(report_a, sort_keys=True) == json.dumps(report_b, sort_keys=True)
 
+    def test_seed_without_hyp_b_changes_only_the_manifest(self, tmp_path):
+        # One system draws no bootstrap sample, so the seed is only recorded.
+        lines = ["one two three four", "five six seven eight nine"]
+        hyp = write_lines(tmp_path / "hyp.txt", [l + " x" for l in lines])
+        ref = write_lines(tmp_path / "ref.txt", lines)
+        reports = []
+        for seed in ("3", "4"):
+            out = tmp_path / f"{seed}.json"
+            assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--out", str(out), "--seed", seed]) == 0
+            reports.append(load_json(out))
+        assert [report["manifest"]["seed"] for report in reports] == [3, 4]
+        for report in reports:
+            del report["manifest"]["seed"], report["manifest"]["timestamp"]
+        assert reports[0] == reports[1]
+
     def test_golden_report_keys(self, tmp_path):
         lines = ["golden keys stay put here"]
         hyp = write_lines(tmp_path / "hyp.txt", lines)

@@ -308,13 +308,22 @@ class TestFloorEarlyExit:
         assert sum(scored) < len(scan)
 
 
-def reference_scan(n):
-    """The shift candidates in scan order, as nested loops."""
+def full_scan(n):
+    """Every shift within the span and distance caps, in scan order, as
+    nested loops."""
     for start in range(n):
         for end in range(start, min(start + ter_mod.MAX_SHIFT_SPAN, n)):
             for destination in range(n - (end - start + 1) + 1):
                 if destination != start and abs(destination - start) <= ter_mod.MAX_SHIFT_DISTANCE:
                     yield start, end, destination
+
+
+def reference_scan(n):
+    """The shift candidates in scan order: the full scan less the backward
+    moves over at most MAX_SHIFT_SPAN tokens."""
+    for start, end, destination in full_scan(n):
+        if not 0 < start - destination <= ter_mod.MAX_SHIFT_SPAN:
+            yield start, end, destination
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 30, 61])
@@ -324,6 +333,54 @@ def test_shift_grid_keeps_scan_order_and_shifted_positions(n):
     if triples:
         positions = ter_mod._shifted_positions(n, *ter_mod._shift_grid(n))
         assert positions.tolist() == [ter_mod._apply_shift(range(n), *t) for t in triples]
+
+
+def test_every_dropped_shift_repeats_an_earlier_kept_one():
+    # The greedy search keeps the first best shift in scan order, so a
+    # candidate may be dropped only if an earlier kept one gives its sequence.
+    for n in range(62):
+        kept = set(ter_mod._shift_candidates(n))
+        seen = set()
+        for triple in full_scan(n):
+            shifted = tuple(ter_mod._apply_shift(range(n), *triple))
+            if triple in kept:
+                seen.add(shifted)
+            else:
+                assert shifted in seen, (n, triple)
+
+
+def full_scan_greedy(hyp, ref):
+    """Greedy TER over the full scan, one edit_distance call per candidate:
+    the reference for the batched search over the grid without twins."""
+    current, current_ed, shifts = list(hyp), edit_distance(hyp, ref), []
+    while len(shifts) < 2 * len(ref):
+        best, best_ed = None, current_ed
+        for triple in full_scan(len(current)):
+            distance = edit_distance(ter_mod._apply_shift(current, *triple), ref)
+            if distance < best_ed:
+                best, best_ed = triple, distance
+        if best is None:
+            break
+        current, current_ed = ter_mod._apply_shift(current, *best), best_ed
+        shifts.append(ShiftOp(*best))
+    counts = Counter(op.kind for op in ter_mod._align(current, ref))
+    return (counts["ins"], counts["del"], counts["sub"], len(shifts), len(ref)), tuple(shifts)
+
+
+@st.composite
+def short_pairs(draw):
+    alphabet = [f"t{i}" for i in range(draw(st.integers(2, 5)))]
+    hyp = draw(st.lists(st.sampled_from(alphabet), max_size=12))
+    ref = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=12))
+    return hyp, ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_pairs())
+def test_greedy_matches_a_search_over_the_full_scan(pair):
+    hyp, ref = pair
+    score, script = ter_sentence(" ".join(hyp), " ".join(ref), WS)
+    assert (score.stats, script.shifts) == full_scan_greedy(hyp, ref)
 
 
 @st.composite
