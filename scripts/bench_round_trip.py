@@ -3,23 +3,26 @@
 With --seeds, each tree's own `perfbench/run.py` runs every workload of
 --workloads once per seed (`--trace 0`), the trees alternating in order
 from seed to seed; the end-to-end metrics of each run and their medians
-are recorded. Then `filter`, `preprocess` and `postprocess` run at each
-of --sizes input triplets, on inputs from `perfbench/generate.py` (the
-`build` workload's generator). For every tree the three commands run one
-after another, each in a fresh interpreter that reports its own wall
-time and `ru_maxrss`. Linux counts in a child's `ru_maxrss` the memory of
-the process that started it, so this script keeps its own small: the
-generator also runs in child processes. Trees alternate in order from
-one repetition to the next, so a drifting host affects them alike. The
-outputs of every tree are hashed, so the result also shows whether the
-trees wrote the same bytes.
+are recorded. Then the `build` workload's commands (`filter`,
+`preprocess`, `postprocess`) run at each of --sizes input triplets, on
+inputs from `perfbench/generate.py` (the `build` workload's generator).
+Every command line comes from `perfbench/workloads.py`, so the figures
+are of exactly the commands the benchmark runs. For every tree the
+three commands run one after another, each in a fresh interpreter that
+reports its own wall time and `ru_maxrss`. Linux counts in a child's
+`ru_maxrss` the memory of the process that started it, so this script
+keeps its own small: the generator, and the import of the workloads
+that yields the command lines, also run in child processes. Trees
+alternate in order from one repetition to the next, so a drifting host
+affects them alike. The outputs of every tree are hashed, so the result
+also shows whether the trees wrote the same bytes.
 
-Last, the eval commands run at the north star's test-set sizes, the same
-way (fresh interpreters, trees alternating per repetition), on
-`generate.write_eval_inputs` pairs with the benchmark's specs:
-`evaluate --hyp-b --per-sentence`, `significance --statistic ter` and
-`buckets` on 2,000 subtitle pairs, and `evaluate` on 1,000 news pairs.
-Their reports are hashed with `manifest.timestamp` removed.
+Last, the eval workloads' commands run at the north star's test-set
+sizes, the same way (fresh interpreters, trees alternating per
+repetition), on `generate.write_eval_inputs` pairs with the benchmark's
+specs: `eval_subtitle` (`evaluate --hyp-b --per-sentence`, `significance
+--statistic ter`, `buckets`) on 2,000 pairs and `eval_news` (`evaluate`)
+on 1,000. JSON reports are hashed with `manifest.timestamp` removed.
 
     python3 scripts/bench_round_trip.py --tree parent=<commit>:<parent checkout>/src \\
         --tree change=<commit>:src --seeds 3,4,5 --sizes 8000,40000,120000 --out BENCH_11.json
@@ -75,24 +78,27 @@ EVAL_INPUTS = (
     "out, seed, spec, n = sys.argv[1:]\n"
     "generate.write_eval_inputs(Path(out), int(seed), **dict(getattr(workloads, spec), n=int(n)))\n"
 )
-# (spec name, pairs, commands): the eval workloads' commands at the north star's test-set sizes.
-EVAL_SETS = [
-    ("SUBTITLE_PAIRS", 2000, [
-        ["evaluate", "--hyp", "in/ape.txt", "--ref", "in/ref.txt", "--hyp-b", "in/mt.txt", "--per-sentence",
-         "--out", "reports/evaluate.json"],
-        ["significance", "--hyp-a", "in/ape.txt", "--hyp-b", "in/mt.txt", "--ref", "in/ref.txt",
-         "--statistic", "ter", "--out", "reports/significance.json"],
-        ["buckets", "--baseline", "in/mt.txt", "--ape", "in/ape.txt", "--ref", "in/ref.txt",
-         "--out", "reports/buckets.json"],
-    ]),
-    ("NEWS_PAIRS", 1000, [
-        ["evaluate", "--hyp", "in/ape.txt", "--ref", "in/ref.txt", "--out", "reports/evaluate.json"],
-    ]),
-]
+# A workload's commands in a child: <workload name> <seed>; prints perfbench's plan_json of them.
+PLAN = (
+    "import sys\n"
+    f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+    "import workloads\n"
+    "name, seed = sys.argv[1:]\n"
+    "print(workloads.plan_json(workloads.WORKLOADS[name].commands(int(seed))))\n"
+)
+# (workload, its spec name in perfbench/workloads.py, pairs): the eval workloads at the north star's test-set sizes.
+EVAL_SETS = [("eval_subtitle", "SUBTITLE_PAIRS", 2000), ("eval_news", "NEWS_PAIRS", 1000)]
 
 
 def _generate(*args) -> None:
     subprocess.run([sys.executable, "-c", GENERATE, *map(str, args)], check=True)
+
+
+def _plan(workload: str, seed: int) -> list:
+    """The benchmark's commands of `workload`, each a {"name", "argv", "outputs"} dict."""
+    proc = subprocess.run([sys.executable, "-c", PLAN, workload, str(seed)], check=True, capture_output=True,
+                          text=True)
+    return json.loads(proc.stdout)
 
 
 def _sha256(path: Path) -> str:
@@ -118,38 +124,39 @@ def _run(src: Path, work: Path, argv: list) -> dict:
     return {"wall_s": round(result["wall_s"], 3), "peak_rss_mb": round(result["peak_rss_mb"], 2)}
 
 
-def _report_digest(path: Path) -> str:
-    """Digest of a JSON report without its manifest timestamp, the one field allowed to differ."""
+def _output_digest(path: Path) -> str:
+    """Digest of a written file; of a JSON report without its manifest timestamp, the one field allowed to differ."""
+    if path.suffix != ".json":
+        return _sha256(path)
     report = json.loads(path.read_text(encoding="utf-8"))
     del report["manifest"]["timestamp"]
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
-def _eval_commands(src: Path, work: Path, seed: int, commands: list) -> dict:
-    """Run the eval commands in `work`; return each command's figures and report digest."""
-    shutil.rmtree(work / "reports", ignore_errors=True)
-    runs = {argv[0]: _run(src, work, argv + ["--seed", str(seed)]) for argv in commands}
-    return {"commands": runs, "report_sha256": {argv[0]: _report_digest(work / argv[-1]) for argv in commands}}
+def _commands(src: Path, work: Path, seed: int, commands: list) -> dict:
+    """Run a workload's `commands` in `work`; return each command's figures and output digests.
 
-
-def _round_trip(src: Path, work: Path, seed: int) -> dict:
-    """Run filter, preprocess and postprocess in `work`; return each command's figures and output digests."""
-    for name in ("filtered", "pre", "restored"):
-        shutil.rmtree(work / name, ignore_errors=True)
-    runs = {"filter": _run(src, work, ["filter", "--in", "in/corpus.jsonl", "--out-dir", "filtered",
-                                       "--config", "in/filter.json", "--seed", str(seed)])}
-    runs["preprocess"] = _run(src, work, ["preprocess", "--in", "filtered/train.jsonl", "--out-dir", "pre"])
+    What an earlier run wrote is removed first. The decoded file that
+    `postprocess` reads is made once, from the parts `preprocess` cleaned.
+    """
+    outputs = [name for command in commands for name in command["outputs"]]
+    for directory in {Path(name).parts[0] for name in outputs}:
+        shutil.rmtree(work / directory, ignore_errors=True)
     decoded = work / "in" / "decoded.txt"
-    if not decoded.exists():
-        _generate("write_decoded", work / "pre" / "cleaned.jsonl", decoded, seed)
-    runs["postprocess"] = _run(src, work, ["postprocess", "--outputs", "in/decoded.txt", "--changelog",
-                                           "pre/changelog.jsonl", "--out", "restored/mt.txt", "--field", "mt",
-                                           "--orig", "filtered/train.jsonl"])
-    outputs = ["filtered/train.jsonl", "pre/cleaned.jsonl", "pre/changelog.jsonl", "restored/mt.txt"]
+    runs = {}
+    for command in commands:
+        if command["name"] == "postprocess" and not decoded.exists():
+            _generate("write_decoded", work / "pre" / "cleaned.jsonl", decoded, seed)
+        runs[command["name"]] = _run(src, work, command["argv"])
+    return {"commands": runs, "output_sha256": {name: _output_digest(work / name) for name in outputs}}
+
+
+def _round_trip(src: Path, work: Path, seed: int, commands: list) -> dict:
+    """The `build` commands' figures and output digests, and the train split's triplet count."""
+    result = _commands(src, work, seed, commands)
     with open(work / "filtered" / "train.jsonl", "rb") as train:
-        train_triplets = sum(1 for _ in train)
-    return {"commands": runs, "output_sha256": {name: _sha256(work / name) for name in outputs},
-            "train_triplets": train_triplets}
+        result["train_triplets"] = sum(1 for _ in train)
+    return result
 
 
 def _alternating(trees, repeats: int, base: Path, run) -> dict:
@@ -241,26 +248,28 @@ def main(argv=None) -> int:
     if args.seeds:
         result["benchmark"]["workloads"] = _benchmark(trees, args.workloads.split(","),
                                                       [int(s) for s in args.seeds.split(",")], args.seconds)
+    build = _plan("build", args.seed)
     for n in (map(int, args.sizes.split(",")) if args.sizes else ()):
         heldout = round(n * PAPER_HELDOUT / PAPER_TRIPLETS)
         base = Path(args.work) / str(n)
         shutil.rmtree(base, ignore_errors=True)
         _generate("write_build_inputs", base / "in", args.seed, n, heldout, heldout)
-        runs = _alternating(trees, args.repeats, base, lambda src, work: _round_trip(src, work, args.seed))
+        runs = _alternating(trees, args.repeats, base, lambda src, work: _round_trip(src, work, args.seed, build))
         train = {run.pop("train_triplets") for label_runs in runs.values() for run in label_runs}
         result["sizes"].append({"input_triplets": n, "heldout_each": heldout, "runs": runs,
                                 "train_triplets": train.pop(), "outputs_identical": _identical(runs, "output_sha256")})
         shutil.rmtree(base, ignore_errors=True)
     result["eval"] = []
-    for spec, n, commands in EVAL_SETS:
+    for workload, spec, n in EVAL_SETS:
+        commands = _plan(workload, args.seed)
         base = Path(args.work) / "eval" / spec
         shutil.rmtree(base, ignore_errors=True)
         subprocess.run([sys.executable, "-c", EVAL_INPUTS, str(base / "in"), str(args.seed), spec, str(n)],
                        check=True)
         runs = _alternating(trees, args.repeats, base,
-                            lambda src, work: _eval_commands(src, work, args.seed, commands))
-        result["eval"].append({"spec": spec, "pairs": n, "runs": runs,
-                               "reports_identical": _identical(runs, "report_sha256")})
+                            lambda src, work: _commands(src, work, args.seed, commands))
+        result["eval"].append({"workload": workload, "spec": spec, "pairs": n, "runs": runs,
+                               "reports_identical": _identical(runs, "output_sha256")})
         shutil.rmtree(base, ignore_errors=True)
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .corpus import read_csv
 
@@ -54,26 +54,17 @@ def cohen_kappa(a: Sequence, b: Sequence) -> KappaResult:
     return KappaResult(kappa, observed, expected, weighting="none")
 
 
-def weighted_kappa(
-    a: Sequence[int],
-    b: Sequence[int],
-    scale_min: Optional[int] = None,
-    scale_max: Optional[int] = None,
-) -> KappaResult:
-    """Quadratically weighted kappa for ordinal ratings.
+def weighted_kappa(a: Sequence[int], b: Sequence[int]) -> KappaResult:
+    """Quadratically weighted kappa for adequacy ratings.
 
-    Disagreement between categories i and j weighs (i-j)^2 / (max-min)^2,
-    so near misses cost less than distant ones. Scale bounds default to
-    the observed min and max.
+    Disagreement between categories i and j weighs (i-j)^2 / (max-min)^2
+    on the adequacy scale ADEQUACY_MIN..ADEQUACY_MAX, so near misses cost
+    less than distant ones.
     """
     n, marg_a, marg_b = _marginals(a, b)
-    values = list(a) + list(b)
-    lo = scale_min if scale_min is not None else min(values)
-    hi = scale_max if scale_max is not None else max(values)
-    if hi <= lo:
-        raise ValueError("ordinal scale needs max > min")
+    lo, hi = ADEQUACY_MIN, ADEQUACY_MAX
     span_sq = (hi - lo) ** 2
-    out_of_scale = [v for v in values if not lo <= v <= hi]
+    out_of_scale = [v for v in (*a, *b) if not lo <= v <= hi]
     if out_of_scale:
         raise ValueError(f"ratings outside scale [{lo}, {hi}]: {sorted(set(out_of_scale))}")
 
@@ -108,15 +99,11 @@ class PairwiseKappa:
         return {**vars(self), "pairs": [{"a": a, "b": b, "kappa": k} for a, b, k in self.pairs]}
 
 
-def pairwise_average_kappa(
-    ratings: Mapping[str, Sequence],
-    weighting: str = "none",
-    scale_min: Optional[int] = None,
-    scale_max: Optional[int] = None,
-) -> PairwiseKappa:
+def pairwise_average_kappa(ratings: Mapping[str, Sequence], weighting: str = "none") -> PairwiseKappa:
     """Average kappa over annotator pairs, items aligned by position.
 
-    Pairs whose kappa is undefined are skipped and counted.
+    Pairs whose kappa is undefined are skipped and counted. Quadratic
+    weighting is on the adequacy scale (see ``weighted_kappa``).
     """
     if weighting not in ("none", "quadratic"):
         raise ValueError(f"unknown weighting {weighting!r}")
@@ -133,7 +120,7 @@ def pairwise_average_kappa(
         for name_b in names[i + 1 :]:
             try:
                 if weighting == "quadratic":
-                    result = weighted_kappa(ratings[name_a], ratings[name_b], scale_min, scale_max)
+                    result = weighted_kappa(ratings[name_a], ratings[name_b])
                 else:
                     result = cohen_kappa(ratings[name_a], ratings[name_b])
             except UndefinedKappaError:

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .corpus import Corpus, Triplet
 from .ter import ter_corpus, ter_sentence
-from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig
+from .tokenizer import TER_NORMALIZED_TOKENIZER
 
 DEFAULT_REPLICATES = 3
 
@@ -201,13 +201,11 @@ def _bucket_index(sentence_ter_pct: float) -> int:
     raise AssertionError(f"sentence TER {sentence_ter_pct} fell through the bucket ranges")
 
 
-def ter_buckets(
-    baseline_hyps: Sequence[str],
-    ape_hyps: Sequence[str],
-    refs: Sequence[str],
-    tok: TokenizerConfig = TER_NORMALIZED_TOKENIZER,
-) -> BucketAnalysis:
-    """Split items by baseline sentence TER and compare corpus TER per bucket."""
+def ter_buckets(baseline_hyps: Sequence[str], ape_hyps: Sequence[str], refs: Sequence[str]) -> BucketAnalysis:
+    """Split items by baseline sentence TER and compare corpus TER per bucket.
+
+    TER is scored with TER_NORMALIZED_TOKENIZER, as ``evaluate`` does by default.
+    """
     if not (len(baseline_hyps) == len(ape_hyps) == len(refs)):
         raise ValueError(
             "aligned inputs required: "
@@ -218,15 +216,16 @@ def ter_buckets(
 
     members: Dict[int, List[int]] = {idx: [] for idx in range(len(BUCKET_EDGES))}
     for i, (hyp, ref) in enumerate(zip(baseline_hyps, refs)):
-        score, _ = ter_sentence(hyp, ref, tok)
+        score, _ = ter_sentence(hyp, ref, TER_NORMALIZED_TOKENIZER)
         members[_bucket_index(score.score * 100.0)].append(i)
 
     buckets = []
     for idx, (low, high) in enumerate(BUCKET_EDGES):
         items = members[idx]
         if items:
-            base = ter_corpus([baseline_hyps[i] for i in items], [refs[i] for i in items], tok)
-            ape = ter_corpus([ape_hyps[i] for i in items], [refs[i] for i in items], tok)
+            bucket_refs = [refs[i] for i in items]
+            base = ter_corpus([baseline_hyps[i] for i in items], bucket_refs, TER_NORMALIZED_TOKENIZER)
+            ape = ter_corpus([ape_hyps[i] for i in items], bucket_refs, TER_NORMALIZED_TOKENIZER)
             base_pct, ape_pct = base.score * 100.0, ape.score * 100.0
             delta = ape_pct - base_pct
         else:

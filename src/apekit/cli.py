@@ -17,6 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -97,15 +98,13 @@ def _record_json(record) -> dict:
 
 
 def _write_report(path, payload: dict) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_lines(path) as handle:
         json.dump(payload, handle, ensure_ascii=False, indent=2, default=_record_json)
         handle.write("\n")
 
 
 def _write_csv(path, header: list, rows) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_lines(path) as handle:  # no newline translation: csv's \r\n row ends pass through as written
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -317,7 +316,7 @@ def cmd_agreement(args) -> int:
     table = read_adequacy_csv(require_file(args.csv))
     items, ratings = shared_decided_ratings(table)
     plain = pairwise_average_kappa(ratings, weighting="none")
-    weighted = pairwise_average_kappa(ratings, weighting="quadratic", scale_min=1, scale_max=5)
+    weighted = pairwise_average_kappa(ratings, weighting="quadratic")
     payload = {
         "manifest": _manifest("agreement", [args.csv]),
         "n_shared_items": len(items),
@@ -554,10 +553,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser, built on first use and shared by every later ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "ablate" and not args.scores and not args.input:
             raise ConfigError("ablate needs --in (corpus to sample) or --scores (external results)")
         if args.command == "ablate" and not args.scores and args.metric != "mock":

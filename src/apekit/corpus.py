@@ -4,9 +4,9 @@ A triplet is one (source, machine translation, post-edit) record. Corpora
 are immutable ordered sequences of triplets; every downstream stage relies
 on insertion order being stable, so seeded operations stay deterministic.
 Every line-framed file (corpus, line file, changelog, CSV input) is read
-by ``read_lines`` and written by ``write_lines``, or by ``open_lines``
-when it is written in step with another; ``staged_outputs`` makes a
-command's writes all or nothing.
+by ``read_lines``. Every text file a command writes is opened by
+``open_lines``, directly or through ``write_lines``; ``staged_outputs``
+makes a command's writes all or nothing.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def read_csv(path) -> Iterator[Tuple[int, List[str]]]:
 
 
 def open_lines(path) -> IO[str]:
-    """Open a UTF-8 file for writing lines that each end in \\n, creating its directory."""
+    """Open a UTF-8 file for writing, creating its directory; newlines are written untranslated."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w", encoding="utf-8", newline="\n")
 

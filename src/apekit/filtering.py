@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .corpus import TEXT_FIELDS, Corpus, Triplet, count_chars
-from .langid import LanguageClassifier, NgramLanguageClassifier
+from .langid import LanguageClassifier
 
 STAGE_ORDER = ("ratio", "normalize", "dedup", "langid", "split")
 SEED_RULE = "an integer from 0 to 2**64 - 1"
@@ -265,9 +265,7 @@ def split_holdout(corpus: Corpus, dev_size: int, test_size: int, seed: int) -> T
 
 
 def run_filter_pipeline(
-    corpus: Corpus,
-    config: FilterConfig,
-    classifier: Optional[LanguageClassifier] = None,
+    corpus: Corpus, config: FilterConfig, classifier: LanguageClassifier
 ) -> Tuple[Corpus, Corpus, Corpus, FilterReport]:
     """Run the full pipeline and return (train, dev, test, report).
 
@@ -275,9 +273,6 @@ def run_filter_pipeline(
     Degenerate triplets (empty ratio denominator) are counted under the
     ratio stage; their reason code says "degenerate".
     """
-    if classifier is None:
-        classifier = NgramLanguageClassifier.default()
-
     r_c = compute_global_ratio(corpus, config.ratio_numerator, config.ratio_denominator)
     after_ratio, removed_ratio = ratio_filter(
         corpus, r_c, config.t, config.ratio_numerator, config.ratio_denominator

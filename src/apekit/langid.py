@@ -61,8 +61,8 @@ Die Antwort auf deine Frage hängt davon ab, wie viel Zeit uns noch bleibt.
 _NGRAM_ORDER = 3
 
 
-def _char_ngrams(text: str, order: int) -> Counter:
-    """Counts of the character 1- to ``order``-grams of the padded text.
+def _char_ngrams(text: str) -> Counter:
+    """Counts of the character 1- to ``_NGRAM_ORDER``-grams of the padded text.
 
     Grams are counted by order, then by position, so the counter's
     insertion order (which fixes the order scores are summed in) is that
@@ -70,7 +70,7 @@ def _char_ngrams(text: str, order: int) -> Counter:
     """
     # Pad with spaces so word boundaries contribute n-grams too.
     padded = f" {' '.join(text.lower().split())} "
-    return Counter(chain.from_iterable(ngrams_by_order(padded, order)))
+    return Counter(chain.from_iterable(ngrams_by_order(padded, _NGRAM_ORDER)))
 
 
 class NgramLanguageClassifier:
@@ -82,10 +82,9 @@ class NgramLanguageClassifier:
     the order that breaks ties.
     """
 
-    def __init__(self, profiles: Mapping[str, Counter], order: int = _NGRAM_ORDER):
+    def __init__(self, profiles: Mapping[str, Counter]):
         if not profiles:
             raise ValueError("at least one language profile is required")
-        self.order = order
         self.languages = tuple(sorted(profiles))
         self._log_probs: Dict[str, Dict[str, float]] = {}
         self._fallback: Dict[str, float] = {}
@@ -98,12 +97,9 @@ class NgramLanguageClassifier:
             self._fallback[lang] = math.log(1 / (total + vocab))
 
     @classmethod
-    def from_samples(cls, samples: Mapping[str, str], order: int = _NGRAM_ORDER) -> "NgramLanguageClassifier":
-        return cls({lang: _char_ngrams(text, order) for lang, text in samples.items()}, order)
-
-    @classmethod
     def default(cls) -> "NgramLanguageClassifier":
-        return cls.from_samples({"en": _ENGLISH_SEED, "de": _GERMAN_SEED})
+        """The classifier over the built-in English and German profiles."""
+        return cls({"en": _char_ngrams(_ENGLISH_SEED), "de": _char_ngrams(_GERMAN_SEED)})
 
     def scores(self, text: str) -> Dict[str, float]:
         """Summed log-probability of the text's n-grams per language.
@@ -113,7 +109,7 @@ class NgramLanguageClassifier:
         """
         if not text.strip():
             raise ValueError("cannot classify empty text")
-        grams = _char_ngrams(text, self.order)
+        grams = _char_ngrams(text)
         scores = {}
         for lang in self.languages:
             log_probs = map(self._log_probs[lang].get, grams, repeat(self._fallback[lang]))

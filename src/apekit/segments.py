@@ -17,7 +17,6 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -29,6 +28,8 @@ TAG_RE = re.compile(r"<[a-zA-Z/][^>]*>")
 # The group makes BR_RE.split keep each separator literal between the parts.
 BR_RE = re.compile(r"(<br\s*/?>)", re.IGNORECASE)
 MUSIC_CHARS = "♪♫♩♬"
+# Where markup can start: "<" and the music symbols.
+MARKUP_START_RE = re.compile(f"[{re.escape('<' + MUSIC_CHARS)}]")
 LEADING_HYPHEN_RE = re.compile(r"- ?")
 ANCHORS = ("start", "end", "interior", "boundary")
 
@@ -159,23 +160,15 @@ class CleanTriplet:
         return f"{self.parent_id}#p{self.part_index}"
 
 
-def contains_artifacts(text: str, music_chars: str = MUSIC_CHARS) -> bool:
+def contains_artifacts(text: str) -> bool:
     """Scanner for the cleanliness invariant: no tags, notes, leading
     hyphen, or ``<br>`` (which is a tag too) may survive preprocessing."""
-    if TAG_RE.search(text) or any(ch in text for ch in music_chars):
+    if TAG_RE.search(text) or any(ch in text for ch in MUSIC_CHARS):
         return True
     return text.startswith("-")
 
 
-@lru_cache(maxsize=16)
-def _markup_start_re(music_chars: str) -> re.Pattern:
-    """Matches the characters where markup can start: "<" and the music symbols."""
-    return re.compile(f"[{re.escape('<' + music_chars)}]")
-
-
-def strip_markup(
-    text: str, music_chars: str = MUSIC_CHARS, *, field: str = "", part: int = 0
-) -> Tuple[str, List[ChangeRecord]]:
+def strip_markup(text: str, *, field: str = "", part: int = 0) -> Tuple[str, List[ChangeRecord]]:
     """Remove tags, music symbols, and one leading hyphen, recording each
     as a change to ``field`` and ``part``.
 
@@ -185,8 +178,7 @@ def strip_markup(
     character is still accounted for. A "<" that never closes is not
     markup and stays put.
     """
-    stop_re = _markup_start_re(music_chars)
-    if not text.startswith("-") and stop_re.search(text) is None:
+    if not text.startswith("-") and MARKUP_START_RE.search(text) is None:
         return text, []
     clean: List[str] = []
     removals: List[Tuple[str, int, str]] = []  # (kind, offset, payload)
@@ -220,12 +212,12 @@ def strip_markup(
         if match:
             i = remove("removed_tag", match.group(), match.end())
             continue
-        if ch in music_chars:
+        if ch in MUSIC_CHARS:
             i = remove("removed_music", ch, i + 1)
             continue
         # ch is kept, so no leading hyphen can follow, and nothing before the
         # next "<" or music symbol is markup: keep that whole run.
-        stop = stop_re.search(text, i + 1)
+        stop = MARKUP_START_RE.search(text, i + 1)
         end = stop.start() if stop else n
         clean.extend(text[i:end])
         i = end
@@ -246,7 +238,7 @@ def strip_markup(
     return clean_text, records
 
 
-def preprocess(triplet: Triplet, music_chars: str = MUSIC_CHARS) -> Tuple[List[CleanTriplet], ChangeLog]:
+def preprocess(triplet: Triplet) -> Tuple[List[CleanTriplet], ChangeLog]:
     """Split and strip one triplet, logging every change on every field."""
     # [part, separator, part, ..., part]: one <br> pass per field decides both
     # whether to split and, when not, where the separators become spaces.
@@ -272,7 +264,7 @@ def preprocess(triplet: Triplet, music_chars: str = MUSIC_CHARS) -> Tuple[List[C
                 )
                 offset += 1
             raw_parts = [" ".join(raw_parts)]
-        stripped = [strip_markup(raw, music_chars, field=f, part=k) for k, raw in enumerate(raw_parts)]
+        stripped = [strip_markup(raw, field=f, part=k) for k, raw in enumerate(raw_parts)]
         cleaned[f] = [clean for clean, _ in stripped]
         records.extend(r for _, part_records in stripped for r in part_records)
 
@@ -355,12 +347,6 @@ def postprocess_with_report(
     for k in range(1, expected):
         joined += boundary[k - 1] + restored[k]
     return joined, dropped
-
-
-def postprocess(outputs: Sequence[str], log: ChangeLog, field_name: str = "mt") -> str:
-    """Restore tracked changes; exact inverse when outputs are unedited."""
-    text, _ = postprocess_with_report(outputs, log, field_name)
-    return text
 
 
 def postprocess_all(

@@ -41,7 +41,7 @@ def write_inputs(directory: Path) -> None:
     """The segments-golden triplets as a JSONL corpus, and one with a newline in a field."""
     rows = [
         json.dumps({"id": t.id, "src": t.src, "mt": t.mt, "pe": t.pe}, ensure_ascii=False) + "\n"
-        for t, _ in make_segments_golden.triplets()
+        for t in make_segments_golden.triplets()
     ]
     golden.write(directory / "in" / "corpus.jsonl", "".join(rows))
     broken = {"id": "nl", "src": "a", "mt": "b\nc", "pe": "d"}

@@ -1,10 +1,11 @@
 """Generate langid_golden.jsonl: seeded texts with their n-gram counts,
 per-language scores and labels under the built-in classifier.
 
-The file pins the exact output of ``_char_ngrams`` (grams, counts and
-insertion order) and of ``NgramLanguageClassifier`` (every score as
-``float.hex`` and the label), so changes to the classifier internals can
-be checked for bit-identical results. Scores come from ``reference_scores``
+The file pins the exact output of ``_char_ngrams`` (the 1- to
+``_NGRAM_ORDER``-grams: grams, counts and insertion order) and of
+``NgramLanguageClassifier`` (every score as ``float.hex`` and the label),
+so changes to the classifier internals can be checked for bit-identical
+results. Scores come from ``reference_scores``
 below, a copy of the original scoring loop. Regenerate only when a
 change of langid results is intended:
 
@@ -30,7 +31,6 @@ from apekit.langid import NgramLanguageClassifier, _char_ngrams
 import golden
 
 SEED = 1994
-ORDER = 3
 OUT = Path(__file__).with_name("langid_golden.jsonl")
 EN = ("where are you going tonight I told him we should leave now nobody knew "
       "the train was late again what do you want from me it is cold outside").split()
@@ -80,7 +80,7 @@ def texts():
 
 def reference_scores(classifier, text) -> dict:
     """Summed log-probability per language, in the original loop's order."""
-    grams = _char_ngrams(text, classifier.order)
+    grams = _char_ngrams(text)
     return {
         lang: sum(
             n * classifier._log_probs[lang].get(gram, classifier._fallback[lang])
@@ -94,7 +94,7 @@ def record(classifier, kind, text) -> dict:
     return {
         "kind": kind,
         "text": text,
-        "ngrams": [[gram, n] for gram, n in _char_ngrams(text, ORDER).items()],
+        "ngrams": [[gram, n] for gram, n in _char_ngrams(text).items()],
         "scores": {lang: score.hex() for lang, score in reference_scores(classifier, text).items()},
         "label": classifier.classify(text),
     }

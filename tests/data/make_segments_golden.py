@@ -1,13 +1,12 @@
 """Generate segments_golden.jsonl: seeded triplets with their preprocess and
 postprocess results.
 
-Each line pins, for one triplet and one ``music_chars`` setting, the cleaned
-parts, the change log exactly as ``ChangeLog.to_json`` writes it, and
-``postprocess_with_report`` on every field for two kinds of decoded output:
-the cleaned parts verbatim (which must restore the original) and edited
-parts (which re-attach the boundary records and drop the rest). Changes to
-the preprocessing internals can be checked against it for identical
-results. Regenerate only when a change of preprocessing results is
+Each line pins, for one triplet, the cleaned parts, the change log exactly
+as ``ChangeLog.to_json`` writes it, and ``postprocess_with_report`` on
+every field for two kinds of decoded output: the cleaned parts verbatim
+(which must restore the original) and edited parts (which re-attach the
+boundary records and drop the rest). Changes to the preprocessing
+internals can be checked against it for identical results. Regenerate only when a change of preprocessing results is
 intended:
 
     PYTHONPATH=src python tests/data/make_segments_golden.py
@@ -15,8 +14,8 @@ intended:
 The triplets cover matched and mismatched ``<br>`` counts in all spellings
 (``<br>``, ``<BR>``, ``<br/>``, ``<br />``), ``<br>`` at the start, at the
 end, doubled and inside ``<i>...</i>``, ``<br>``-like tags that are not
-separators, other tags, music symbols, leading hyphens, unclosed ``<``,
-empty fields, and the ``music_chars`` settings ``""`` and ``"♪"``.
+separators, other tags, all four music symbols, leading hyphens, unclosed
+``<``, and empty fields.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import random
 from pathlib import Path
 
 from apekit.corpus import TEXT_FIELDS, Triplet
-from apekit.segments import MUSIC_CHARS, postprocess_with_report, preprocess
+from apekit.segments import postprocess_with_report, preprocess
 
 import golden
 
@@ -36,7 +35,6 @@ WORDS = ("where are you going tonight Hallo Welt wir gehen jetzt nobody knew "
          "la da oh immer Nacht a b").split()
 BR_SPELLINGS = ("<br>", "<BR>", "<br/>", "<br />", "<Br>", "<br  />")
 NOT_BR = ("<br clear=all>", "<brx>", "<b>r")
-MUSIC_SETTINGS = (MUSIC_CHARS, MUSIC_CHARS, MUSIC_CHARS, "", "♪")
 
 
 def _line(rng) -> str:
@@ -84,7 +82,7 @@ def _field(rng, n_br: int) -> str:
 
 
 def triplets():
-    """Yield (triplet, music_chars) pairs, deterministically."""
+    """Yield the triplets, deterministically."""
     rng = random.Random(SEED)
     for index in range(N_TRIPLETS):
         n_br = rng.choice((0, 0, 1, 1, 2, 3))
@@ -92,9 +90,8 @@ def triplets():
         if rng.random() < 0.35:
             counts[rng.randrange(3)] = rng.choice((0, 1, 2, 4))  # likely mismatched
         fields = [_field(rng, n) for n in counts]
-        yield Triplet(id=f"s{index:03d}", src=fields[0], mt=fields[1], pe=fields[2]), rng.choice(
-            MUSIC_SETTINGS
-        )
+        rng.randrange(5)  # unused draw: it keeps the random stream, and so every pinned triplet, as it is
+        yield Triplet(id=f"s{index:03d}", src=fields[0], mt=fields[1], pe=fields[2])
 
 
 def _edit(rng, part: str) -> str:
@@ -108,8 +105,8 @@ def _edit(rng, part: str) -> str:
     return ""
 
 
-def record(triplet: Triplet, music_chars: str, rng) -> dict:
-    parts, log = preprocess(triplet, music_chars)
+def record(triplet: Triplet, rng) -> dict:
+    parts, log = preprocess(triplet)
     cleaned = {name: [getattr(p, name) for p in parts] for name in TEXT_FIELDS}
     restored = {}
     edited = {}
@@ -124,7 +121,6 @@ def record(triplet: Triplet, music_chars: str, rng) -> dict:
         "src": triplet.src,
         "mt": triplet.mt,
         "pe": triplet.pe,
-        "music_chars": music_chars,
         "parts": [[p.id, p.src, p.mt, p.pe] for p in parts],
         "log": log.to_json(),
         "restored": restored,
@@ -134,7 +130,7 @@ def record(triplet: Triplet, music_chars: str, rng) -> dict:
 
 def records():
     rng = random.Random(SEED + 1)
-    return [record(triplet, music_chars, rng) for triplet, music_chars in triplets()]
+    return [record(triplet, rng) for triplet in triplets()]
 
 
 if __name__ == "__main__":

@@ -55,34 +55,33 @@ class TestCohenKappa:
 
 class TestWeightedKappa:
     def test_perfect_agreement(self):
-        result = weighted_kappa([1, 3, 5, 2], [1, 3, 5, 2], 1, 5)
+        result = weighted_kappa([1, 3, 5, 2], [1, 3, 5, 2])
         assert result.kappa == pytest.approx(1.0)
 
     def test_hand_table_maximal_disagreement(self):
-        # scale 1..3, a=[1,3], b=[3,1]: observed weighted disagreement 1.0,
-        # expected 0.5, so kappa_w = 1 - 1/0.5 = -1
-        result = weighted_kappa([1, 3], [3, 1], 1, 3)
+        # scale 1..5, a=[1,3], b=[3,1]: each item disagrees by 2, weighing
+        # 2^2/4^2 = 1/4, so observed disagreement is 1/4; the four marginal
+        # pairings weigh 0, 1/4, 1/4, 0 over n^2 = 4, so expected is 1/8:
+        # kappa_w = 1 - (1/4)/(1/8) = -1
+        result = weighted_kappa([1, 3], [3, 1])
+        assert result.observed_agreement == pytest.approx(0.75)
+        assert result.expected_agreement == pytest.approx(0.875)
         assert result.kappa == pytest.approx(-1.0, abs=1e-6)
 
     def test_adjacent_disagreements_score_higher_weighted(self):
         a = [1, 2, 3, 4, 5, 1, 2, 3]
         b = [2, 1, 4, 3, 4, 1, 2, 3]  # all disagreements are adjacent
         plain = cohen_kappa(a, b).kappa
-        weighted = weighted_kappa(a, b, 1, 5).kappa
+        weighted = weighted_kappa(a, b).kappa
         assert weighted >= plain
 
     def test_constant_raters_undefined(self):
         with pytest.raises(UndefinedKappaError):
-            weighted_kappa([2, 2], [2, 2], 1, 5)
-
-    def test_scale_inferred_from_data(self):
-        explicit = weighted_kappa([1, 3], [3, 1], 1, 3)
-        inferred = weighted_kappa([1, 3], [3, 1])
-        assert inferred.kappa == pytest.approx(explicit.kappa)
+            weighted_kappa([2, 2], [2, 2])
 
     def test_out_of_scale_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_kappa([0, 3], [3, 1], 1, 3)
+        with pytest.raises(ValueError, match=r"ratings outside scale \[1, 5\]: \[0, 6\]"):
+            weighted_kappa([0, 3], [6, 1])
 
 
 class TestPairwiseAverage:
@@ -367,7 +366,6 @@ SCORES = st.integers(1, 5)
 RATING_PAIRS = st.integers(0, 30).flatmap(
     lambda n: st.tuples(st.lists(SCORES, min_size=n, max_size=n), st.lists(SCORES, min_size=n, max_size=n))
 )
-SCALES = st.sampled_from([(None, None), (1, 5), (1, 3), (2, 4), (0, 9)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -382,11 +380,13 @@ def test_cohen_kappa_matches_reference(pair, extra):
 
 
 @settings(max_examples=300, deadline=None)
-@given(RATING_PAIRS, SCALES, st.lists(SCORES, max_size=3))
-def test_weighted_kappa_matches_reference(pair, scale, extra):
+@given(RATING_PAIRS, st.lists(st.integers(0, 6), max_size=3))
+def test_weighted_kappa_matches_reference(pair, extra):
+    # The reference on the adequacy scale 1..5; `extra` may fall outside it.
     a, b = pair
-    assert _outcome(weighted_kappa, a, b, *scale) == _outcome(_old_weighted_kappa, a, b, *scale)
-    assert _outcome(weighted_kappa, a, b + extra, *scale) == _outcome(_old_weighted_kappa, a, b + extra, *scale)
+    assert _outcome(weighted_kappa, a, b) == _outcome(_old_weighted_kappa, a, b, 1, 5)
+    assert _outcome(weighted_kappa, a, b + extra) == _outcome(_old_weighted_kappa, a, b + extra, 1, 5)
+    assert _outcome(weighted_kappa, a + extra, b + extra) == _outcome(_old_weighted_kappa, a + extra, b + extra, 1, 5)
 
 
 # A complete table with no repeated rating: each annotator rates a subset

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apekit.chrf import chrf, chrf_sentence_stats
+from apekit.chrf import MAX_N, chrf, chrf_sentence_stats
 
 
 def test_identity_is_100():
@@ -16,9 +16,12 @@ def test_disjoint_characters_score_zero():
     assert chrf(["abcd"], ["wxyz"]) == 0.0
 
 
-def test_hand_fixture_unigram_beta_two():
-    # P = 1, R = 2/3, beta = 2 -> 5 * (2/3) / (4 + 2/3) * 100
-    assert chrf(["ab"], ["abc"], max_n=1, beta=2) == pytest.approx(71.4286, abs=1e-3)
+def test_hand_fixture_six_orders_beta_two():
+    # Per order (hyp, ref, overlap): 1 -> (2, 3, 2), 2 -> (1, 2, 1), 3 -> (0, 1, 0);
+    # orders 4-6 are empty on both sides and left out of the averages.
+    # P = (1 + 1 + 0) / 3 = 2/3, R = (2/3 + 1/2 + 0) / 3 = 7/18,
+    # F = 5 * P * R / (4 * P + R) = (35/27) / (55/18) = 14/33
+    assert chrf(["ab"], ["abc"]) == pytest.approx(1400 / 33, abs=1e-9)
 
 
 def test_both_empty_is_vacuous_perfect_match():
@@ -26,7 +29,7 @@ def test_both_empty_is_vacuous_perfect_match():
 
 
 def test_whitespace_excluded_from_ngrams():
-    assert chrf(["a b"], ["ab"], max_n=2) == pytest.approx(100.0)
+    assert chrf(["a b"], ["ab"]) == pytest.approx(100.0)
 
 
 def test_empty_corpus_rejected():
@@ -40,29 +43,27 @@ def test_length_mismatch_rejected():
         chrf(["a"], ["a", "b"])
 
 
-def test_parameter_validation():
-    with pytest.raises(ValueError):
-        chrf(["a"], ["a"], max_n=0)
-    with pytest.raises(ValueError):
-        chrf(["a"], ["a"], beta=0)
-
-
 def test_range_bounds():
     assert 0.0 <= chrf(["abcab"], ["abxab"]) <= 100.0
 
 
 def test_recall_weighted_more_than_precision_with_beta_two():
     # Extra hypothesis characters hurt less than missing reference ones.
-    missing = chrf(["ab"], ["abcd"], max_n=1)
-    extra = chrf(["abcd"], ["ab"], max_n=1)
+    # "ab" against "abcd": orders 1-4 have n-grams, P = 2/4 = 1/2 and
+    # R = (1/2 + 1/3) / 4 = 5/24, so F = 25/106; swapped, P and R trade
+    # places and F = 5 * (5/48) / (4 * 5/24 + 1/2) = 25/64.
+    missing = chrf(["ab"], ["abcd"])
+    extra = chrf(["abcd"], ["ab"])
+    assert missing == pytest.approx(2500 / 106, abs=1e-9)
+    assert extra == pytest.approx(2500 / 64, abs=1e-9)
     assert extra > missing
 
 
-def reference_chrf_sentence_stats(hyp, ref, max_n):
+def reference_chrf_sentence_stats(hyp, ref):
     """The original per-order counting loop, kept as the reference."""
     hyp_chars, ref_chars = "".join(hyp.split()), "".join(ref.split())
     stats = []
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         hyp_ngrams = Counter(hyp_chars[i : i + n] for i in range(len(hyp_chars) - n + 1))
         ref_ngrams = Counter(ref_chars[i : i + n] for i in range(len(ref_chars) - n + 1))
         overlap = hyp_ngrams & ref_ngrams
@@ -74,12 +75,11 @@ TEXT = st.text(alphabet="abé. \t", max_size=14)
 
 
 @settings(max_examples=300, deadline=None)
-@given(TEXT, TEXT, st.integers(0, 8))
-def test_sentence_stats_match_reference_loop(hyp, ref, max_n):
-    assert chrf_sentence_stats(hyp, ref, max_n) == reference_chrf_sentence_stats(hyp, ref, max_n)
+@given(TEXT, TEXT)
+def test_sentence_stats_match_reference_loop(hyp, ref):
+    assert chrf_sentence_stats(hyp, ref) == reference_chrf_sentence_stats(hyp, ref)
 
 
 @pytest.mark.parametrize("hyp, ref", [("", ""), ("  ", "\t"), ("ab", " "), ("", "a b a")])
 def test_sentence_stats_on_empty_and_whitespace_only_text(hyp, ref):
-    assert chrf_sentence_stats(hyp, ref) == reference_chrf_sentence_stats(hyp, ref, 6)
-    assert chrf_sentence_stats(hyp, ref, 0) == []
+    assert chrf_sentence_stats(hyp, ref) == reference_chrf_sentence_stats(hyp, ref)

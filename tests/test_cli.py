@@ -882,6 +882,34 @@ UNREAD_FLAGS = (
 SEEDED_COMMANDS = ["filter", "preprocess", "postprocess", "evaluate", "significance", "ablate", "buckets"]
 
 
+def test_main_calls_share_one_parser_that_a_usage_error_leaves_unchanged(tmp_path, monkeypatch, capsys):
+    built = []
+    real_build_parser = apekit.cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return real_build_parser()
+
+    monkeypatch.setattr(apekit.cli, "build_parser", counting_build_parser)
+    apekit.cli._parser.cache_clear()
+    hyp = write_lines(tmp_path / "hyp.txt", ["The cat sat .", "A dog ran"])
+    ref = write_lines(tmp_path / "ref.txt", ["the cat sat .", "a dog ran fast"])
+    argv = ["evaluate", "--hyp", str(hyp), "--ref", str(ref)]
+
+    assert main([*argv, "--out", str(tmp_path / "before.json")]) == 0
+    # --lowercase is parsed before the bad seed stops the call
+    assert main([*argv, "--lowercase", "--seed", "x", "--out", str(tmp_path / "failed.json")]) == 1
+    assert "argument --seed: " in capsys.readouterr().err
+    assert main([*argv, "--out", str(tmp_path / "after.json")]) == 0
+
+    assert len(built) == 1
+    assert not (tmp_path / "failed.json").exists()
+    reports = [load_json(tmp_path / name) for name in ("before.json", "after.json")]
+    for report in reports:
+        del report["manifest"]["timestamp"]
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command", SEEDED_COMMANDS)
 @pytest.mark.parametrize("value", ["-1", str(2**64), "1.5", "x"])
 def test_seed_outside_the_seed_rule_is_a_usage_error(tmp_path, monkeypatch, capsys, command, value):

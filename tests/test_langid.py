@@ -24,7 +24,7 @@ def test_golden_ngrams_scores_and_labels(classifier):
     assert len(records) == 223
     for rec in records:
         text = rec["text"]
-        assert [[gram, n] for gram, n in _char_ngrams(text, 3).items()] == rec["ngrams"], text
+        assert [[gram, n] for gram, n in _char_ngrams(text).items()] == rec["ngrams"], text
         if PLAIN_FLOAT_SUM:
             assert {lang: s.hex() for lang, s in classifier.scores(text).items()} == rec["scores"], text
         assert classifier.classify(text) == rec["label"], text

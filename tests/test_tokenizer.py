@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apekit.tokenizer import TokenizerConfig, ngrams_by_order, tokenize
+from apekit.tokenizer import TokenizerConfig, ngrams_by_order, overlap_stats, tokenize
 
 
 def test_whitespace_scheme():
@@ -103,3 +105,21 @@ def test_ngrams_by_order_matches_slicing_on_token_tuples(tokens, max_n):
 def test_ngrams_by_order_below_order_one_is_empty():
     assert ngrams_by_order("abc", 0) == ngrams_by_order("abc", -1) == []
 
+
+def reference_overlap_stats(hyp, ref, max_n):
+    """The original per-order counting loop of chrF, kept as the reference."""
+    stats = []
+    for hyp_grams, ref_grams in zip(sliced_ngrams(hyp, max_n), sliced_ngrams(ref, max_n)):
+        overlap = Counter(hyp_grams) & Counter(ref_grams)
+        stats.extend((len(hyp_grams), len(ref_grams), sum(overlap.values())))
+    return stats
+
+
+# chrF's input: text with its whitespace stripped.
+STRIPPED_TEXT = st.text(alphabet="abé. \t", max_size=14).map(lambda text: "".join(text.split()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(STRIPPED_TEXT, STRIPPED_TEXT, ORDERS)
+def test_overlap_stats_match_reference_loop(hyp, ref, max_n):
+    assert overlap_stats(hyp, ref, max_n) == reference_overlap_stats(hyp, ref, max_n)
