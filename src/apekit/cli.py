@@ -526,11 +526,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_adequacy)
 
     p = sub.add_parser("ablate", parents=[seeded, fmt], help="data-size curve protocol")
-    p.add_argument("--in", dest="input", default=None, help="training corpus to sample")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="input", help="training corpus to sample")
+    source.add_argument("--scores", help="external size,replicate,value CSV to aggregate")
     p.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     p.add_argument("--replicates", type=count, default=3)
     p.add_argument("--metric", default="mock")
-    p.add_argument("--scores", default=None, help="external size,replicate,value CSV to aggregate")
     p.add_argument("--emit-samples", default=None, help="directory to write sampled corpora")
     p.add_argument("--baseline", type=float, default=None, help="do-nothing baseline reference line")
     p.add_argument("--out", default="curve.json")
@@ -562,10 +563,10 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.command == "ablate" and not args.scores and not args.input:
-            raise ConfigError("ablate needs --in (corpus to sample) or --scores (external results)")
-        if args.command == "ablate" and not args.scores and args.metric != "mock":
+        if args.command == "ablate" and args.input and args.metric != "mock":
             raise ConfigError(f"ablate --metric {args.metric} needs --scores (--in samples are mock-scored)")
+        if args.command == "ablate" and args.scores and args.emit_samples:
+            raise ConfigError("ablate --emit-samples needs --in (--scores draws no samples)")
         if args.command == "evaluate" and args.n_samples is not None and not args.hyp_b:
             raise ConfigError("evaluate --n-samples needs --hyp-b (it sets the bootstrap's resample count)")
         return args.func(args)

@@ -153,13 +153,3 @@ class TabFileClassifier:
 
     def classify(self, text: str) -> str:
         return self._table[text]
-
-
-class ConstantClassifier:
-    """Always answers with the same code. Useful as a permissive oracle."""
-
-    def __init__(self, code: str):
-        self.code = code
-
-    def classify(self, text: str) -> str:
-        return self.code

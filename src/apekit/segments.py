@@ -30,7 +30,7 @@ BR_RE = re.compile(r"(<br\s*/?>)", re.IGNORECASE)
 MUSIC_CHARS = "♪♫♩♬"
 # Where markup can start: "<" and the music symbols.
 MARKUP_START_RE = re.compile(f"[{re.escape('<' + MUSIC_CHARS)}]")
-LEADING_HYPHEN_RE = re.compile(r"- ?")
+LEADING_HYPHEN_RE = re.compile(r"(?:- ?)+")
 ANCHORS = ("start", "end", "interior", "boundary")
 
 
@@ -160,17 +160,10 @@ class CleanTriplet:
         return f"{self.parent_id}#p{self.part_index}"
 
 
-def contains_artifacts(text: str) -> bool:
-    """Scanner for the cleanliness invariant: no tags, notes, leading
-    hyphen, or ``<br>`` (which is a tag too) may survive preprocessing."""
-    if TAG_RE.search(text) or any(ch in text for ch in MUSIC_CHARS):
-        return True
-    return text.startswith("-")
-
-
 def strip_markup(text: str, *, field: str = "", part: int = 0) -> Tuple[str, List[ChangeRecord]]:
-    """Remove tags, music symbols, and one leading hyphen, recording each
-    as a change to ``field`` and ``part``.
+    """Remove tags, music symbols, and a leading run of hyphens (each may
+    be followed by a space), recording each as a change to ``field`` and
+    ``part``; the hyphen run is one change.
 
     A removal absorbs one adjacent space into its payload whenever keeping
     the space would leave a doubled, leading, or trailing space, so the

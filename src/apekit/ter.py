@@ -8,11 +8,7 @@ pattern, which scores a batch of shift candidates in one pass of array
 operations. A swap of two adjacent runs of at most MAX_SHIFT_SPAN tokens
 each is scored once, not once per run that could move. The shift search
 stops once it reaches the multiset floor, a lower bound on the distance
-that no shift can change. An exhaustive desk-scale oracle over bounded
-shift sequences is included so the greedy result can be sandwiched in
-tests:
-
-    oracle cost <= greedy cost <= shift-free edit distance
+that no shift can change.
 
 numpy is imported inside the shift-search functions, not at module
 level, so commands that never run a shift search (every corpus-build
@@ -23,14 +19,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig, overlap_stats, tokenize
 
 MAX_SHIFT_SPAN = 10
 MAX_SHIFT_DISTANCE = 50
-ORACLE_MAX_TOKENS = 8
-ORACLE_MAX_DEPTH = 3
 SCAN_CELLS = 1 << 18  # candidate tokens scored in one batch, which bounds its memory
 
 if TYPE_CHECKING:
@@ -70,10 +64,6 @@ class TerScore:
     ref_len: int
 
     @property
-    def total_edits(self) -> int:
-        return self.insertions + self.deletions + self.substitutions + self.shifts
-
-    @property
     def score(self) -> float:
         return score_from_ter_stats(self.stats)
 
@@ -104,33 +94,10 @@ class EditOp:
 
 @dataclass(frozen=True)
 class EditScript:
-    """Shifts followed by aligned edit operations; replays hyp into ref."""
+    """Shifts followed by aligned edit operations that turn hyp into ref."""
 
     shifts: Tuple[ShiftOp, ...]
     ops: Tuple[EditOp, ...]
-
-    def apply(self, hyp_tokens: Sequence[str]) -> List[str]:
-        tokens = list(hyp_tokens)
-        for s in self.shifts:
-            tokens = _apply_shift(tokens, s.start, s.end, s.destination)
-        out: List[str] = []
-        idx = 0
-        for op in self.ops:
-            if op.kind == "match":
-                out.append(tokens[idx])
-                idx += 1
-            elif op.kind == "sub":
-                out.append(op.ref_token)
-                idx += 1
-            elif op.kind == "ins":
-                idx += 1
-            elif op.kind == "del":
-                out.append(op.ref_token)
-            else:
-                raise ValueError(f"unknown edit op kind {op.kind!r}")
-        if idx != len(tokens):
-            raise ValueError("edit script does not consume the hypothesis exactly")
-        return out
 
 
 def _match_masks(pattern: Sequence[str]) -> Dict[str, int]:
@@ -268,13 +235,6 @@ def _shift_grid(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
     start, extra, destination = np.nonzero(valid)  # row-major, so scan order
     return start, start + extra, destination  # the block has extra + 1 tokens
-
-
-def _shift_candidates(n: int) -> Iterator[Tuple[int, int, int]]:
-    """All (start, end, destination) triples within the span and distance
-    caps, less the backward moves _shift_grid leaves out as twins of an
-    earlier forward move."""
-    return zip(*(axis.tolist() for axis in _shift_grid(n)))
 
 
 def _shifted_positions(n: int, start: np.ndarray, end: np.ndarray, destination: np.ndarray) -> np.ndarray:
@@ -467,54 +427,3 @@ def ter_corpus(
         raise ValueError("corpus TER needs at least one sentence pair")
     rows = [ter_sentence(hyp, ref, tok)[0].stats for hyp, ref in zip(hyps, refs)]
     return TerScore(*(sum(col) for col in zip(*rows)))
-
-
-def ter_oracle(
-    hyp: str,
-    ref: str,
-    max_depth: int = ORACLE_MAX_DEPTH,
-    tok: TokenizerConfig = TER_NORMALIZED_TOKENIZER,
-) -> int:
-    """True minimum of (shifts used + edit distance) over all shift
-    sequences of length <= max_depth. Desk-scale only: refuses inputs
-    longer than ORACLE_MAX_TOKENS tokens.
-
-    Breadth-first over reachable token orderings with sound prunes: states
-    are deduplicated at their first (shallowest) visit, and the search
-    stops once depth + floor >= best, where floor is the multiset floor
-    (shifts change neither the token multiset nor the length, so no
-    ordering has an edit distance below it).
-    """
-    hyp_tokens = tuple(tokenize(hyp, tok))
-    ref_tokens = tuple(tokenize(ref, tok))
-    if not ref_tokens:
-        raise ValueError("TER oracle needs a non-empty reference after tokenization")
-    if len(hyp_tokens) > ORACLE_MAX_TOKENS or len(ref_tokens) > ORACLE_MAX_TOKENS:
-        raise ValueError(f"oracle inputs must have at most {ORACLE_MAX_TOKENS} tokens")
-    if not 0 <= max_depth <= ORACLE_MAX_DEPTH:
-        raise ValueError(f"oracle depth bound must be in 0..{ORACLE_MAX_DEPTH}")
-
-    masks, ref_len = _match_masks(ref_tokens), len(ref_tokens)
-    best = _bit_distance(hyp_tokens, masks, ref_len)
-    floor = _multiset_floor(hyp_tokens, ref_tokens)
-
-    visited = {hyp_tokens}
-    frontier = [hyp_tokens]
-    for depth in range(1, max_depth + 1):
-        if depth + floor >= best:
-            break
-        next_frontier = []
-        for state in frontier:
-            for start, end, destination in _shift_candidates(len(state)):
-                candidate = tuple(_apply_shift(state, start, end, destination))
-                if candidate in visited:
-                    continue
-                visited.add(candidate)
-                cost = depth + _bit_distance(candidate, masks, ref_len)
-                if cost < best:
-                    best = cost
-                    if best <= depth + floor:
-                        return best
-                next_frontier.append(candidate)
-        frontier = next_frontier
-    return best

@@ -12,6 +12,8 @@ from apekit.bootstrap import STATISTICS, BootstrapResult, _sample_scores, bootst
 from apekit.ter import ter_sentence
 from apekit.tokenizer import BLEU_TOKENIZER, TER_NORMALIZED_TOKENIZER
 
+from oracles import total_edits
+
 
 def make_test_set(n=40, seed=2):
     rng = random.Random(seed)
@@ -103,7 +105,7 @@ def _old_bleu_sample_scores(hyps, refs, indices, tok):
 
 def _old_ter_sample_scores(hyps, refs, indices, tok):
     per_sentence = np.array(
-        [(s.total_edits, s.ref_len) for s, _ in (ter_sentence(h, r, tok) for h, r in zip(hyps, refs))],
+        [(total_edits(s), s.ref_len) for s, _ in (ter_sentence(h, r, tok) for h, r in zip(hyps, refs))],
         dtype=np.int64,
     )
     sums = np.array([per_sentence[row].sum(axis=0) for row in indices])

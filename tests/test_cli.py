@@ -467,6 +467,25 @@ class TestAblateCommand:
     def test_requires_corpus_or_scores(self, tmp_path):
         assert main(["ablate", "--sizes", "10"]) == 1
 
+    def test_corpus_and_scores_together_is_a_usage_error(self, tmp_path, capsys):
+        path, _ = make_corpus_file(tmp_path, synthetic_rows(100))
+        scores = tmp_path / "scores.csv"
+        scores.write_text("10,0,50\n", encoding="utf-8")
+        out = tmp_path / "curve.json"
+        assert main(["ablate", "--in", str(path), "--scores", str(scores), "--sizes", "10", "--out", str(out)]) == 1
+        assert "argument --scores: not allowed with argument --in" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_emit_samples_with_scores_is_a_usage_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("10,0,50\n", encoding="utf-8")
+        out = tmp_path / "curve.json"
+        argv = ["ablate", "--scores", str(scores), "--sizes", "10", "--replicates", "1",
+                "--emit-samples", str(tmp_path / "samples"), "--out", str(out)]
+        assert main(argv) == 1
+        assert "--emit-samples needs --in" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "samples").exists()
+
     def test_metric_other_than_mock_needs_scores(self, tmp_path, capsys):
         path, _ = make_corpus_file(tmp_path, synthetic_rows(100))
         out = tmp_path / "curve.json"

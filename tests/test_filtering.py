@@ -15,7 +15,9 @@ from apekit.filtering import (
     run_filter_pipeline,
     split_holdout,
 )
-from apekit.langid import ConstantClassifier, NgramLanguageClassifier, TabFileClassifier
+from apekit.langid import NgramLanguageClassifier, TabFileClassifier
+
+from oracles import ConstantClassifier
 
 
 def corpus_of(rows, **kwargs):

@@ -1,5 +1,7 @@
+import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from apekit.segments import (
     ChangeLog,
     ChangeRecord,
     PartCountError,
-    contains_artifacts,
     postprocess_all,
     postprocess_with_report,
     preprocess,
@@ -21,6 +22,8 @@ from apekit.segments import (
     strip_markup,
     write_changelog,
 )
+
+from oracles import contains_artifacts
 
 
 def triplet(src, mt, pe, id="t1"):
@@ -69,9 +72,11 @@ class TestStripMarkup:
         clean, records = strip_markup("a < b and 1 <3")
         assert clean == "a < b and 1 <3" and records == []
 
-    def test_only_one_leading_hyphen_removed(self):
-        clean, _ = strip_markup("- - Hi")
-        assert clean == "- Hi"
+    def test_leading_hyphen_run_removed_as_one_record(self):
+        for text, payload in (("- - Hi", "- - "), ("-- Hallo", "-- "), ("--Ja", "--"), ("- Hi - du", "- ")):
+            clean, records = strip_markup(text)
+            assert clean == text[len(payload):]
+            assert [(r.kind, r.payload) for r in records] == [("removed_leading_hyphen", payload)]
 
     def test_interior_note_leaves_single_space(self):
         clean, records = strip_markup("La ♪ Da")
@@ -296,6 +301,14 @@ def test_cleaned_fields_always_pure():
         for p in parts:
             for text in (p.src, p.mt, p.pe):
                 assert not contains_artifacts(text), (t, p)
+
+
+def test_cleaned_golden_fields_carry_no_artifacts():
+    golden = Path(__file__).parent / "data" / "segments_golden.jsonl"
+    fields = [field for line in golden.read_text(encoding="utf-8").splitlines()
+              for part in json.loads(line)["parts"] for field in part[1:]]
+    assert len(fields) > 600
+    assert [field for field in fields if contains_artifacts(field)] == []
 
 
 class TestChangelogFile:

@@ -14,12 +14,12 @@ from apekit.ter import (
     ShiftOp,
     edit_distance,
     ter_corpus,
-    ter_oracle,
     ter_sentence,
 )
 from apekit.tokenizer import TokenizerConfig, tokenize
 
 import make_ter_golden
+from oracles import replay, ter_oracle, total_edits
 
 WS = TokenizerConfig(scheme="whitespace")
 GOLDEN = Path(__file__).parent / "data" / "ter_golden.jsonl"
@@ -27,7 +27,7 @@ GOLDEN = Path(__file__).parent / "data" / "ter_golden.jsonl"
 
 def greedy_cost(hyp, ref):
     score, _ = ter_sentence(hyp, ref, WS)
-    return score.total_edits
+    return total_edits(score)
 
 
 # Hand-scored cases: (hyp, ref, expected edits, expected score)
@@ -58,9 +58,9 @@ HAND_CASES = [
 @pytest.mark.parametrize("hyp,ref,edits,score", HAND_CASES)
 def test_hand_scored_cases(hyp, ref, edits, score):
     result, script = ter_sentence(hyp, ref, WS)
-    assert result.total_edits == edits
+    assert total_edits(result) == edits
     assert result.score == pytest.approx(score)
-    assert script.apply(tokenize(hyp, WS)) == tokenize(ref, WS)
+    assert replay(script, tokenize(hyp, WS)) == tokenize(ref, WS)
 
 
 def test_identity_empty_script():
@@ -80,7 +80,7 @@ def test_empty_hyp_scores_all_deletions():
     result, script = ter_sentence("", "a b c", WS)
     assert result.deletions == 3
     assert result.score == 1.0
-    assert script.apply([]) == ["a", "b", "c"]
+    assert replay(script, []) == ["a", "b", "c"]
 
 
 def test_empty_ref_rejected():
@@ -142,7 +142,7 @@ def test_edit_script_replay_on_random_pairs():
         hyp = " ".join(rng.choices(vocab, k=rng.randint(0, 7)))
         ref = " ".join(rng.choices(vocab, k=rng.randint(1, 7)))
         _, script = ter_sentence(hyp, ref, WS)
-        assert script.apply(tokenize(hyp, WS)) == tokenize(ref, WS)
+        assert replay(script, tokenize(hyp, WS)) == tokenize(ref, WS)
 
 
 def test_relabeling_invariance():
@@ -176,7 +176,7 @@ class TestTerCorpus:
         sentence, _ = ter_sentence("b a c", "a b c", WS)
         corpus = ter_corpus(["b a c"], ["a b c"], WS)
         assert corpus.score == sentence.score
-        assert corpus.total_edits == sentence.total_edits
+        assert total_edits(corpus) == total_edits(sentence)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -301,8 +301,8 @@ class TestFloorEarlyExit:
         ref = "a b c d e f g h i j".split()
         hyp = "a b f g h c d e i j".split()
         result, script = ter_sentence(" ".join(hyp), " ".join(ref), WS)
-        assert result.total_edits == 1 and script.shifts == (ShiftOp(2, 4, 5),)
-        scan = [ter_mod._apply_shift(hyp, s, e, d) for s, e, d in ter_mod._shift_candidates(len(hyp))]
+        assert total_edits(result) == 1 and script.shifts == (ShiftOp(2, 4, 5),)
+        scan = [ter_mod._apply_shift(hyp, s, e, d) for s, e, d in reference_scan(len(hyp))]
         first = scan.index(ref)
         assert scored == [8] * (first // 8 + 1)
         assert sum(scored) < len(scan)
@@ -326,9 +326,14 @@ def reference_scan(n):
             yield start, end, destination
 
 
+def grid_triples(n):
+    """The (start, end, destination) triples of ter._shift_grid, in order."""
+    return list(zip(*(axis.tolist() for axis in ter_mod._shift_grid(n))))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 30, 61])
 def test_shift_grid_keeps_scan_order_and_shifted_positions(n):
-    triples = list(ter_mod._shift_candidates(n))
+    triples = grid_triples(n)
     assert triples == list(reference_scan(n))
     if triples:
         positions = ter_mod._shifted_positions(n, *ter_mod._shift_grid(n))
@@ -339,7 +344,7 @@ def test_every_dropped_shift_repeats_an_earlier_kept_one():
     # The greedy search keeps the first best shift in scan order, so a
     # candidate may be dropped only if an earlier kept one gives its sequence.
     for n in range(62):
-        kept = set(ter_mod._shift_candidates(n))
+        kept = set(grid_triples(n))
         seen = set()
         for triple in full_scan(n):
             shifted = tuple(ter_mod._apply_shift(range(n), *triple))
