@@ -110,7 +110,7 @@ def _write_csv(path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_aligned(*paths) -> list:
+def _read_line_files(*paths) -> list:
     """Read a subcommand's line files, one item per line; each must have as
     many lines as the last, the reference. A path of None (an optional
     input left out) reads as None."""
@@ -170,7 +170,7 @@ def cmd_filter(args) -> int:
 
     out_dir = Path(args.out_dir)
     for name, split in (("train", train), ("dev", dev), ("test", test)):
-        write_corpus(split, out_dir / f"{name}.jsonl", format="jsonl")
+        write_corpus(split, out_dir / f"{name}.jsonl")
     payload = {
         "manifest": _manifest("filter", [args.input], seed=config.seed, config=vars(config)),
         "config": config,
@@ -263,7 +263,7 @@ def _metric_report(hyps, refs, bleu_tok, ter_tok, per_sentence=False) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    hyps, hyps_b, refs = _read_aligned(args.hyp, args.hyp_b, args.ref)
+    hyps, hyps_b, refs = _read_line_files(args.hyp, args.hyp_b, args.ref)
     bleu_tok = _tokenizer_from_args(args)
     ter_tok = TER_NORMALIZED_TOKENIZER if args.ter_normalize else bleu_tok
     seed = args.seed if args.seed is not None else 0
@@ -291,7 +291,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_significance(args) -> int:
-    hyps_a, hyps_b, refs = _read_aligned(args.hyp_a, args.hyp_b, args.ref)
+    hyps_a, hyps_b, refs = _read_line_files(args.hyp_a, args.hyp_b, args.ref)
     seed = args.seed if args.seed is not None else 0
     with _naming_empty_reference(args.ref, refs):
         result = bootstrap_significance(
@@ -414,7 +414,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_buckets(args) -> int:
-    baseline, ape, refs = _read_aligned(args.baseline, args.ape, args.ref)
+    baseline, ape, refs = _read_line_files(args.baseline, args.ape, args.ref)
     with _naming_empty_reference(args.ref, refs):
         analysis = ter_buckets(baseline, ape, refs)
     payload = {

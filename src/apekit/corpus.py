@@ -290,24 +290,6 @@ def _jsonl_record(t: Triplet) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
-def _tsv_record(t: Triplet) -> str:
-    for name in TEXT_FIELDS:
-        text = t.text(name)
-        if "\t" in text or "\r" in text or "\n" in text:
-            raise ValueError(f"triplet {t.id!r}: field {name!r} contains a tab, carriage return or newline, "
-                             "which TSV cannot encode; use jsonl")
-    return f"{t.src}\t{t.mt}\t{t.pe}"
-
-
-def write_corpus(corpus: Corpus, path, format: str = "jsonl") -> None:
-    """Write a corpus to JSONL or TSV through write_lines.
-
-    TSV carries only the three text columns (no ids, no meta) and refuses
-    texts containing tabs, carriage returns or newlines rather than
-    corrupt the framing (read_corpus rejects a carriage return that does
-    not end a line).
-    JSONL round-trips every field bit-exactly.
-    """
-    if format not in ("jsonl", "tsv"):
-        raise ValueError(f"unknown corpus format {format!r}")
-    write_lines(path, map(_jsonl_record if format == "jsonl" else _tsv_record, corpus))
+def write_corpus(corpus: Corpus, path) -> None:
+    """Write a corpus as JSONL through write_lines; every field round-trips bit-exactly."""
+    write_lines(path, map(_jsonl_record, corpus))

@@ -161,9 +161,10 @@ class CleanTriplet:
 
 
 def strip_markup(text: str, *, field: str = "", part: int = 0) -> Tuple[str, List[ChangeRecord]]:
-    """Remove tags, music symbols, and a leading run of hyphens (each may
+    """Remove tags, music symbols, and leading runs of hyphens (each may
     be followed by a space), recording each as a change to ``field`` and
-    ``part``; the hyphen run is one change.
+    ``part``; a hyphen run is one change, and one that follows only
+    removed markup is still leading.
 
     A removal absorbs one adjacent space into its payload whenever keeping
     the space would leave a doubled, leading, or trailing space, so the
@@ -177,7 +178,6 @@ def strip_markup(text: str, *, field: str = "", part: int = 0) -> Tuple[str, Lis
     removals: List[Tuple[str, int, str]] = []  # (kind, offset, payload)
     i = 0
     n = len(text)
-    hyphen_allowed = True
 
     def remove(kind: str, payload: str, end_i: int) -> int:
         offset = len(clean)
@@ -195,11 +195,10 @@ def strip_markup(text: str, *, field: str = "", part: int = 0) -> Tuple[str, Lis
 
     while i < n:
         ch = text[i]
-        if hyphen_allowed and not clean and ch == "-":
+        if not clean and ch == "-":
             payload = LEADING_HYPHEN_RE.match(text, i).group()
             removals.append(("removed_leading_hyphen", 0, payload))
             i += len(payload)
-            hyphen_allowed = False
             continue
         match = TAG_RE.match(text, i)
         if match:

@@ -8,7 +8,9 @@ pattern, which scores a batch of shift candidates in one pass of array
 operations. A swap of two adjacent runs of at most MAX_SHIFT_SPAN tokens
 each is scored once, not once per run that could move. The shift search
 stops once it reaches the multiset floor, a lower bound on the distance
-that no shift can change.
+that no shift can change. The scalar form of the kernel keeps each DP
+column as bit vectors; the final insertion, deletion and substitution
+counts come from a backtrace that reads its cells from those columns.
 
 numpy is imported inside the shift-search functions, not at module
 level, so commands that never run a shift search (every corpus-build
@@ -17,7 +19,6 @@ and human-evaluation command) never pay for loading it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
@@ -85,21 +86,6 @@ class ShiftOp:
     destination: int
 
 
-@dataclass(frozen=True)
-class EditOp:
-    kind: str  # match | sub | ins | del
-    hyp_token: str = ""
-    ref_token: str = ""
-
-
-@dataclass(frozen=True)
-class EditScript:
-    """Shifts followed by aligned edit operations that turn hyp into ref."""
-
-    shifts: Tuple[ShiftOp, ...]
-    ops: Tuple[EditOp, ...]
-
-
 def _match_masks(pattern: Sequence[str]) -> Dict[str, int]:
     """Bit i of masks[token] is set iff pattern[i] == token."""
     masks: Dict[str, int] = {}
@@ -110,32 +96,37 @@ def _match_masks(pattern: Sequence[str]) -> Dict[str, int]:
     return masks
 
 
-def _bit_distance(text: Sequence[str], masks: Dict[str, int], m: int) -> int:
-    """Levenshtein distance between text and a non-empty pattern of length m.
+def _bit_columns(text: Sequence[str], masks: Dict[str, int], m: int) -> List[Tuple[int, int]]:
+    """The columns of the Levenshtein DP matrix of text against a
+    non-empty pattern of length m, the column before any text first.
 
     Bit-parallel over tokens (Myers 1999, in Hyyro's 2001 global-distance
-    form): one column of the DP matrix is held as vertical +1/-1 delta
-    bit vectors, so each text token costs a handful of big-int operations
-    instead of m cell updates.
+    form): column i is held as its vertical +1/-1 delta bit vectors
+    (vp, vn), so each text token costs a handful of big-int operations
+    instead of m cell updates. Bit j - 1 of vp (vn) is set when cell
+    (i, j) is one more (less) than cell (i, j - 1), and cell (i, 0) is i.
     """
     full = (1 << m) - 1
-    top = 1 << (m - 1)
     get = masks.get
-    vp, vn, score = full, 0, m
+    vp, vn = full, 0
+    columns = [(vp, vn)]
     for token in text:
         eq = get(token, 0)
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
         ph = vn | ~(xh | vp)  # negative in Python; vp's mask below trims it
         mh = vp & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
         ph = (ph << 1) | 1
         vp = ((mh << 1) | ~(xv | ph)) & full
         vn = ph & xv
-    return score
+        columns.append((vp, vn))
+    return columns
+
+
+def _bit_distance(text: Sequence[str], masks: Dict[str, int], m: int) -> int:
+    """Levenshtein distance between text and a non-empty pattern of length m."""
+    vp, vn = _bit_columns(text, masks, m)[-1]
+    return len(text) + vp.bit_count() - vn.bit_count()
 
 
 def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
@@ -156,48 +147,40 @@ def _multiset_floor(hyp: Sequence[str], ref: Sequence[str]) -> int:
     return max(len(hyp), len(ref)) - overlap_stats(hyp, ref, 1)[2]
 
 
-def _align(hyp: Sequence[str], ref: Sequence[str]) -> List[EditOp]:
-    """Full DP alignment with a deterministic backtrace.
+def _edit_counts(hyp: Sequence[str], ref: Sequence[str]) -> Tuple[int, int, int]:
+    """Insertions, deletions and substitutions of an optimal alignment of
+    hyp to a non-empty ref.
 
-    Tie order during backtrace: match, then substitution, then deletion
+    The backtrace reads each DP cell from _bit_columns instead of filling
+    the matrix. Tie order: match, then substitution, then deletion
     (missing ref token), then insertion (spurious hyp token).
     """
-    lh, lr = len(hyp), len(ref)
-    width = lr + 1
-    d = list(range(width))
-    rows = [d[:]]
-    for i in range(1, lh + 1):
-        prev_row = rows[i - 1]
-        row = [i] + [0] * lr
-        hi = hyp[i - 1]
-        for j in range(1, width):
-            sub = prev_row[j - 1] + (hi != ref[j - 1])
-            best = sub
-            if row[j - 1] + 1 < best:
-                best = row[j - 1] + 1
-            if prev_row[j] + 1 < best:
-                best = prev_row[j] + 1
-            row[j] = best
-        rows.append(row)
+    columns = _bit_columns(hyp, _match_masks(ref), len(ref))
 
-    ops: List[EditOp] = []
-    i, j = lh, lr
-    while i > 0 or j > 0:
-        here = rows[i][j]
-        if i > 0 and j > 0 and hyp[i - 1] == ref[j - 1] and rows[i - 1][j - 1] == here:
-            ops.append(EditOp("match", hyp[i - 1], ref[j - 1]))
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and rows[i - 1][j - 1] + 1 == here:
-            ops.append(EditOp("sub", hyp[i - 1], ref[j - 1]))
-            i, j = i - 1, j - 1
-        elif j > 0 and rows[i][j - 1] + 1 == here:
-            ops.append(EditOp("del", ref_token=ref[j - 1]))
-            j -= 1
+    def cell(i: int, j: int) -> int:
+        vp, vn = columns[i]
+        low = (1 << j) - 1
+        return i + (vp & low).bit_count() - (vn & low).bit_count()
+
+    insertions = deletions = substitutions = 0
+    i, j = len(hyp), len(ref)
+    here = cell(i, j)
+    while i and j:
+        diagonal = cell(i - 1, j - 1)
+        if hyp[i - 1] == ref[j - 1] and diagonal == here:
+            i, j, here = i - 1, j - 1, diagonal
+        elif diagonal + 1 == here:
+            substitutions += 1
+            i, j, here = i - 1, j - 1, diagonal
+        elif cell(i, j - 1) + 1 == here:
+            deletions += 1
+            j, here = j - 1, here - 1
         else:
-            ops.append(EditOp("ins", hyp_token=hyp[i - 1]))
-            i -= 1
-    ops.reverse()
-    return ops
+            insertions += 1
+            i, here = i - 1, here - 1
+    # Along an edge only one move is left: row 0 is all deletions, column 0
+    # all insertions.
+    return insertions + i, deletions + j, substitutions
 
 
 def _apply_shift(tokens: Sequence[str], start: int, end: int, destination: int) -> List[str]:
@@ -379,8 +362,9 @@ def _best_shift(
 
 def ter_sentence(
     hyp: str, ref: str, tok: TokenizerConfig = TER_NORMALIZED_TOKENIZER
-) -> Tuple[TerScore, EditScript]:
-    """Greedy shift-based TER for one sentence pair.
+) -> Tuple[TerScore, Tuple[ShiftOp, ...]]:
+    """Greedy shift-based TER for one sentence pair: its score and the
+    shifts applied, in order.
 
     Shifts move at most MAX_SHIFT_SPAN tokens over at most
     MAX_SHIFT_DISTANCE positions; each costs 1 and is applied only while
@@ -407,10 +391,8 @@ def ter_sentence(
             current_ed = best_ed
             shifts.append(ShiftOp(start, end, destination))
 
-    ops = _align(current, ref_tokens)
-    counts = Counter(op.kind for op in ops)
-    ter = TerScore(counts["ins"], counts["del"], counts["sub"], len(shifts), len(ref_tokens))
-    return ter, EditScript(shifts=tuple(shifts), ops=tuple(ops))
+    insertions, deletions, substitutions = _edit_counts(current, ref_tokens)
+    return TerScore(insertions, deletions, substitutions, len(shifts), len(ref_tokens)), tuple(shifts)
 
 
 def ter_corpus(

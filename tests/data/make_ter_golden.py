@@ -1,9 +1,11 @@
 """Generate ter_golden.jsonl: seeded sentence pairs with their greedy TER.
 
-The file pins the exact output of ``ter_sentence`` (score, shift ops and
-aligned edit ops) so changes to the TER internals can be checked for
-bit-identical results. Regenerate only when a change of TER results is
-intended:
+The file pins the exact output of ``ter_sentence`` (score and shift ops)
+so changes to the TER internals can be checked for bit-identical
+results. It also pins the aligned edit ops of the shifted hypothesis,
+which come from the test-side reference aligner ``oracles.align`` and
+must add up to the score's edit counts. Regenerate only when a change of
+TER results is intended:
 
     PYTHONPATH=src python tests/data/make_ter_golden.py
 
@@ -16,12 +18,18 @@ text under the normalizing tokenizer.
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 from apekit.ter import ter_sentence
-from apekit.tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig
+from apekit.tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig, tokenize
 
 import golden
+
+TESTS = str(Path(__file__).resolve().parents[1])
+if TESTS not in sys.path:  # run as a script, oracles.py is not on the path yet
+    sys.path.insert(0, TESTS)
+from oracles import align, apply_shifts  # noqa: E402
 
 SEED = 2009
 OUT = Path(__file__).with_name("ter_golden.jsonl")
@@ -88,15 +96,16 @@ def pairs():
 
 
 def record(kind, hyp, ref, tok) -> dict:
-    score, script = ter_sentence(hyp, ref, tok)
+    score, shifts = ter_sentence(hyp, ref, tok)
+    ops = align(apply_shifts(tokenize(hyp, tok), shifts), tokenize(ref, tok))
     return {
         "kind": kind,
         "hyp": hyp,
         "ref": ref,
         "tokenizer": {"scheme": tok.scheme, "lowercase": tok.lowercase},
         "score": score.to_dict(),
-        "shifts": [[s.start, s.end, s.destination] for s in script.shifts],
-        "ops": [[op.kind, op.hyp_token, op.ref_token] for op in script.ops],
+        "shifts": [[s.start, s.end, s.destination] for s in shifts],
+        "ops": [list(op) for op in ops],
     }
 
 

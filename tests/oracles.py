@@ -3,8 +3,10 @@
 - ``ter_oracle``: an exhaustive desk-scale TER over bounded shift
   sequences, which sandwiches the greedy scorer:
   oracle cost <= greedy cost <= shift-free edit distance.
-- ``replay``: replays an ``EditScript`` on the hypothesis tokens; a
-  correct script yields the reference tokens.
+- ``align``: the plain dynamic-programming alignment of a hypothesis to
+  a reference as edit ops, the reference for ``ter._edit_counts``.
+- ``replay``: replays shifts and aligned edit ops on the hypothesis
+  tokens; a correct script yields the reference tokens.
 - ``total_edits``: the numerator of a ``TerScore``.
 - ``contains_artifacts``: the cleanliness scanner for preprocessed text.
 - ``ConstantClassifier``: a language classifier that always gives one
@@ -13,11 +15,12 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from collections import Counter
+from typing import List, Sequence, Tuple
 
 from apekit.segments import MUSIC_CHARS, TAG_RE
 from apekit.ter import (
-    EditScript,
+    ShiftOp,
     TerScore,
     _apply_shift,
     _bit_distance,
@@ -35,26 +38,79 @@ def total_edits(score: TerScore) -> int:
     return score.insertions + score.deletions + score.substitutions + score.shifts
 
 
-def replay(script: EditScript, hyp_tokens: Sequence[str]) -> List[str]:
-    """Apply the script's shifts, then its aligned ops, to hyp_tokens."""
-    tokens = list(hyp_tokens)
-    for s in script.shifts:
+EditOp = Tuple[str, str, str]  # (kind, hyp token, ref token); kind is match, sub, ins or del
+
+
+def align(hyp: Sequence[str], ref: Sequence[str]) -> List[EditOp]:
+    """Full DP alignment with a deterministic backtrace.
+
+    Tie order during backtrace: match, then substitution, then deletion
+    (missing ref token), then insertion (spurious hyp token). An
+    insertion has no ref token and a deletion no hyp token.
+    """
+    lh, lr = len(hyp), len(ref)
+    width = lr + 1
+    rows = [list(range(width))]
+    for i in range(1, lh + 1):
+        prev_row = rows[i - 1]
+        row = [i] + [0] * lr
+        hi = hyp[i - 1]
+        for j in range(1, width):
+            row[j] = min(prev_row[j - 1] + (hi != ref[j - 1]), row[j - 1] + 1, prev_row[j] + 1)
+        rows.append(row)
+
+    ops: List[EditOp] = []
+    i, j = lh, lr
+    while i > 0 or j > 0:
+        here = rows[i][j]
+        if i > 0 and j > 0 and hyp[i - 1] == ref[j - 1] and rows[i - 1][j - 1] == here:
+            ops.append(("match", hyp[i - 1], ref[j - 1]))
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and rows[i - 1][j - 1] + 1 == here:
+            ops.append(("sub", hyp[i - 1], ref[j - 1]))
+            i, j = i - 1, j - 1
+        elif j > 0 and rows[i][j - 1] + 1 == here:
+            ops.append(("del", "", ref[j - 1]))
+            j -= 1
+        else:
+            ops.append(("ins", hyp[i - 1], ""))
+            i -= 1
+    ops.reverse()
+    return ops
+
+
+def edit_counts(ops: Sequence[EditOp]) -> Tuple[int, int, int]:
+    """Insertions, deletions and substitutions among the ops."""
+    kinds = Counter(kind for kind, _, _ in ops)
+    return kinds["ins"], kinds["del"], kinds["sub"]
+
+
+def apply_shifts(tokens: Sequence[str], shifts: Sequence[ShiftOp]) -> List[str]:
+    """The tokens after each shift in turn, as ter_sentence applies them."""
+    tokens = list(tokens)
+    for s in shifts:
         tokens = _apply_shift(tokens, s.start, s.end, s.destination)
+    return tokens
+
+
+def replay(shifts: Sequence[ShiftOp], ops: Sequence[EditOp], hyp_tokens: Sequence[str]) -> List[str]:
+    """Apply the shifts, then the aligned ops, to hyp_tokens."""
+    tokens = apply_shifts(hyp_tokens, shifts)
     out: List[str] = []
     idx = 0
-    for op in script.ops:
-        if op.kind == "match":
+    for kind, _, ref_token in ops:
+        if kind == "match":
             out.append(tokens[idx])
             idx += 1
-        elif op.kind == "sub":
-            out.append(op.ref_token)
+        elif kind == "sub":
+            out.append(ref_token)
             idx += 1
-        elif op.kind == "ins":
+        elif kind == "ins":
             idx += 1
-        elif op.kind == "del":
-            out.append(op.ref_token)
+        elif kind == "del":
+            out.append(ref_token)
         else:
-            raise ValueError(f"unknown edit op kind {op.kind!r}")
+            raise ValueError(f"unknown edit op kind {kind!r}")
     if idx != len(tokens):
         raise ValueError("edit script does not consume the hypothesis exactly")
     return out

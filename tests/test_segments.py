@@ -78,6 +78,17 @@ class TestStripMarkup:
             assert clean == text[len(payload):]
             assert [(r.kind, r.payload) for r in records] == [("removed_leading_hyphen", payload)]
 
+    def test_hyphen_run_after_removed_leading_markup_is_removed_too(self):
+        # A removed tag or music symbol keeps nothing, so a hyphen run after
+        # it is still leading, even after an earlier run was removed.
+        for text, want in (("- <i>- Hallo</i>", "Hallo"), ("- ♪ - Hallo", "Hallo"), ("-- <i>-Ja</i>", "Ja")):
+            clean, _ = strip_markup(text)
+            assert clean == want and not contains_artifacts(clean), text
+            t = triplet(text, text, text)
+            parts, log = preprocess(t)
+            assert [p.mt for p in parts] == [want]
+            assert postprocess_with_report([want], log, "mt")[0] == text
+
     def test_interior_note_leaves_single_space(self):
         clean, records = strip_markup("La ♪ Da")
         assert clean == "La Da"
@@ -96,7 +107,6 @@ def reference_strip_markup(text):
     records = []
     i = 0
     n = len(text)
-    hyphen_allowed = True
 
     def remove(kind, payload, end_i):
         offset = len(clean)
@@ -112,11 +122,10 @@ def reference_strip_markup(text):
 
     while i < n:
         ch = text[i]
-        if hyphen_allowed and not clean and ch == "-":
+        if not clean and ch == "-":
             payload = LEADING_HYPHEN_RE.match(text, i).group()
             records.append(ChangeRecord(kind="removed_leading_hyphen", offset=0, payload=payload))
             i += len(payload)
-            hyphen_allowed = False
             continue
         match = TAG_RE.match(text, i)
         if match:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from apekit import ter as ter_mod
 from apekit.ter import (
-    EditScript,
     ShiftOp,
     edit_distance,
     ter_corpus,
@@ -19,7 +18,7 @@ from apekit.ter import (
 from apekit.tokenizer import TokenizerConfig, tokenize
 
 import make_ter_golden
-from oracles import replay, ter_oracle, total_edits
+from oracles import align, apply_shifts, edit_counts, replay, ter_oracle, total_edits
 
 WS = TokenizerConfig(scheme="whitespace")
 GOLDEN = Path(__file__).parent / "data" / "ter_golden.jsonl"
@@ -28,6 +27,18 @@ GOLDEN = Path(__file__).parent / "data" / "ter_golden.jsonl"
 def greedy_cost(hyp, ref):
     score, _ = ter_sentence(hyp, ref, WS)
     return total_edits(score)
+
+
+def replayed(hyp, ref):
+    """The reference tokens as rebuilt from ter_sentence's shifts and the
+    reference aligner's ops on the shifted hypothesis, which must have
+    the score's edit counts."""
+    score, shifts = ter_sentence(hyp, ref, WS)
+    hyp_tokens, ref_tokens = tokenize(hyp, WS), tokenize(ref, WS)
+    ops = align(apply_shifts(hyp_tokens, shifts), ref_tokens)
+    assert edit_counts(ops) == (score.insertions, score.deletions, score.substitutions)
+    assert len(shifts) == score.shifts
+    return replay(shifts, ops, hyp_tokens)
 
 
 # Hand-scored cases: (hyp, ref, expected edits, expected score)
@@ -57,30 +68,30 @@ HAND_CASES = [
 
 @pytest.mark.parametrize("hyp,ref,edits,score", HAND_CASES)
 def test_hand_scored_cases(hyp, ref, edits, score):
-    result, script = ter_sentence(hyp, ref, WS)
+    result, _ = ter_sentence(hyp, ref, WS)
     assert total_edits(result) == edits
     assert result.score == pytest.approx(score)
-    assert replay(script, tokenize(hyp, WS)) == tokenize(ref, WS)
+    assert replayed(hyp, ref) == tokenize(ref, WS)
 
 
 def test_identity_empty_script():
-    result, script = ter_sentence("a b c", "a b c", WS)
+    result, shifts = ter_sentence("a b c", "a b c", WS)
     assert result.score == 0.0
-    assert script.shifts == ()
-    assert all(op.kind == "match" for op in script.ops)
+    assert shifts == ()
+    assert result.stats == (0, 0, 0, 0, 3)
 
 
 def test_substitution_preferred_over_shift():
-    result, script = ter_sentence("a x c", "a b c", WS)
+    result, _ = ter_sentence("a x c", "a b c", WS)
     assert result.shifts == 0
     assert result.substitutions == 1
 
 
 def test_empty_hyp_scores_all_deletions():
-    result, script = ter_sentence("", "a b c", WS)
+    result, _ = ter_sentence("", "a b c", WS)
     assert result.deletions == 3
     assert result.score == 1.0
-    assert replay(script, []) == ["a", "b", "c"]
+    assert replayed("", "a b c") == ["a", "b", "c"]
 
 
 def test_empty_ref_rejected():
@@ -141,8 +152,7 @@ def test_edit_script_replay_on_random_pairs():
     for _ in range(200):
         hyp = " ".join(rng.choices(vocab, k=rng.randint(0, 7)))
         ref = " ".join(rng.choices(vocab, k=rng.randint(1, 7)))
-        _, script = ter_sentence(hyp, ref, WS)
-        assert replay(script, tokenize(hyp, WS)) == tokenize(ref, WS)
+        assert replayed(hyp, ref) == tokenize(ref, WS)
 
 
 def test_relabeling_invariance():
@@ -184,14 +194,13 @@ class TestTerCorpus:
 
 
 def test_shift_op_semantics():
-    script = EditScript(shifts=(ShiftOp(start=0, end=0, destination=1),), ops=())
+    s = ShiftOp(start=0, end=0, destination=1)
     tokens = ["b", "a", "c"]
-    moved = []
-    s = script.shifts[0]
     block = tokens[s.start : s.end + 1]
     rest = tokens[: s.start] + tokens[s.end + 1 :]
     moved = rest[: s.destination] + block + rest[s.destination :]
     assert moved == ["a", "b", "c"]
+    assert apply_shifts(tokens, [s]) == moved
 
 
 def dp_edit_distance(a, b):
@@ -250,18 +259,37 @@ def test_edit_distance_at_word_boundaries(n):
     assert edit_distance(a, a) == 0
 
 
+def test_edit_counts_match_the_reference_aligner():
+    # Tie-heavy vocabularies of 1-4 tokens, empty hypotheses, and
+    # references past one 64-bit word, where the cells read from the bit
+    # columns span several words.
+    rng = random.Random(23)
+    cases = [([], ["a"]), ([], list("ab" * 40)), (list("ab" * 40), list("ba" * 45))]
+    for _ in range(3000):
+        vocab = "abcd"[: rng.randint(1, 4)]
+        cases.append((rng.choices(vocab, k=rng.randint(0, 9)), rng.choices(vocab, k=rng.randint(1, 9))))
+    for _ in range(60):
+        vocab = "abcd"[: rng.randint(1, 4)]
+        cases.append((rng.choices(vocab, k=rng.randint(0, 140)), rng.choices(vocab, k=rng.randint(65, 140))))
+    for hyp, ref in cases:
+        assert ter_mod._edit_counts(hyp, ref) == edit_counts(align(hyp, ref)), (hyp, ref)
+
+
 @pytest.mark.parametrize("scan_cells", [ter_mod.SCAN_CELLS, 3000])
 def test_golden_sentence_scores(scan_cells, monkeypatch):
     # Pinned by tests/data/make_ter_golden.py; any change in the seeded
     # pairs, greedy TER results, shift choices or alignment tie-breaking
-    # shows up here. The small batches split long scans, so ties across
-    # batches are checked.
+    # shows up here, and the pinned ops must give the pinned edit counts.
+    # The small batches split long scans, so ties across batches are
+    # checked.
     monkeypatch.setattr(ter_mod, "SCAN_CELLS", scan_cells)
     records = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
     pairs = list(make_ter_golden.pairs())
     assert len(records) == len(pairs) == 180
     for pair, rec in zip(pairs, records):
         assert make_ter_golden.record(*pair) == rec, (rec["hyp"], rec["ref"])
+        score = rec["score"]
+        assert edit_counts(rec["ops"]) == (score["insertions"], score["deletions"], score["substitutions"])
 
 
 def test_golden_corpus_score():
@@ -300,8 +328,8 @@ class TestFloorEarlyExit:
         monkeypatch.setattr(ter_mod, "SCAN_CELLS", 8 * 10)  # 8 candidates of 10 tokens
         ref = "a b c d e f g h i j".split()
         hyp = "a b f g h c d e i j".split()
-        result, script = ter_sentence(" ".join(hyp), " ".join(ref), WS)
-        assert total_edits(result) == 1 and script.shifts == (ShiftOp(2, 4, 5),)
+        result, shifts = ter_sentence(" ".join(hyp), " ".join(ref), WS)
+        assert total_edits(result) == 1 and shifts == (ShiftOp(2, 4, 5),)
         scan = [ter_mod._apply_shift(hyp, s, e, d) for s, e, d in reference_scan(len(hyp))]
         first = scan.index(ref)
         assert scored == [8] * (first // 8 + 1)
@@ -368,8 +396,7 @@ def full_scan_greedy(hyp, ref):
             break
         current, current_ed = ter_mod._apply_shift(current, *best), best_ed
         shifts.append(ShiftOp(*best))
-    counts = Counter(op.kind for op in ter_mod._align(current, ref))
-    return (counts["ins"], counts["del"], counts["sub"], len(shifts), len(ref)), tuple(shifts)
+    return (*edit_counts(align(current, ref)), len(shifts), len(ref)), tuple(shifts)
 
 
 @st.composite
@@ -384,8 +411,8 @@ def short_pairs(draw):
 @given(short_pairs())
 def test_greedy_matches_a_search_over_the_full_scan(pair):
     hyp, ref = pair
-    score, script = ter_sentence(" ".join(hyp), " ".join(ref), WS)
-    assert (score.stats, script.shifts) == full_scan_greedy(hyp, ref)
+    score, shifts = ter_sentence(" ".join(hyp), " ".join(ref), WS)
+    assert (score.stats, shifts) == full_scan_greedy(hyp, ref)
 
 
 @st.composite
