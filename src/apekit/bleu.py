@@ -2,7 +2,8 @@
 
 Per-sentence sufficient statistics (clipped matches, totals, lengths) are
 exposed so resampling tests can rescore thousands of bootstrap samples
-without re-extracting n-grams.
+without re-extracting n-grams. The clipped token n-gram counts come from
+``tokenizer.overlap_stats``, which ChrF shares.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def sentence_stats(hyp: str, ref: str, tok: TokenizerConfig = BLEU_TOKENIZER) ->
     """
     hyp_tokens = tokenize(hyp, tok)
     ref_tokens = tokenize(ref, tok)
-    overlap = overlap_stats([(t,) for t in hyp_tokens], [(t,) for t in ref_tokens], MAX_ORDER)
+    overlap = overlap_stats(hyp_tokens, ref_tokens, MAX_ORDER)
     stats: List[int] = []
     for n in range(MAX_ORDER):
         stats += (overlap[3 * n + 2], overlap[3 * n])  # (clipped matches, hyp n-grams)

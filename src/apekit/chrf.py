@@ -1,4 +1,8 @@
-"""Character n-gram F-score (ChrF) on whitespace-stripped text."""
+"""Character n-gram F-score (ChrF) on whitespace-stripped text.
+
+The per-order clipped character n-gram counts come from
+``tokenizer.overlap_stats``, which BLEU shares for its token n-grams.
+"""
 
 from __future__ import annotations
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, repeat
-from operator import mul
-from typing import Dict, Iterable, Mapping, Protocol
+from operator import add, mul
+from typing import Dict, Iterable, Mapping, Protocol, Sequence
 
 from .corpus import read_lines
-from .tokenizer import ngrams_by_order
 
 
 class LanguageClassifier(Protocol):
@@ -59,6 +58,23 @@ Die Antwort auf deine Frage hängt davon ab, wie viel Zeit uns noch bleibt.
 """
 
 _NGRAM_ORDER = 3
+
+
+def ngrams_by_order(units: Sequence, max_n: int) -> list:
+    """The 1- to ``max_n``-grams of ``units``, one sequence per order.
+
+    Units are the characters of a string (n-grams are substrings) or
+    1-tuples of tokens (n-grams are token tuples). Order 1 is ``units``
+    itself; each higher order lists its n-grams by position. Empty for
+    ``max_n < 1``.
+    """
+    if max_n < 1:
+        return []
+    by_order = [units]
+    for n in range(2, max_n + 1):
+        # each n-gram is the (n-1)-gram at the same position plus the next unit
+        by_order.append(list(map(add, by_order[-1], units[n - 1 :])))
+    return by_order
 
 
 def _char_ngrams(text: str) -> Counter:

@@ -19,10 +19,11 @@ and human-evaluation command) never pay for loading it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig, overlap_stats, tokenize
+from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig, tokenize
 
 MAX_SHIFT_SPAN = 10
 MAX_SHIFT_DISTANCE = 50
@@ -143,8 +144,11 @@ def _multiset_floor(hyp: Sequence[str], ref: Sequence[str]) -> int:
     substitution or deletion, every surplus hypothesis token a
     substitution or insertion, and one substitution serves one of each.
     """
+    hyp_counts, ref_counts = Counter(hyp), Counter(ref)
+    common = hyp_counts.keys() & ref_counts.keys()
+    overlap = sum(map(min, map(hyp_counts.__getitem__, common), map(ref_counts.__getitem__, common)))
     # missing = len(ref) - overlap and extra = len(hyp) - overlap
-    return max(len(hyp), len(ref)) - overlap_stats(hyp, ref, 1)[2]
+    return max(len(hyp), len(ref)) - overlap
 
 
 def _edit_counts(hyp: Sequence[str], ref: Sequence[str]) -> Tuple[int, int, int]:

@@ -11,6 +11,9 @@
 - ``contains_artifacts``: the cleanliness scanner for preprocessed text.
 - ``ConstantClassifier``: a language classifier that always gives one
   answer, a permissive stand-in for the n-gram classifier.
+- ``sliced_ngrams``: the n-grams of each order by plain slicing, the
+  reference for langid's ``ngrams_by_order`` and for
+  ``tokenizer.overlap_stats``.
 """
 
 from __future__ import annotations
@@ -187,3 +190,8 @@ class ConstantClassifier:
 
     def classify(self, text: str) -> str:
         return self.code
+
+
+def sliced_ngrams(units, max_n):
+    """The n-grams of each order by plain slicing, the reference."""
+    return [[units[i : i + n] for i in range(len(units) - n + 1)] for n in range(1, max_n + 1)]

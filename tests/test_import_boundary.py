@@ -1,10 +1,12 @@
-"""Only TER's shift search and the bootstrap load numpy.
+"""Only the BLEU and ChrF n-gram counts, TER's shift search and the bootstrap load numpy.
 
 Each command runs in a fresh interpreter through apekit.cli.main, which
 then reports whether numpy is in sys.modules. The corpus-build and
-human-evaluation commands must never load it. A metric command loads it
-once it reaches a shift search or a bootstrap, and its report still
-matches metric_golden/.
+human-evaluation commands must never load it, and neither may `buckets`
+when no sentence pair needs a shift search. `evaluate` always loads it
+for its BLEU and ChrF statistics; a metric command loads it once it
+reaches a shift search or a bootstrap, and its report still matches
+metric_golden/.
 """
 
 import json
@@ -57,9 +59,10 @@ def _work(tmp_path: Path, golden: str) -> Path:
                            "--out", "out/ablate.json"]),
         ("human_eval_golden", ["agreement", "--csv", "in/h2.csv", "--out", "out/agreement.json"]),
         ("human_eval_golden", ["adequacy", "--csv", "in/h2.csv", "--out", "out/adequacy.json"]),
-        ("metric_golden", ["evaluate", "--hyp", "in/ref.txt", "--ref", "in/ref.txt", "--out", "out/same.json"]),
+        ("metric_golden", ["buckets", "--baseline", "in/ref.txt", "--ape", "in/ref.txt", "--ref", "in/ref.txt",
+                           "--out", "out/buckets.json"]),
     ],
-    ids=["filter", "stats", "ablate-scores", "ablate-in", "agreement", "adequacy", "evaluate-without-a-shift"],
+    ids=["filter", "stats", "ablate-scores", "ablate-in", "agreement", "adequacy", "buckets-without-a-shift"],
 )
 def test_command_never_loads_numpy(tmp_path, golden, argv):
     assert not _loads_numpy(_work(tmp_path, golden), argv)
@@ -74,6 +77,15 @@ def test_corpus_round_trip_never_loads_numpy(tmp_path):
                                    "--out", "restored.txt", "--orig", "in/corpus.jsonl"])
     golden = DATA / "build_cli_golden" / "mt_unedited_orig_restored.txt"
     assert (work / "restored.txt").read_bytes() == golden.read_bytes()
+
+
+def test_evaluate_loads_numpy_for_bleu_and_chrf(tmp_path):
+    work = _work(tmp_path, "metric_golden")
+    assert _loads_numpy(work, ["evaluate", "--hyp", "in/ref.txt", "--ref", "in/ref.txt", "--out", "out/same.json"])
+    report = json.loads((work / "out" / "same.json").read_text(encoding="utf-8"))
+    assert report["bleu"]["score"] == 100.0
+    assert report["chrf"] == 100.0
+    assert report["ter"]["score"] == 0.0
 
 
 def test_shift_search_loads_numpy_and_matches_golden(tmp_path):

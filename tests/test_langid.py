@@ -3,8 +3,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apekit.langid import NgramLanguageClassifier, TabFileClassifier, _char_ngrams
+from apekit.langid import NgramLanguageClassifier, TabFileClassifier, _char_ngrams, ngrams_by_order
+from oracles import sliced_ngrams
 
 GOLDEN = Path(__file__).parent / "data" / "langid_golden.jsonl"
 # The golden scores were summed with plain double additions; from 3.12 the
@@ -28,6 +31,28 @@ def test_golden_ngrams_scores_and_labels(classifier):
         if PLAIN_FLOAT_SUM:
             assert {lang: s.hex() for lang, s in classifier.scores(text).items()} == rec["scores"], text
         assert classifier.classify(text) == rec["label"], text
+
+
+ORDERS = st.integers(0, 8)
+CHAR_TEXT = st.text(alphabet="ab é", max_size=12)
+TOKEN_LISTS = st.lists(st.sampled_from(["a", "b", "cd", ""]), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CHAR_TEXT, ORDERS)
+def test_ngrams_by_order_matches_slicing_on_strings(text, max_n):
+    assert [list(grams) for grams in ngrams_by_order(text, max_n)] == sliced_ngrams(text, max_n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TOKEN_LISTS, ORDERS)
+def test_ngrams_by_order_matches_slicing_on_token_tuples(tokens, max_n):
+    units = [(t,) for t in tokens]
+    assert [list(grams) for grams in ngrams_by_order(units, max_n)] == sliced_ngrams(tuple(tokens), max_n)
+
+
+def test_ngrams_by_order_below_order_one_is_empty():
+    assert ngrams_by_order("abc", 0) == ngrams_by_order("abc", -1) == []
 
 
 def test_languages_are_the_sorted_profile_names(classifier):

@@ -1,10 +1,12 @@
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apekit.tokenizer import TokenizerConfig, ngrams_by_order, overlap_stats, tokenize
+from apekit.tokenizer import TokenizerConfig, overlap_stats, tokenize
+from oracles import sliced_ngrams
 
 
 def test_whitespace_scheme():
@@ -79,47 +81,44 @@ def test_punct_split_matches_reference_loop_on_every_code_point():
     assert tokenize(text, PUNCT_SPLIT) == reference_punct_split(text)
 
 
-def sliced_ngrams(units, max_n):
-    """The n-grams of each order by plain slicing, the reference."""
-    return [[units[i : i + n] for i in range(len(units) - n + 1)] for n in range(1, max_n + 1)]
-
-
-ORDERS = st.integers(0, 8)
-CHAR_TEXT = st.text(alphabet="ab é", max_size=12)
-TOKEN_LISTS = st.lists(st.sampled_from(["a", "b", "cd", ""]), max_size=12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(CHAR_TEXT, ORDERS)
-def test_ngrams_by_order_matches_slicing_on_strings(text, max_n):
-    assert [list(grams) for grams in ngrams_by_order(text, max_n)] == sliced_ngrams(text, max_n)
-
-
-@settings(max_examples=300, deadline=None)
-@given(TOKEN_LISTS, ORDERS)
-def test_ngrams_by_order_matches_slicing_on_token_tuples(tokens, max_n):
-    units = [(t,) for t in tokens]
-    assert [list(grams) for grams in ngrams_by_order(units, max_n)] == sliced_ngrams(tuple(tokens), max_n)
-
-
-def test_ngrams_by_order_below_order_one_is_empty():
-    assert ngrams_by_order("abc", 0) == ngrams_by_order("abc", -1) == []
-
-
 def reference_overlap_stats(hyp, ref, max_n):
     """The original per-order counting loop of chrF, kept as the reference."""
     stats = []
-    for hyp_grams, ref_grams in zip(sliced_ngrams(hyp, max_n), sliced_ngrams(ref, max_n)):
+    for hyp_grams, ref_grams in zip(sliced_ngrams(tuple(hyp), max_n), sliced_ngrams(tuple(ref), max_n)):
         overlap = Counter(hyp_grams) & Counter(ref_grams)
         stats.extend((len(hyp_grams), len(ref_grams), sum(overlap.values())))
     return stats
 
 
-# chrF's input: text with its whitespace stripped.
+ORDERS = st.integers(0, 8)
+# chrF's input: text with its whitespace stripped; BLEU's: a token list.
 STRIPPED_TEXT = st.text(alphabet="abé. \t", max_size=14).map(lambda text: "".join(text.split()))
+TOKEN_LISTS = st.lists(st.sampled_from(["a", "b", "cd", ""]), max_size=12)
 
 
 @settings(max_examples=300, deadline=None)
-@given(STRIPPED_TEXT, STRIPPED_TEXT, ORDERS)
-def test_overlap_stats_match_reference_loop(hyp, ref, max_n):
+@given(st.one_of(st.tuples(STRIPPED_TEXT, STRIPPED_TEXT), st.tuples(TOKEN_LISTS, TOKEN_LISTS)), ORDERS)
+def test_overlap_stats_match_reference_loop(pair, max_n):
+    hyp, ref = pair
     assert overlap_stats(hyp, ref, max_n) == reference_overlap_stats(hyp, ref, max_n)
+
+
+def test_overlap_stats_exact_past_512_distinct_characters():
+    # 1,100 CJK code points need 11-bit ids, so six orders of packed codes
+    # overflow 63 bits and the prefixes are re-ranked on the way.
+    rng = random.Random(18)
+    alphabet = [chr(0x4E00 + i) for i in range(1100)]
+    shared = "".join(rng.choices(alphabet, k=1000))
+    hyp = shared + "".join(rng.choices(alphabet, k=2000))
+    ref = "".join(rng.choices(alphabet, k=1000)) + shared + shared[:500]
+    assert len(set(hyp + ref)) > 512
+    for max_n in (1, 6, 8):
+        stats = overlap_stats(hyp, ref, max_n)
+        assert stats == reference_overlap_stats(hyp, ref, max_n)
+        assert stats[3 * max_n - 1] >= 1000 - max_n + 1  # the shared run matches at every order
+
+
+def test_overlap_stats_with_an_empty_side():
+    assert overlap_stats("", "abca", 3) == [0, 4, 0, 0, 3, 0, 0, 2, 0]
+    assert overlap_stats(["a", "b"], [], 2) == [2, 0, 0, 1, 0, 0]
+    assert overlap_stats("", "", 2) == [0, 0, 0, 0, 0, 0]
