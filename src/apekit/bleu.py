@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .tokenizer import BLEU_TOKENIZER, TokenizerConfig, overlap_stats, tokenize
 
 MAX_ORDER = 4
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -43,32 +46,46 @@ def sentence_stats(hyp: str, ref: str, tok: TokenizerConfig = BLEU_TOKENIZER) ->
     return stats
 
 
+def score_matrix(totals) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BLEU of every row of a (rows, 10) matrix of summed sentence
+    statistics: the scores, the (rows, 4) precisions and the brevity
+    penalties. This is the one place the formula is defined.
+
+    A row whose lowest precision is 0, or whose hypothesis is empty,
+    scores 0.0. Each row takes the float operations of a scalar
+    computation in the same order: the divisions, the left-to-right sum
+    of the four logarithms, then penalty * mean * 100.0. The logarithms
+    and exponentials come from math.log and math.exp, as numpy's
+    vectorised forms may differ from them in the last bit.
+    """
+    import numpy as np
+
+    totals = np.asarray(totals, dtype=np.int64)
+    matches, counts = totals[:, 0 : 2 * MAX_ORDER : 2], totals[:, 1 : 2 * MAX_ORDER : 2]
+    hyp_len, ref_len = totals[:, -2], totals[:, -1]
+    precisions = np.divide(matches, counts, out=np.zeros(matches.shape), where=counts > 0)
+
+    penalties = np.where((hyp_len == 0) & (ref_len > 0), 0.0, 1.0)
+    short = (hyp_len > 0) & (hyp_len < ref_len)
+    penalties[short] = list(map(math.exp, (1.0 - ref_len[short] / hyp_len[short]).tolist()))
+
+    scores = np.zeros(len(totals))
+    scored = (precisions.min(axis=1) > 0.0) & (hyp_len > 0)
+    logs = np.array(list(map(math.log, precisions[scored].ravel().tolist()))).reshape(-1, MAX_ORDER)
+    means = list(map(math.exp, (sum(logs.T) / MAX_ORDER).tolist()))
+    scores[scored] = penalties[scored] * means * 100.0
+    return scores, precisions, penalties
+
+
 def score_from_stats(totals: Sequence[int]) -> BleuScore:
     """Combine summed sentence statistics into a corpus BleuScore."""
-    precisions = []
-    for n in range(MAX_ORDER):
-        matches, total = totals[2 * n], totals[2 * n + 1]
-        precisions.append(matches / total if total > 0 else 0.0)
-    hyp_len, ref_len = int(totals[-2]), int(totals[-1])
-
-    if hyp_len == 0:
-        brevity_penalty = 0.0 if ref_len > 0 else 1.0
-    elif hyp_len < ref_len:
-        brevity_penalty = math.exp(1.0 - ref_len / hyp_len)
-    else:
-        brevity_penalty = 1.0
-
-    if min(precisions) > 0.0 and hyp_len > 0:
-        log_mean = sum(math.log(p) for p in precisions) / MAX_ORDER
-        score = brevity_penalty * math.exp(log_mean) * 100.0
-    else:
-        score = 0.0
+    scores, precisions, penalties = score_matrix([totals])
     return BleuScore(
-        score=score,
-        precisions=tuple(precisions),
-        brevity_penalty=brevity_penalty,
-        hyp_len=hyp_len,
-        ref_len=ref_len,
+        score=scores.item(),
+        precisions=tuple(precisions[0].tolist()),
+        brevity_penalty=penalties.item(),
+        hyp_len=int(totals[-2]),
+        ref_len=int(totals[-1]),
     )
 
 

@@ -5,12 +5,14 @@ per-sentence sufficient statistics so a thousand samples stay cheap. The
 p-value is the one-sided win proportion: 1 - wins(winner) / n_samples,
 with ties counting as wins for neither system.
 
-Samples are drawn and summed a block at a time: one gather of the block's
-rows and one sum over its sentence axis give every sample's totals. The
-results are those of summing each sample alone: integer rows (BLEU, TER)
-sum exactly in any order, and the float scores of sentence_bleu are
+Samples are drawn, summed and scored a block at a time, with no Python
+call per sample. Integer rows (BLEU, TER) are summed as the block's draw
+counts, a samples x sentences matrix, times the rows: integer sums are
+exact in any order. The float scores of sentence_bleu are gathered and
 summed along each sample's contiguous row, which numpy sums pairwise the
-same way as a single sample's vector. numpy is imported inside
+same way as a single sample's vector. Each statistic's scorer then maps
+the block's totals to its scores in array operations. The results are
+those of summing and scoring each sample alone. numpy is imported inside
 the functions that resample, so importing this module (as the CLI does
 for every command) does not load it.
 """
@@ -35,21 +37,23 @@ BLOCK_CELLS = 1 << 16
 if TYPE_CHECKING:
     import numpy as np
 
-# statistic -> (per-sentence rows of one system, score of the rows summed
-# over a sample of n sentences). Higher scores win, so TER is negated. The
-# scorers are looked up on their modules at call time, not captured here.
+# statistic -> (per-sentence rows of one system, scores of a block of
+# samples of n sentences from the rows' sums: a (samples, k) matrix, or a
+# vector for sentence_bleu's one column). Higher scores win, so TER is
+# negated. The scorers are looked up on their modules at call time, not
+# captured here.
 STATISTICS = {
     "bleu": (
         lambda hyps, refs, tok: bleu_mod.corpus_stats_matrix(hyps, refs, tok),
-        lambda totals, n: bleu_mod.score_from_stats(totals).score,
+        lambda totals, n: bleu_mod.score_matrix(totals)[0],
     ),
     "ter": (
         lambda hyps, refs, tok: [ter_sentence(h, r, tok)[0].stats for h, r in zip(hyps, refs)],
-        lambda totals, n: -score_from_ter_stats(totals),
+        lambda totals, n: -score_from_ter_stats(totals.T),
     ),
     "sentence_bleu": (
         lambda hyps, refs, tok: [bleu_mod.sentence_bleu(h, r, tok) for h, r in zip(hyps, refs)],
-        lambda total, n: total / n,
+        lambda totals, n: totals / n,
     ),
 }
 
@@ -70,11 +74,16 @@ def _sample_scores(rows, indices, score) -> np.ndarray:
     import numpy as np
 
     rows = np.asarray(rows)
-    # The sums reach the scorer as Python numbers, which it combines
-    # faster than numpy scalars.
-    totals = rows[indices].sum(axis=1).tolist()
-    n = indices.shape[1]
-    return np.array([score(total, n) for total in totals])
+    samples, n = indices.shape
+    if rows.dtype.kind == "f":
+        totals = rows[indices].sum(axis=1)
+    else:
+        # How often each sample drew each sentence, via one bincount over
+        # the indices offset by sample.
+        draws = indices + (np.arange(samples) * n)[:, None]
+        counts = np.bincount(draws.ravel(), minlength=samples * n).reshape(samples, n)
+        totals = counts @ rows
+    return score(totals, n)
 
 
 def bootstrap_significance(

@@ -8,9 +8,10 @@ pattern, which scores a batch of shift candidates in one pass of array
 operations. A swap of two adjacent runs of at most MAX_SHIFT_SPAN tokens
 each is scored once, not once per run that could move. The shift search
 stops once it reaches the multiset floor, a lower bound on the distance
-that no shift can change. The scalar form of the kernel keeps each DP
-column as bit vectors; the final insertion, deletion and substitution
-counts come from a backtrace that reads its cells from those columns.
+that no shift can change. When the final distance is that floor, the
+insertion, deletion and substitution counts follow from the two lengths
+alone. Otherwise they come from a backtrace that reads its cells from
+the DP columns, which the scalar form of the kernel keeps as bit vectors.
 
 numpy is imported inside the shift-search functions, not at module
 level, so commands that never run a shift search (every corpus-build
@@ -149,6 +150,19 @@ def _multiset_floor(hyp: Sequence[str], ref: Sequence[str]) -> int:
     overlap = sum(map(min, map(hyp_counts.__getitem__, common), map(ref_counts.__getitem__, common)))
     # missing = len(ref) - overlap and extra = len(hyp) - overlap
     return max(len(hyp), len(ref)) - overlap
+
+
+def _floor_counts(n: int, m: int, floor: int) -> Tuple[int, int, int]:
+    """Insertions, deletions and substitutions of an optimal alignment of
+    n hypothesis tokens to m reference tokens whose distance is the
+    multiset floor.
+
+    Such an alignment matches every token of the multiset overlap,
+    max(n, m) - floor of them, and pairs each other token of the shorter
+    side with one of the longer side, so every optimal alignment has
+    these counts, whatever the tie order.
+    """
+    return max(n - m, 0), max(m - n, 0), min(n, m) - (max(n, m) - floor)
 
 
 def _edit_counts(hyp: Sequence[str], ref: Sequence[str]) -> Tuple[int, int, int]:
@@ -395,7 +409,10 @@ def ter_sentence(
             current_ed = best_ed
             shifts.append(ShiftOp(start, end, destination))
 
-    insertions, deletions, substitutions = _edit_counts(current, ref_tokens)
+    if current_ed == floor:
+        insertions, deletions, substitutions = _floor_counts(len(current), len(ref_tokens), floor)
+    else:
+        insertions, deletions, substitutions = _edit_counts(current, ref_tokens)
     return TerScore(insertions, deletions, substitutions, len(shifts), len(ref_tokens)), tuple(shifts)
 
 

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apekit.bleu import MAX_ORDER, bleu_corpus, sentence_bleu, sentence_stats
+from apekit.bleu import (
+    MAX_ORDER,
+    BleuScore,
+    bleu_corpus,
+    score_from_stats,
+    score_matrix,
+    sentence_bleu,
+    sentence_stats,
+)
 from apekit.tokenizer import TokenizerConfig, tokenize
 
 
@@ -116,3 +124,70 @@ def test_sentence_stats_match_reference_loop(hyp, ref, tok):
 @pytest.mark.parametrize("hyp, ref", [("", ""), ("  ", "\t"), ("a b", " "), ("", "a b a b")])
 def test_sentence_stats_on_empty_and_whitespace_only_text(hyp, ref):
     assert sentence_stats(hyp, ref) == reference_sentence_stats(hyp, ref, TokenizerConfig(scheme="punct_split"))
+
+
+def old_score_from_stats(totals):
+    """The scalar scorer that score_matrix replaced, kept verbatim as the
+    reference."""
+    precisions = []
+    for n in range(MAX_ORDER):
+        matches, total = totals[2 * n], totals[2 * n + 1]
+        precisions.append(matches / total if total > 0 else 0.0)
+    hyp_len, ref_len = int(totals[-2]), int(totals[-1])
+
+    if hyp_len == 0:
+        brevity_penalty = 0.0 if ref_len > 0 else 1.0
+    elif hyp_len < ref_len:
+        brevity_penalty = math.exp(1.0 - ref_len / hyp_len)
+    else:
+        brevity_penalty = 1.0
+
+    if min(precisions) > 0.0 and hyp_len > 0:
+        log_mean = sum(math.log(p) for p in precisions) / MAX_ORDER
+        score = brevity_penalty * math.exp(log_mean) * 100.0
+    else:
+        score = 0.0
+    return BleuScore(
+        score=score,
+        precisions=tuple(precisions),
+        brevity_penalty=brevity_penalty,
+        hyp_len=hyp_len,
+        ref_len=ref_len,
+    )
+
+
+@st.composite
+def stats_rows(draw):
+    """Summed statistics rows, small or up to a few million n-grams."""
+    top = draw(st.sampled_from([3, 40, 5_000_000]))
+    row = []
+    for _ in range(MAX_ORDER):
+        total = draw(st.integers(0, top))
+        row += (draw(st.integers(0, total)), total)
+    return row + [draw(st.integers(0, top)), draw(st.integers(0, top))]
+
+
+# An order with no matches, an order with no n-grams, an empty hypothesis
+# with an empty and a non-empty reference, and a hypothesis shorter and
+# one longer than its reference.
+EDGE_ROWS = [
+    [5, 9, 0, 8, 2, 7, 1, 6, 9, 9],
+    [3, 3, 2, 2, 1, 1, 0, 0, 3, 3],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 7],
+    [7, 9, 5, 8, 3, 7, 2, 6, 9, 14],
+    [7, 9, 5, 8, 3, 7, 2, 6, 9, 4],
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(stats_rows(), max_size=20), st.integers(1, 4))
+def test_score_matrix_matches_the_scalar_scorer_bit_for_bit(rows, repeats):
+    rows = EDGE_ROWS + rows + rows[:1] * repeats  # and repeated identical rows
+    scores, precisions, penalties = score_matrix(rows)
+    old = [old_score_from_stats(row) for row in rows]
+    assert scores.tolist() == [o.score for o in old]
+    assert [tuple(p) for p in precisions.tolist()] == [o.precisions for o in old]
+    assert penalties.tolist() == [o.brevity_penalty for o in old]
+    for row, o in zip(rows, old):
+        assert score_from_stats(row) == o

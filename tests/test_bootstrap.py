@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from apekit import bleu as bleu_mod
 from apekit import bootstrap as bootstrap_mod
 from apekit.bootstrap import STATISTICS, BootstrapResult, _sample_scores, bootstrap_significance
-from apekit.ter import ter_sentence
+from apekit.ter import score_from_ter_stats, ter_sentence
 from apekit.tokenizer import BLEU_TOKENIZER, TER_NORMALIZED_TOKENIZER
 
 from oracles import total_edits
@@ -169,6 +169,31 @@ def test_sample_scores_match_the_old_scorers_bit_for_bit(statistic):
     indices = np.random.default_rng(11).integers(0, len(refs), size=(300, len(refs)))
     old = OLD_SCORERS[statistic](hyps_a, refs, indices, tok)
     assert _sample_scores(rows(hyps_a, refs, tok), indices, score).tolist() == old.tolist()
+
+
+def test_ter_draw_count_totals_match_the_gather_on_large_rows():
+    # Rows near 10**6 edits and reference tokens: the count product must
+    # give the gather's exact totals, and the array scorer the scores and
+    # tallies of one Python score per gathered sample.
+    rng = np.random.default_rng(4)
+    n = 300
+    ref_len = rng.integers(10**6 - 1000, 10**6, size=n)
+    rows_a = np.column_stack([rng.integers(0, 10**6 // 4, size=(n, 4)), ref_len])
+    rows_b = rows_a.copy()
+    rows_b[::3, :4] += rng.integers(-2, 3, size=rows_b[::3, :4].shape)
+    indices = rng.integers(0, n, size=(200, n))
+    score = STATISTICS["ter"][1]
+    old, new = [], []
+    for rows in (rows_a, rows_b):
+        gathered = rows[indices].sum(axis=1)
+        assert _sample_scores(rows, indices, lambda totals, n: totals).tolist() == gathered.tolist()
+        old.append(np.array([-score_from_ter_stats(total) for total in gathered.tolist()]))
+        new.append(_sample_scores(rows, indices, score))
+    assert new[0].tolist() == old[0].tolist() and new[1].tolist() == old[1].tolist()
+    tallies = [(int(np.sum(a > b)), int(np.sum(b > a))) for a, b in (old, new)]
+    assert tallies[0] == tallies[1]
+    wins_a, wins_b = tallies[1]
+    assert wins_a and wins_b and wins_a + wins_b < len(indices)  # wins, losses and ties all occur
 
 
 @pytest.mark.parametrize("block_cells", [1, 7, 64, 1300])

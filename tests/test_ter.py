@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apekit import ter as ter_mod
@@ -273,6 +273,45 @@ def test_edit_counts_match_the_reference_aligner():
         cases.append((rng.choices(vocab, k=rng.randint(0, 140)), rng.choices(vocab, k=rng.randint(65, 140))))
     for hyp, ref in cases:
         assert ter_mod._edit_counts(hyp, ref) == edit_counts(align(hyp, ref)), (hyp, ref)
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    vocab = "abcd"[: draw(st.integers(1, 4))]
+    hyp = draw(st.lists(st.sampled_from(vocab), max_size=9))
+    ref = draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=9))
+    return hyp, ref
+
+
+@settings(max_examples=500, deadline=None)
+@given(tie_heavy_pairs())
+def test_floor_counts_match_the_backtrace_at_the_floor(pair):
+    hyp, ref = pair
+    floor = ter_mod._multiset_floor(hyp, ref)
+    assume(edit_distance(hyp, ref) == floor)
+    assert ter_mod._floor_counts(len(hyp), len(ref), floor) == ter_mod._edit_counts(hyp, ref)
+
+
+@pytest.mark.parametrize(
+    "hyp, ref, columns",
+    [
+        ("a x c", "a b c", 1),  # a substitution, at the floor from the start
+        ("c a b", "a b c", 1),  # one shift reaches the floor
+        ("a b b b a b", "b b b b a a", 2),  # no shift helps; two substitutions above the floor
+    ],
+)
+def test_counts_at_the_floor_reuse_no_dp_columns(monkeypatch, hyp, ref, columns):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bit_columns(*args)
+
+    bit_columns = ter_mod._bit_columns
+    monkeypatch.setattr(ter_mod, "_bit_columns", counting)
+    ter_sentence(hyp, ref, WS)
+    assert len(calls) == columns
+    assert replayed(hyp, ref) == ref.split()
 
 
 @pytest.mark.parametrize("scan_cells", [ter_mod.SCAN_CELLS, 3000])
