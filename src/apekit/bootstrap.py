@@ -27,10 +27,11 @@ from .tokenizer import BLEU_TOKENIZER, TER_NORMALIZED_TOKENIZER, TokenizerConfig
 from .ter import score_from_ter_stats, ter_sentence
 
 DEFAULT_SAMPLES = 1000
-# Samples are drawn in blocks whose gathered rows hold at most this many
-# cells (512 KiB of int64 or float64; a sample gathers rows.size cells), so
-# memory does not grow with n_samples. Consecutive draws continue one
-# random stream: any blocking yields the indices a single draw of every
+# Samples are drawn in blocks whose index matrix holds at most this many
+# cells (512 KiB of int64; a sample draws n indices), so memory does not
+# grow with n_samples. The draw counts of integer rows have the same shape,
+# and sentence_bleu gathers one float per index. Consecutive draws continue
+# one random stream: any blocking yields the indices a single draw of every
 # sample would.
 BLOCK_CELLS = 1 << 16
 
@@ -123,7 +124,7 @@ def bootstrap_significance(
     rows_b = np.asarray(rows(hyps_b, refs, tok))
 
     wins_a = wins_b = 0
-    block = max(1, BLOCK_CELLS // rows_a.size)
+    block = max(1, BLOCK_CELLS // n)
     for start in range(0, n_samples, block):
         indices = rng.integers(0, n, size=(min(block, n_samples - start), n))
         scores_a = _sample_scores(rows_a, indices, score)

@@ -174,7 +174,12 @@ def normalize_punctuation(text: str) -> str:
     Idempotent, and never longer than the input: substitutions are
     one-to-one and duplicate spaces collapse to a single space.
     """
-    return _MULTISPACE_RE.sub(" ", text.translate(_PUNCT_TABLE))
+    # Every table key is non-ASCII, and only a double space can collapse.
+    if not text.isascii():
+        text = text.translate(_PUNCT_TABLE)
+    if "  " in text:
+        text = _MULTISPACE_RE.sub(" ", text)
+    return text
 
 
 def normalize_corpus(corpus: Corpus) -> Corpus:

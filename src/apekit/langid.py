@@ -4,6 +4,15 @@ The filter stage only needs ``classify(text) -> language code``. Two
 implementations ship here: a hermetic character n-gram classifier seeded
 with small English/German profiles, and an adapter that replays decisions
 from an external tool's "text TAB lang" output.
+
+The n-gram classifier's label is the argmax of its exact ``scores()``,
+ties going to the first language in sorted order. ``classify`` reaches it
+from one pass per other language over the text's n-grams, summing
+precomputed per-gram score differences against the first language. When
+the winner's lead is above a bound on the rounding error of both sums
+(``8 (N+2)^2 u L`` for N n-gram occurrences, u = 2**-53 and L the
+largest log-probability magnitude), the label is the exact rule's;
+otherwise ``classify`` computes the exact scores and applies the rule.
 """
 
 from __future__ import annotations
@@ -58,6 +67,8 @@ Die Antwort auf deine Frage hängt davon ab, wie viel Zeit uns noch bleibt.
 """
 
 _NGRAM_ORDER = 3
+# u, the unit roundoff of IEEE double precision.
+_EPS = 2.0**-53
 
 
 def ngrams_by_order(units: Sequence, max_n: int) -> list:
@@ -77,6 +88,12 @@ def ngrams_by_order(units: Sequence, max_n: int) -> list:
     return by_order
 
 
+def _padded(text: str) -> str:
+    """The lowercased text with its whitespace runs collapsed, padded with
+    spaces so word boundaries contribute n-grams too."""
+    return f" {' '.join(text.lower().split())} "
+
+
 def _char_ngrams(text: str) -> Counter:
     """Counts of the character 1- to ``_NGRAM_ORDER``-grams of the padded text.
 
@@ -84,9 +101,7 @@ def _char_ngrams(text: str) -> Counter:
     insertion order (which fixes the order scores are summed in) is that
     of a plain loop over orders and positions.
     """
-    # Pad with spaces so word boundaries contribute n-grams too.
-    padded = f" {' '.join(text.lower().split())} "
-    return Counter(chain.from_iterable(ngrams_by_order(padded, _NGRAM_ORDER)))
+    return Counter(chain.from_iterable(ngrams_by_order(_padded(text), _NGRAM_ORDER)))
 
 
 class NgramLanguageClassifier:
@@ -96,6 +111,15 @@ class NgramLanguageClassifier:
     under each language profile (add-one smoothed) and returns the argmax.
     ``languages`` holds the profile codes in sorted order, which is also
     the order that breaks ties.
+
+    ``classify`` returns that argmax without computing the scores in
+    full. At construction each language after the first gets a table of
+    its log-probability minus the first language's, per gram of either
+    profile, and the difference of the two fallbacks for grams of
+    neither; ``classify`` sums each table over the text's n-gram
+    occurrences. When the best of these leads is too close to call, by a
+    bound on the rounding error (see ``classify``), it computes
+    ``scores()`` and applies the exact rule, which also settles ties.
     """
 
     def __init__(self, profiles: Mapping[str, Counter]):
@@ -111,6 +135,18 @@ class NgramLanguageClassifier:
                 gram: math.log((n + 1) / (total + vocab)) for gram, n in counts.items()
             }
             self._fallback[lang] = math.log(1 / (total + vocab))
+        # (table, fallback difference) per language after the first: a
+        # gram missing from a table is in neither profile.
+        first = self.languages[0]
+        first_log_probs, first_fallback = self._log_probs[first], self._fallback[first]
+        self._differences = []
+        for lang in self.languages[1:]:
+            log_probs, fallback = self._log_probs[lang], self._fallback[lang]
+            table = {gram: fallback - lp for gram, lp in first_log_probs.items()}
+            table.update((gram, lp - first_log_probs.get(gram, first_fallback)) for gram, lp in log_probs.items())
+            self._differences.append((table, fallback - first_fallback))
+        # B per (N+2)^2: the lead that decides without the exact scores.
+        self._bound_scale = 8 * _EPS * max(map(abs, self._fallback.values()))
 
     @classmethod
     def default(cls) -> "NgramLanguageClassifier":
@@ -133,8 +169,46 @@ class NgramLanguageClassifier:
         return scores
 
     def classify(self, text: str) -> str:
+        """The language of the highest score, the first in sorted order on a tie.
+
+        Let u = 2**-53, N = 3 len(padded) - 3 the number of n-gram
+        occurrences and L the largest fallback magnitude. Counts are
+        non-negative, so every log-probability lies in [-L, 0] and the real
+        score R of a language, summed with the stored log-probabilities,
+        is a sum of count times log-probability over at most N grams whose
+        magnitudes add up to at most N L. Within N u <= 1/2:
+
+        - an exact score from ``scores()`` is within 2 N^2 u L of R (a
+          dot product of at most N terms), with plain or compensated
+          summation alike;
+        - a table entry is one rounded subtraction of two such
+          log-probabilities, so it is within u L of the real difference
+          and at most L in magnitude, and the sum of N entries is within
+          2 (N+1)^2 u L of R minus the first language's R.
+
+        ``classify`` returns the language b of the largest sum when the
+        rounded difference between it and every other language's sum
+        exceeds B = 8 (N+2)^2 u L. Rounding is monotone, so the unrounded
+        difference exceeds B too; b's real score then leads every other by
+        more than B - 4 (N+1)^2 u L, and its exact score by more than
+        B - 4 (N+1)^2 u L - 4 N^2 u L, which is positive with room for B's
+        own rounding. So ``scores()`` ranks b first, with no tie.
+        Otherwise ``classify`` computes ``scores()`` and applies the exact
+        rule.
+        """
+        if not text.strip():
+            raise ValueError("cannot classify empty text")
+        if not self._differences:
+            return self.languages[0]
+        padded = _padded(text)
+        by_order = ngrams_by_order(padded, _NGRAM_ORDER)
+        leads = [0.0]  # each language's score minus the first language's
+        for table, fallback in self._differences:
+            leads.append(sum(map(table.get, chain.from_iterable(by_order), repeat(fallback))))
+        *_, (second, _), (best, lang) = sorted(zip(leads, self.languages))
+        if best - second > self._bound_scale * (3 * len(padded) - 1) ** 2:
+            return lang
         scores = self.scores(text)
-        # the first language in sorted order wins a tie
         return max(self.languages, key=scores.__getitem__)
 
 

@@ -199,25 +199,23 @@ def test_ter_draw_count_totals_match_the_gather_on_large_rows():
 @pytest.mark.parametrize("block_cells", [1, 7, 64, 1300])
 @pytest.mark.parametrize("n", [3, 32])
 def test_blocked_draws_match_one_draw_of_every_sample(monkeypatch, block_cells, n):
-    # A sample gathers 3 or 32 rows of 10 (BLEU), 5 (TER) or 1
-    # (sentence_bleu) cells, so these give blocks of 1 to 43 samples or
-    # one block of all 45; 64 cells on 3 sentences and 1,300 on 32 give
-    # several samples per block and a short last one. The blocks continue
+    # A block's index matrix holds n cells per sample, for n = 3 or 32
+    # sentences, so these give blocks of 1, 2, 21 or 40 samples, most
+    # with a short last block, or one block of all 45. The blocks continue
     # the random stream that one draw of all 45 samples reads.
     hyps_a, hyps_b, refs = make_test_set(n=n, seed=5)
     monkeypatch.setattr(bootstrap_mod, "BLOCK_CELLS", block_cells)
-    gathered = []
+    block_samples = []
 
     def recording(rows, indices, score):
-        rows = np.asarray(rows)
-        gathered.append((len(indices) * rows.size, rows.size))
+        block_samples.append(len(indices))
         return _sample_scores(rows, indices, score)
 
     monkeypatch.setattr(bootstrap_mod, "_sample_scores", recording)
     for statistic in sorted(STATISTICS):
         new = bootstrap_significance(hyps_a, hyps_b, refs, n_samples=45, seed=9, statistic=statistic)
         assert new == _old_bootstrap(hyps_a, hyps_b, refs, 45, 9, statistic)
-    assert all(cells <= max(block_cells, size) for cells, size in gathered)
+    assert all(samples * n <= max(block_cells, n) for samples in block_samples)
 
 
 def _peak_bytes(n_samples, hyps_a, hyps_b, refs):

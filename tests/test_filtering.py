@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from apekit.corpus import Corpus, Triplet
 from apekit.filtering import (
+    _PUNCT_TABLE,
     FilterConfig,
     compute_global_ratio,
     dedup,
@@ -99,6 +101,12 @@ class TestNormalizePunctuation:
 
     def test_double_space_collapsed(self):
         assert normalize_punctuation("a  b   c") == "a b c"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from([*map(chr, sorted(_PUNCT_TABLE)), *"ab   \t\u2014"]), max_size=40))
+    def test_fast_paths_match_translate_then_collapse(self, text):
+        # Reference: the table applied to every text, then every run of spaces collapsed.
+        assert normalize_punctuation(text) == re.sub(" {2,}", " ", text.translate(_PUNCT_TABLE))
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=60))

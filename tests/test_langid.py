@@ -1,11 +1,13 @@
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apekit import langid
 from apekit.langid import NgramLanguageClassifier, TabFileClassifier, _char_ngrams, ngrams_by_order
 from oracles import sliced_ngrams
 
@@ -60,9 +62,111 @@ def test_languages_are_the_sorted_profile_names(classifier):
     assert list(classifier.scores("guten Morgen")) == ["de", "en"]
 
 
-def test_blank_text_is_rejected(classifier):
-    with pytest.raises(ValueError, match="empty text"):
-        classifier.classify(" \t ")
+@pytest.mark.parametrize("text", ["", " \t\u00a0 ", "\u3000\n"])
+def test_blank_text_is_rejected(classifier, text):
+    with pytest.raises(ValueError, match="cannot classify empty text"):
+        classifier.classify(text)
+
+
+def exact_label(classifier, text):
+    """The argmax of the exact scores, the first language in sorted order on a tie."""
+    scores = classifier.scores(text)
+    best = max(scores.values())
+    return next(lang for lang in classifier.languages if scores[lang] == best)
+
+
+def spy_on_scores(monkeypatch, classifier):
+    """Record every text whose exact scores `classifier` computes."""
+    scored = []
+    scores = classifier.scores
+
+    def spy(text):
+        scored.append(text)
+        return scores(text)
+
+    monkeypatch.setattr(classifier, "scores", spy)
+    return scored
+
+
+# EN/DE letters, characters no profile has seen, both cases, and Unicode spaces.
+MIXED_TEXT = st.text(
+    alphabet=st.sampled_from([*"etaoinshrdlu", *"ETAOIN", *"äöüßÄÖÜẞ", *"жQ€日x9", *" \t\u00a0\u2003\u3000"]),
+    min_size=1,
+    max_size=40,
+).filter(str.strip)
+
+
+@settings(max_examples=400, deadline=None)
+@given(MIXED_TEXT)
+def test_classify_is_the_exact_rule(classifier, text):
+    assert classifier.classify(text) == exact_label(classifier, text)
+
+
+def test_golden_texts_never_reach_the_exact_scores(monkeypatch, classifier):
+    # The smallest golden lead is about 1.4e9 times its rounding bound.
+    records = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+    scored = spy_on_scores(monkeypatch, classifier)
+    assert [classifier.classify(rec["text"]) for rec in records] == [rec["label"] for rec in records]
+    assert scored == []
+
+
+@pytest.mark.parametrize("text", ["guten Morgen", "good morning", "жжж", "x"])
+def test_identical_profiles_tie_and_fall_back_to_the_first_language(monkeypatch, text):
+    profile = _char_ngrams("the same words under both codes")
+    twins = NgramLanguageClassifier({"en": profile, "de": Counter(profile)})
+    scored = spy_on_scores(monkeypatch, twins)
+    assert twins.classify(text) == "de"
+    assert scored == [text]
+
+
+def test_one_language_labels_every_text_with_it():
+    single = NgramLanguageClassifier({"en": _char_ngrams("some words")})
+    assert single.classify("guten Morgen") == "en"
+    with pytest.raises(ValueError, match="cannot classify empty text"):
+        single.classify(" ")
+
+
+@pytest.mark.parametrize("text", ["ab ba", "abab abab abab"])
+def test_a_lead_within_the_rounding_bound_falls_back(monkeypatch, text):
+    # Profiles one count apart in 2e12: "en" leads by about 1e-11, below
+    # the bound of 1e-11 to 6e-11 that these texts' lengths give.
+    close = NgramLanguageClassifier({"en": Counter(a=10**12, b=10**12), "de": Counter(a=10**12 + 1, b=10**12)})
+    scored = spy_on_scores(monkeypatch, close)
+    assert close.classify(text) == "en"
+    assert scored == [text]
+    assert exact_label(close, text) == "en"
+
+
+_FRENCH_SEED = """
+Le temps était froid ce matin et les rues étaient encore calmes.
+Elle a demandé si le train arriverait à l'heure, mais personne ne savait.
+Nous aurions dû acheter plus de pain hier parce que le magasin est fermé.
+Les enfants jouaient dans le jardin pendant que leur mère lisait un livre.
+"""
+
+
+@pytest.fixture(scope="module")
+def three_languages():
+    return NgramLanguageClassifier({
+        "fr": _char_ngrams(_FRENCH_SEED),
+        "en": _char_ngrams(langid._ENGLISH_SEED),
+        "de": _char_ngrams(langid._GERMAN_SEED),
+    })
+
+
+def test_three_languages_label_each_language(monkeypatch, three_languages):
+    scored = spy_on_scores(monkeypatch, three_languages)
+    assert three_languages.languages == ("de", "en", "fr")
+    for text, lang in [("Das Wetter war heute kalt", "de"), ("The weather was cold today", "en"),
+                       ("Le temps était froid aujourd'hui", "fr")]:
+        assert three_languages.classify(text) == lang
+    assert scored == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(MIXED_TEXT | st.sampled_from(["le jardin", "der Garten", "the garden"]))
+def test_three_languages_classify_is_the_exact_rule(three_languages, text):
+    assert three_languages.classify(text) == exact_label(three_languages, text)
 
 
 def test_tab_file_classifier_names_file_and_line(tmp_path):
