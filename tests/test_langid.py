@@ -62,10 +62,10 @@ def test_languages_are_the_sorted_profile_names(classifier):
     assert list(classifier.scores("guten Morgen")) == ["de", "en"]
 
 
-@pytest.mark.parametrize("text", ["", " \t\u00a0 ", "\u3000\n"])
-def test_blank_text_is_rejected(classifier, text):
-    with pytest.raises(ValueError, match="cannot classify empty text"):
-        classifier.classify(text)
+def test_blank_text_is_rejected(classifier):
+    for text in ["", " \t\u00a0 ", "\u3000\n"]:
+        with pytest.raises(ValueError, match="cannot classify empty text"):
+            classifier.classify(text)
 
 
 def exact_label(classifier, text):
