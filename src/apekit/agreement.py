@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .corpus import read_csv
@@ -72,8 +74,9 @@ def weighted_kappa(a: Sequence[int], b: Sequence[int]) -> KappaResult:
     for x, y in zip(a, b):
         observed_dis += (x - y) ** 2 / span_sq
     observed_dis /= n
-    expected_dis = sum(
-        ca * cb * (i - j) ** 2 / span_sq for i, ca in marg_a.items() for j, cb in marg_b.items()
+    # Float sums that reach a report are left folds: sum() compensates from Python 3.12 on.
+    expected_dis = reduce(
+        add, (ca * cb * (i - j) ** 2 / span_sq for i, ca in marg_a.items() for j, cb in marg_b.items()), 0.0
     ) / (n * n)
     if expected_dis == 0.0:
         raise UndefinedKappaError("no expected disagreement; weighted kappa is undefined")
@@ -129,7 +132,7 @@ def pairwise_average_kappa(ratings: Mapping[str, Sequence], weighting: str = "no
             pairs.append((name_a, name_b, result.kappa))
     if not pairs:
         raise UndefinedKappaError("kappa undefined for every annotator pair")
-    mean = sum(k for _, _, k in pairs) / len(pairs)
+    mean = reduce(add, (k for _, _, k in pairs), 0.0) / len(pairs)  # a left fold, as in weighted_kappa
     return PairwiseKappa(mean, tuple(pairs), skipped, weighting)
 
 

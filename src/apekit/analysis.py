@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .corpus import Corpus, Triplet
@@ -110,10 +112,11 @@ def curve_report(
     points = []
     for size in sorted(by_size):
         values = by_size[size]
+        # The mean is a left fold: sum() compensates float rounding from Python 3.12 on.
         points.append(
             CurvePoint(
                 size=size,
-                mean=sum(values) / len(values),
+                mean=reduce(add, values, 0.0) / len(values),
                 min=min(values),
                 max=max(values),
                 metric=metric,

@@ -15,6 +15,11 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 from .tokenizer import BLEU_TOKENIZER, TokenizerConfig, overlap_stats, tokenize
 
 MAX_ORDER = 4
+# Lin & Och's add-one smoothing of sentence BLEU (method 2 of Chen & Cherry
+# 2014), added to a statistics row: one more match and one more n-gram on
+# every order n >= 2. Unsmoothed sentence BLEU is degenerate (any missing
+# 4-gram zeroes it), so resampling statistics use the smoothed form.
+ADD_ONE = (0, 0) + (1, 1) * (MAX_ORDER - 1) + (0, 0)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,10 +51,11 @@ def sentence_stats(hyp: str, ref: str, tok: TokenizerConfig = BLEU_TOKENIZER) ->
     return stats
 
 
-def score_matrix(totals) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def score_matrix(totals, smoothing=0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """BLEU of every row of a (rows, 10) matrix of summed sentence
-    statistics: the scores, the (rows, 4) precisions and the brevity
-    penalties. This is the one place the formula is defined.
+    statistics plus `smoothing`: the scores, the (rows, 4) precisions and
+    the brevity penalties. This is the one place the formula is defined:
+    corpus BLEU scores summed rows, sentence BLEU rows plus ADD_ONE.
 
     A row whose lowest precision is 0, or whose hypothesis is empty,
     scores 0.0. Each row takes the float operations of a scalar
@@ -60,7 +66,7 @@ def score_matrix(totals) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    totals = np.asarray(totals, dtype=np.int64)
+    totals = np.asarray(totals, dtype=np.int64) + smoothing
     matches, counts = totals[:, 0 : 2 * MAX_ORDER : 2], totals[:, 1 : 2 * MAX_ORDER : 2]
     hyp_len, ref_len = totals[:, -2], totals[:, -1]
     precisions = np.divide(matches, counts, out=np.zeros(matches.shape), where=counts > 0)
@@ -111,22 +117,5 @@ def bleu_corpus(hyps: Sequence[str], refs: Sequence[str], tok: TokenizerConfig =
 
 
 def sentence_bleu(hyp: str, ref: str, tok: TokenizerConfig = BLEU_TOKENIZER) -> float:
-    """Sentence BLEU with add-one smoothing on the n >= 2 precisions.
-
-    Unsmoothed sentence BLEU is degenerate (any missing 4-gram zeroes it),
-    so this variant is the one resampling statistics should use.
-    """
-    stats = sentence_stats(hyp, ref, tok)
-    hyp_len, ref_len = stats[-2], stats[-1]
-    if hyp_len == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(MAX_ORDER):
-        matches, total = stats[2 * n], stats[2 * n + 1]
-        if n > 0:
-            matches, total = matches + 1, total + 1
-        if matches == 0 or total == 0:
-            return 0.0
-        log_sum += math.log(matches / total)
-    brevity_penalty = math.exp(1.0 - ref_len / hyp_len) if hyp_len < ref_len else 1.0
-    return brevity_penalty * math.exp(log_sum / MAX_ORDER) * 100.0
+    """Sentence BLEU of one pair, its statistics smoothed with ADD_ONE."""
+    return score_matrix([sentence_stats(hyp, ref, tok)], ADD_ONE)[0].item()

@@ -8,13 +8,14 @@ with ties counting as wins for neither system.
 Samples are drawn, summed and scored a block at a time, with no Python
 call per sample. Integer rows (BLEU, TER) are summed as the block's draw
 counts, a samples x sentences matrix, times the rows: integer sums are
-exact in any order. The float scores of sentence_bleu are gathered and
-summed along each sample's contiguous row, which numpy sums pairwise the
-same way as a single sample's vector. Each statistic's scorer then maps
-the block's totals to its scores in array operations. The results are
-those of summing and scoring each sample alone. numpy is imported inside
-the functions that resample, so importing this module (as the CLI does
-for every command) does not load it.
+exact in any order. The float sentence_bleu rows, scored in one
+bleu.score_matrix call, are gathered and summed along each sample's row,
+which numpy sums pairwise the same way as a single sample's vector. Each
+statistic's scorer then maps the block's totals to its scores in array
+operations. The results are those of summing and scoring each sample
+alone. numpy is imported inside the functions that resample, so
+importing this module (as the CLI does for every command) does not load
+it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ STATISTICS = {
         lambda totals, n: -score_from_ter_stats(totals.T),
     ),
     "sentence_bleu": (
-        lambda hyps, refs, tok: [bleu_mod.sentence_bleu(h, r, tok) for h, r in zip(hyps, refs)],
+        lambda hyps, refs, tok: bleu_mod.score_matrix(
+            bleu_mod.corpus_stats_matrix(hyps, refs, tok), bleu_mod.ADD_ONE
+        )[0],
         lambda totals, n: totals / n,
     ),
 }

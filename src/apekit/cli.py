@@ -468,6 +468,7 @@ def build_parser() -> _Parser:
         return parent
 
     seeded = flag("--seed", type=seed, default=None, help="seed for all randomness")
+    inert_seed = flag("--seed", type=seed, default=None, help="accepted for scripts; has no effect")
     threads = flag("--threads", type=int, default=1, help="accepted for scripts; has no effect")
     fmt = flag("--format", choices=["jsonl", "tsv"], default="jsonl", help="corpus format")
     config = flag("--config", default=None, help="JSON filter config file")
@@ -479,12 +480,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True, help="directory for splits and report")
     p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("preprocess", parents=[seeded, threads, fmt], help="split and strip subtitle markup")
+    p = sub.add_parser("preprocess", parents=[inert_seed, threads, fmt], help="split and strip subtitle markup")
     p.add_argument("--in", dest="input", required=True, help="input corpus")
     p.add_argument("--out-dir", required=True, help="directory for cleaned corpus and changelog")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("postprocess", parents=[seeded, threads], help="restore tracked changes")
+    p = sub.add_parser("postprocess", parents=[inert_seed, threads], help="restore tracked changes")
     p.add_argument("--outputs", required=True, help="decoded text, one cleaned part per line")
     p.add_argument("--changelog", required=True, help="changelog from the matching preprocess run")
     p.add_argument("--out", required=True, help="restored text output path")
@@ -538,7 +539,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("buckets", parents=[seeded, threads], help="TER-bucket delta analysis")
+    p = sub.add_parser("buckets", parents=[inert_seed, threads], help="TER-bucket delta analysis")
     p.add_argument("--baseline", required=True, help="do-nothing system output, one line per item")
     p.add_argument("--ape", required=True, help="post-edited system output, one line per item")
     p.add_argument("--ref", required=True)

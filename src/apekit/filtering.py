@@ -183,15 +183,12 @@ def normalize_punctuation(text: str) -> str:
 
 
 def normalize_corpus(corpus: Corpus) -> Corpus:
-    """Apply punctuation normalization to all three fields of every triplet."""
+    """Apply punctuation normalization to all three fields of every triplet,
+    keeping a triplet it leaves unchanged as it is."""
+    fields = ((t, *map(normalize_punctuation, (t.src, t.mt, t.pe))) for t in corpus)
     return Corpus(
-        replace(
-            t,
-            src=normalize_punctuation(t.src),
-            mt=normalize_punctuation(t.mt),
-            pe=normalize_punctuation(t.pe),
-        )
-        for t in corpus
+        t if (src, mt, pe) == (t.src, t.mt, t.pe) else replace(t, src=src, mt=mt, pe=pe)
+        for t, src, mt, pe in fields
     )
 
 

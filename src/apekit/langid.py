@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
 from itertools import chain, repeat
 from operator import add, mul
 from typing import Dict, Iterable, Mapping, Protocol, Sequence
@@ -157,7 +158,8 @@ class NgramLanguageClassifier:
         """Summed log-probability of the text's n-grams per language.
 
         Each score adds count times log-probability over the n-grams in
-        the counter's insertion order.
+        the counter's insertion order, left to right: the built-in sum of
+        floats compensates from Python 3.12 on and would change the result.
         """
         if not text.strip():
             raise ValueError("cannot classify empty text")
@@ -165,7 +167,7 @@ class NgramLanguageClassifier:
         scores = {}
         for lang in self.languages:
             log_probs = map(self._log_probs[lang].get, grams, repeat(self._fallback[lang]))
-            scores[lang] = sum(map(mul, grams.values(), log_probs))
+            scores[lang] = reduce(add, map(mul, grams.values(), log_probs), 0.0)
         return scores
 
     def classify(self, text: str) -> str:

@@ -11,9 +11,10 @@ change of langid results is intended:
 
     PYTHONPATH=src python tests/data/make_langid_golden.py
 
-Float sums are bit-exact only for one summation rule: the file was
-written with Python 3.11, whose builtin ``sum`` adds floats in plain
-double precision (3.12 switched to compensated summation).
+Scores are summed left to right in plain double precision, as
+``reference_scores`` does with an explicit loop: the builtin ``sum`` of
+floats compensates rounding from Python 3.12 on, which would move the
+last bits.
 
 Texts come in seven kinds: English and German subtitle-like lines,
 mixed-language lines, punctuation-only and digit-only lines, non-Latin
@@ -81,13 +82,13 @@ def texts():
 def reference_scores(classifier, text) -> dict:
     """Summed log-probability per language, in the original loop's order."""
     grams = _char_ngrams(text)
-    return {
-        lang: sum(
-            n * classifier._log_probs[lang].get(gram, classifier._fallback[lang])
-            for gram, n in grams.items()
-        )
-        for lang in sorted(classifier._log_probs)
-    }
+    scores = {}
+    for lang in sorted(classifier._log_probs):
+        score = 0.0
+        for gram, n in grams.items():
+            score += n * classifier._log_probs[lang].get(gram, classifier._fallback[lang])
+        scores[lang] = score
+    return scores
 
 
 def record(classifier, kind, text) -> dict:

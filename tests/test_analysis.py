@@ -88,6 +88,12 @@ class TestCurveReport:
         points = curve_report([(500, 0, 1.0), (10, 0, 2.0), (100, 0, 3.0)])
         assert [p.size for p in points] == [10, 100, 500]
 
+    def test_mean_is_a_left_to_right_fold(self):
+        # 1e16 + 1.0 rounds to 1e16. A compensated sum, which the built-in
+        # sum of floats is from Python 3.12 on, keeps the 1.0 and gives 1/3.
+        (point,) = curve_report([(10, 0, 1e16), (10, 1, 1.0), (10, 2, -1e16)])
+        assert point.mean == 0.0
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             curve_report([])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apekit.bleu import (
+    ADD_ONE,
     MAX_ORDER,
     BleuScore,
     bleu_corpus,
@@ -15,7 +16,7 @@ from apekit.bleu import (
     sentence_bleu,
     sentence_stats,
 )
-from apekit.tokenizer import TokenizerConfig, tokenize
+from apekit.tokenizer import BLEU_TOKENIZER, TokenizerConfig, tokenize
 
 
 def test_identity_is_exactly_100():
@@ -95,6 +96,25 @@ def test_case_sensitive_by_default():
 def test_sentence_bleu_smoothing_keeps_short_sentences_nonzero():
     assert sentence_bleu("the cat", "the cat") > 0.0
     assert sentence_bleu("xyz", "abc") == 0.0
+
+
+def old_sentence_bleu(hyp: str, ref: str, tok: TokenizerConfig = BLEU_TOKENIZER) -> float:
+    """The scalar sentence BLEU that score_matrix with ADD_ONE replaced,
+    kept verbatim as the reference."""
+    stats = sentence_stats(hyp, ref, tok)
+    hyp_len, ref_len = stats[-2], stats[-1]
+    if hyp_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(MAX_ORDER):
+        matches, total = stats[2 * n], stats[2 * n + 1]
+        if n > 0:
+            matches, total = matches + 1, total + 1
+        if matches == 0 or total == 0:
+            return 0.0
+        log_sum += math.log(matches / total)
+    brevity_penalty = math.exp(1.0 - ref_len / hyp_len) if hyp_len < ref_len else 1.0
+    return brevity_penalty * math.exp(log_sum / MAX_ORDER) * 100.0
 
 
 def reference_sentence_stats(hyp, ref, tok):
@@ -191,3 +211,22 @@ def test_score_matrix_matches_the_scalar_scorer_bit_for_bit(rows, repeats):
     assert penalties.tolist() == [o.brevity_penalty for o in old]
     for row, o in zip(rows, old):
         assert score_from_stats(row) == o
+
+
+# Pairs with an empty or whitespace-only side, and short pairs whose
+# orders n >= 2 have no n-grams or no matches.
+EDGE_PAIRS = [
+    ("", ""), ("  ", "\t"), ("a b", " "), ("", "a b a b"), ("a", "a"), ("a", "b"),
+    ("a b", "a b c d e"), ("the cat", "the cat"), ("xyz", "abc"), ("a b c d e", "a b c d f"),
+]
+WORDS = st.text(alphabet="ab cB,.", max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(WORDS, WORDS), max_size=20), TOKENIZERS)
+def test_sentence_bleu_matches_the_scalar_loop_bit_for_bit(pairs, tok):
+    pairs = EDGE_PAIRS + pairs
+    old = [old_sentence_bleu(h, r, tok) for h, r in pairs]
+    assert [sentence_bleu(h, r, tok) for h, r in pairs] == old
+    rows = [sentence_stats(h, r, tok) for h, r in pairs]
+    assert score_matrix(rows, ADD_ONE)[0].tolist() == old

@@ -13,6 +13,7 @@ from apekit.ter import score_from_ter_stats, ter_sentence
 from apekit.tokenizer import BLEU_TOKENIZER, TER_NORMALIZED_TOKENIZER
 
 from oracles import total_edits
+from test_bleu import old_sentence_bleu
 
 
 def make_test_set(n=40, seed=2):
@@ -113,7 +114,7 @@ def _old_ter_sample_scores(hyps, refs, indices, tok):
 
 
 def _old_sentence_bleu_sample_scores(hyps, refs, indices, tok):
-    per_sentence = np.array([bleu_mod.sentence_bleu(h, r, tok) for h, r in zip(hyps, refs)])
+    per_sentence = np.array([old_sentence_bleu(h, r, tok) for h, r in zip(hyps, refs)])
     return np.array([per_sentence[row].mean() for row in indices])
 
 

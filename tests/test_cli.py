@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import random
@@ -944,6 +945,17 @@ def test_seed_outside_the_seed_rule_is_a_usage_error(tmp_path, monkeypatch, caps
 def test_largest_seed_parses(command):
     args = build_parser().parse_args([command, *REQUIRED_ARGS[command], "--seed", str(2**64 - 1)])
     assert args.seed == 2**64 - 1
+
+
+def _seed_help(command):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.help for a in subparsers.choices[command]._actions if "--seed" in a.option_strings)
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_seed_help_says_whether_the_command_reads_it(command):
+    unread = command in {"preprocess", "postprocess", "buckets"}
+    assert _seed_help(command) == ("accepted for scripts; has no effect" if unread else "seed for all randomness")
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)

@@ -12,6 +12,7 @@ from apekit.filtering import (
     compute_global_ratio,
     dedup,
     language_filter,
+    normalize_corpus,
     normalize_punctuation,
     ratio_filter,
     run_filter_pipeline,
@@ -114,6 +115,19 @@ class TestNormalizePunctuation:
         once = normalize_punctuation(text)
         assert normalize_punctuation(once) == once
         assert len(once) <= len(text)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from(["a b", "a  b", "“a”", "\u00a0", "ä"])] * 3), max_size=8))
+    def test_normalize_corpus_keeps_unchanged_triplets(self, fields):
+        corpus = Corpus(
+            Triplet(id=str(i), src=src, mt=mt, pe=pe, meta={"k": "v"}) for i, (src, mt, pe) in enumerate(fields)
+        )
+        for before, after in zip(corpus, normalize_corpus(corpus)):
+            expected = [normalize_punctuation(before.text(f)) for f in ("src", "mt", "pe")]
+            assert [after.text(f) for f in ("src", "mt", "pe")] == expected
+            assert (after.id, after.meta) == (before.id, before.meta)
+            assert (after is before) == (expected == [before.src, before.mt, before.pe])
 
 
 class TestDedup:

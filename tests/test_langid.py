@@ -1,5 +1,4 @@
 import json
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -12,9 +11,6 @@ from apekit.langid import NgramLanguageClassifier, TabFileClassifier, _char_ngra
 from oracles import sliced_ngrams
 
 GOLDEN = Path(__file__).parent / "data" / "langid_golden.jsonl"
-# The golden scores were summed with plain double additions; from 3.12 the
-# builtin sum compensates float rounding, which can move the last bits.
-PLAIN_FLOAT_SUM = sys.version_info < (3, 12)
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +26,7 @@ def test_golden_ngrams_scores_and_labels(classifier):
     for rec in records:
         text = rec["text"]
         assert [[gram, n] for gram, n in _char_ngrams(text).items()] == rec["ngrams"], text
-        if PLAIN_FLOAT_SUM:
-            assert {lang: s.hex() for lang, s in classifier.scores(text).items()} == rec["scores"], text
+        assert {lang: s.hex() for lang, s in classifier.scores(text).items()} == rec["scores"], text
         assert classifier.classify(text) == rec["label"], text
 
 
