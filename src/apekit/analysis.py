@@ -15,7 +15,7 @@ from functools import reduce
 from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .corpus import Corpus, Triplet
+from .corpus import Corpus, DuplicateIdError, Triplet
 from .ter import ter_corpus, ter_sentence
 from .tokenizer import TER_NORMALIZED_TOKENIZER
 
@@ -84,8 +84,7 @@ def draw_samples(corpus: Corpus, spec: SampleSpec) -> List[Tuple[int, int, Corpu
         for replicate in range(spec.replicates):
             rng = random.Random(_derived_seed(spec.base_seed, size, replicate))
             positions = rng.sample(range(len(corpus)), size)
-            sample = Corpus(corpus[i] for i in positions)
-            out.append((size, replicate, sample))
+            out.append((size, replicate, tuple(corpus[i] for i in positions)))
     return out
 
 
@@ -151,8 +150,10 @@ def run_size_ablation(
 def upsample_mix(a: Corpus, factor: int, b: Corpus, seed: int = 0) -> Corpus:
     """Replicate corpus ``a`` ``factor`` times, append ``b``, and shuffle.
 
-    Replicas get a ``~r<k>`` id suffix to keep ids unique; the original id
-    is preserved in meta as ``source_id``. The shuffle is seeded.
+    Replicas get a ``~r<k>`` id suffix; the original id is preserved in
+    meta as ``source_id``. The shuffle is seeded. These are the only ids
+    not read from a file, so an id the mix repeats (say a ``b`` id equal
+    to a replica's) raises DuplicateIdError here.
     """
     if factor < 1:
         raise ValueError("upsampling factor must be at least 1")
@@ -168,7 +169,12 @@ def upsample_mix(a: Corpus, factor: int, b: Corpus, seed: int = 0) -> Corpus:
             )
     mixed.extend(b)
     random.Random(seed).shuffle(mixed)
-    return Corpus(mixed)
+    seen = set()
+    for t in mixed:
+        if t.id in seen:
+            raise DuplicateIdError(t.id)
+        seen.add(t.id)
+    return tuple(mixed)
 
 
 @dataclass(frozen=True)

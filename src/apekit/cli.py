@@ -209,7 +209,9 @@ def _preprocessed(triplets, cleaned):
 
 
 def cmd_preprocess(args) -> int:
-    input_sha256 = _sha256_file(require_file(args.input))
+    require_file(args.input)
+    manifest = _manifest("preprocess", [args.input])  # hashes the input once, for the changelog too
+    input_sha256 = manifest["input_digests"][args.input]
     out_dir = Path(args.out_dir)
     outputs = (out_dir / name for name in ("cleaned.jsonl", "changelog.jsonl", "preprocess_report.json"))
     with staged_outputs(*outputs) as (cleaned_path, changelog_path, report_path):
@@ -217,7 +219,7 @@ def cmd_preprocess(args) -> int:
             header = write_changelog(changelog_path, _preprocessed(iter_corpus(args.input, args.format), cleaned),
                                      input_sha256)
         payload = {
-            "manifest": _manifest("preprocess", [args.input]),
+            "manifest": manifest,
             "n_triplets": header["n_triplets"],
             "n_parts": header["n_parts"],
         }
@@ -489,7 +491,7 @@ def build_parser() -> _Parser:
     p.add_argument("--outputs", required=True, help="decoded text, one cleaned part per line")
     p.add_argument("--changelog", required=True, help="changelog from the matching preprocess run")
     p.add_argument("--out", required=True, help="restored text output path")
-    p.add_argument("--field", choices=["src", "mt", "pe"], default="mt")
+    p.add_argument("--field", choices=TEXT_FIELDS, default="mt")
     p.add_argument("--orig", default=None, help="original corpus to digest-check against")
     p.set_defaults(func=cmd_postprocess)
 

@@ -1,8 +1,9 @@
-"""Post-editing triplet data model, corpus container, and line files.
+"""Post-editing triplet data model, corpora as tuples of triplets, and line files.
 
-A triplet is one (source, machine translation, post-edit) record. Corpora
-are immutable ordered sequences of triplets; every downstream stage relies
-on insertion order being stable, so seeded operations stay deterministic.
+A triplet is one (source, machine translation, post-edit) record. A corpus
+is a tuple of triplets; every downstream stage relies on its order being
+stable, so seeded operations stay deterministic. Ids are checked where
+they are made: ``iter_corpus`` rejects an id repeated in a file.
 Every line-framed file (corpus, line file, changelog, CSV input) is read
 by ``read_lines``. Every text file a command writes is opened by
 ``open_lines``, directly or through ``write_lines``; ``staged_outputs``
@@ -58,31 +59,7 @@ class Triplet:
         return replace(self, meta=merged)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Ordered, immutable collection of triplets.
-
-    Iteration order equals insertion order. Triplet ids must be unique.
-    """
-
-    triplets: tuple = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "triplets", tuple(self.triplets))
-        seen = set()
-        for t in self.triplets:
-            if t.id in seen:
-                raise DuplicateIdError(t.id)
-            seen.add(t.id)
-
-    def __len__(self) -> int:
-        return len(self.triplets)
-
-    def __iter__(self) -> Iterator[Triplet]:
-        return iter(self.triplets)
-
-    def __getitem__(self, index: int) -> Triplet:
-        return self.triplets[index]
+Corpus = Tuple[Triplet, ...]
 
 
 @dataclass(frozen=True)
@@ -280,7 +257,7 @@ def iter_corpus(path, format: str = "jsonl") -> Iterator[Triplet]:
 
 def read_corpus(path, format: str = "jsonl") -> Corpus:
     """Read a whole corpus through iter_corpus, preserving file order."""
-    return Corpus(iter_corpus(path, format))
+    return tuple(iter_corpus(path, format))
 
 
 def _jsonl_record(t: Triplet) -> str:

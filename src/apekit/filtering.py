@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Tuple
 
-from .corpus import TEXT_FIELDS, Corpus, Triplet, count_chars
+from .corpus import TEXT_FIELDS, Corpus, count_chars
 from .langid import LanguageClassifier
 
 STAGE_ORDER = ("ratio", "normalize", "dedup", "langid", "split")
@@ -140,7 +140,7 @@ def ratio_filter(
             kept.append(triplet)
         else:
             removed.append(triplet.with_meta(removed_reason="ratio"))
-    return Corpus(kept), Corpus(removed)
+    return tuple(kept), tuple(removed)
 
 
 # Punctuation normalization table. One-to-one substitutions only, so the
@@ -186,7 +186,7 @@ def normalize_corpus(corpus: Corpus) -> Corpus:
     """Apply punctuation normalization to all three fields of every triplet,
     keeping a triplet it leaves unchanged as it is."""
     fields = ((t, *map(normalize_punctuation, (t.src, t.mt, t.pe))) for t in corpus)
-    return Corpus(
+    return tuple(
         t if (src, mt, pe) == (t.src, t.mt, t.pe) else replace(t, src=src, mt=mt, pe=pe)
         for t, src, mt, pe in fields
     )
@@ -211,7 +211,7 @@ def dedup(corpus: Corpus) -> Tuple[Corpus, Corpus]:
             kept.append(triplet)
         else:
             removed.append(triplet.with_meta(removed_reason="dedup"))
-    return Corpus(kept), Corpus(removed)
+    return tuple(kept), tuple(removed)
 
 
 def language_filter(
@@ -239,7 +239,7 @@ def language_filter(
             removed.append(
                 triplet.with_meta(removed_reason="langid", detected_src=src_lang, detected_pe=pe_lang)
             )
-    return Corpus(kept), Corpus(removed)
+    return tuple(kept), tuple(removed)
 
 
 def split_holdout(corpus: Corpus, dev_size: int, test_size: int, seed: int) -> Tuple[Corpus, Corpus, Corpus]:
@@ -263,7 +263,7 @@ def split_holdout(corpus: Corpus, dev_size: int, test_size: int, seed: int) -> T
     train = [corpus[i] for i in range(n) if i not in held_out]
     dev = [corpus[i] for i in dev_positions]
     test = [corpus[i] for i in test_positions]
-    return Corpus(train), Corpus(dev), Corpus(test)
+    return tuple(train), tuple(dev), tuple(test)
 
 
 def run_filter_pipeline(

@@ -18,7 +18,7 @@ from apekit.bleu import bleu_corpus
 from apekit.bootstrap import bootstrap_significance
 from apekit.chrf import chrf
 from apekit.cli import main
-from apekit.corpus import Corpus, Triplet, count_chars, write_corpus
+from apekit.corpus import Triplet, count_chars, write_corpus
 from apekit.filtering import FilterConfig, run_filter_pipeline, split_holdout
 from apekit.segments import postprocess_with_report, preprocess
 from apekit.ter import edit_distance, ter_corpus, ter_sentence
@@ -173,7 +173,7 @@ def _criterion_3_corpus():
                 pe=f"ope{i:05d}" + "y" * 11,
             )
         )
-    return Corpus(tuple(rows))
+    return tuple(rows)
 
 
 def test_criterion_3_filter_pipeline():
@@ -213,11 +213,9 @@ def test_criterion_3_filter_pipeline():
 def test_criterion_4_table_arithmetic():
     with verdict(4, "161,413 triplets split into 141,413 / 10,000 / 10,000"):
         start = time.monotonic()
-        corpus = Corpus(
-            tuple(
-                Triplet(id=str(i), src=f"s{i}", mt=f"m{i}", pe=f"p{i}")
-                for i in range(161_413)
-            )
+        corpus = tuple(
+            Triplet(id=str(i), src=f"s{i}", mt=f"m{i}", pe=f"p{i}")
+            for i in range(161_413)
         )
         train, dev, test = split_holdout(corpus, 10_000, 10_000, seed=1)
         assert (len(train), len(dev), len(test)) == (141_413, 10_000, 10_000)
@@ -298,7 +296,7 @@ def test_criterion_7_protocol_shape(tmp_path):
             for i in range(1500)
         ]
         corpus_path = tmp_path / "train.jsonl"
-        write_corpus(Corpus(tuple(rows)), corpus_path)
+        write_corpus(tuple(rows), corpus_path)
         curve_path = tmp_path / "curve.json"
         code = main(
             [
@@ -349,12 +347,8 @@ def test_criterion_7_protocol_shape(tmp_path):
 
 def test_criterion_8_upsampled_mixing():
     with verdict(8, "10x upsampling of 1,414 plus 5,600 yields 19,740 with exact multiplicity"):
-        a = Corpus(
-            tuple(Triplet(id=f"a{i:04d}", src=f"s{i}", mt=f"m{i}", pe=f"p{i}") for i in range(1414))
-        )
-        b = Corpus(
-            tuple(Triplet(id=f"b{i:04d}", src=f"S{i}", mt=f"M{i}", pe=f"P{i}") for i in range(5600))
-        )
+        a = tuple(Triplet(id=f"a{i:04d}", src=f"s{i}", mt=f"m{i}", pe=f"p{i}") for i in range(1414))
+        b = tuple(Triplet(id=f"b{i:04d}", src=f"S{i}", mt=f"M{i}", pe=f"P{i}") for i in range(5600))
         mixed = upsample_mix(a, 10, b, seed=9)
         assert len(mixed) == 19_740
         counts = Counter(

@@ -12,13 +12,11 @@ from apekit.analysis import (
     ter_buckets,
     upsample_mix,
 )
-from apekit.corpus import Corpus, Triplet
+from apekit.corpus import DuplicateIdError, Triplet
 
 
 def corpus_of_size(n, prefix="t"):
-    return Corpus(
-        tuple(Triplet(id=f"{prefix}{i:06d}", src=f"s {i}", mt=f"m {i}", pe=f"p {i}") for i in range(n))
-    )
+    return tuple(Triplet(id=f"{prefix}{i:06d}", src=f"s {i}", mt=f"m {i}", pe=f"p {i}") for i in range(n))
 
 
 class TestDrawSamples:
@@ -110,7 +108,7 @@ class TestCurveReport:
 class TestUpsampleMix:
     def test_factor_one_empty_b_is_permutation(self):
         a = corpus_of_size(25)
-        mixed = upsample_mix(a, 1, Corpus(), seed=4)
+        mixed = upsample_mix(a, 1, (), seed=4)
         assert sorted(t.meta["source_id"] for t in mixed) == sorted(t.id for t in a)
 
     def test_scaled_mixing_arithmetic(self):
@@ -139,13 +137,20 @@ class TestUpsampleMix:
         actual = Counter((t.src, t.mt, t.pe) for t in mixed)
         assert actual == expected
 
+    def test_b_id_equal_to_a_replica_id_rejected(self):
+        a = (Triplet(id="x", src="s", mt="m", pe="p"),)
+        b = (Triplet(id="x~r0", src="S", mt="M", pe="P"),)
+        with pytest.raises(DuplicateIdError, match=r"^duplicate triplet id 'x~r0'$") as caught:
+            upsample_mix(a, 1, b)
+        assert caught.value.triplet_id == "x~r0"
+
     def test_factor_zero_rejected(self):
         with pytest.raises(ValueError):
-            upsample_mix(corpus_of_size(3), 0, Corpus())
+            upsample_mix(corpus_of_size(3), 0, ())
 
     def test_deterministic_shuffle(self):
         a = corpus_of_size(20)
-        assert upsample_mix(a, 2, Corpus(), seed=5) == upsample_mix(a, 2, Corpus(), seed=5)
+        assert upsample_mix(a, 2, (), seed=5) == upsample_mix(a, 2, (), seed=5)
 
 
 class TestTerBuckets:

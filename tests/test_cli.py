@@ -11,7 +11,7 @@ import apekit.cli
 from apekit.analysis import mock_scorer
 from apekit.bootstrap import bootstrap_significance
 from apekit.cli import build_parser, main
-from apekit.corpus import Corpus, Triplet, read_corpus, write_corpus
+from apekit.corpus import Triplet, read_corpus, write_corpus
 from apekit.tokenizer import TokenizerConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -19,9 +19,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 def make_corpus_file(tmp_path, rows, name="corpus.jsonl"):
     path = tmp_path / name
-    corpus = Corpus(
-        tuple(Triplet(id=f"{i:06d}", src=s, mt=m, pe=p) for i, (s, m, p) in enumerate(rows, 1))
-    )
+    corpus = tuple(Triplet(id=f"{i:06d}", src=s, mt=m, pe=p) for i, (s, m, p) in enumerate(rows, 1))
     write_corpus(corpus, path)
     return path, corpus
 
@@ -179,6 +177,18 @@ class TestPrePostProcess:
             ]
         )
         assert code == 2
+
+    def test_preprocess_hashes_its_input_once(self, tmp_path, monkeypatch):
+        path, _ = make_corpus_file(tmp_path, self.rows_with_markup())
+        hashed = []
+        sha256_file = apekit.cli._sha256_file
+        monkeypatch.setattr(apekit.cli, "_sha256_file", lambda p: hashed.append(p) or sha256_file(p))
+        out_dir = tmp_path / "pre"
+        assert main(["preprocess", "--in", str(path), "--out-dir", str(out_dir)]) == 0
+        assert hashed == [str(path)]
+        header = json.loads((out_dir / "changelog.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        digests = load_json(out_dir / "preprocess_report.json")["manifest"]["input_digests"]
+        assert digests == {str(path): header["input_sha256"]} == {str(path): sha256_file(path)}
 
 
 class TestEvaluateCommand:
@@ -1006,3 +1016,54 @@ def test_rejected_preprocess_and_postprocess_keep_earlier_outputs(tmp_path, caps
     assert main(["postprocess", "--outputs", str(decoded), "--changelog", str(changelog), "--out", str(restored),
                  "--orig", str(bad)]) == 2
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+GOOD_ROW = '{"src": "a", "mt": "b", "pe": "c"}'
+EN_ROWS = [json.dumps({"src": text, "mt": text, "pe": text}) for text in (
+    "the ships wait in the quiet harbour tonight",
+    "night falls over the harbour and the town",
+    "we will meet again at the old station tomorrow",
+)]
+# (files to write: name -> lines, command line, exit code, message), run in
+# the directory that holds the files, so each message names them as given.
+REJECTIONS = {
+    "not-an-object": ({"corpus.jsonl": [GOOD_ROW, "[1,2]"]}, "stats --in corpus.jsonl",
+                      2, "corpus.jsonl: line 2: expected a JSON object"),
+    "pe-not-a-string": ({"corpus.jsonl": ['{"src": "a", "mt": "b", "pe": 1}']}, "stats --in corpus.jsonl",
+                        2, "corpus.jsonl: line 1: field 'pe' must be a string"),
+    "id-not-a-string": ({"corpus.jsonl": ['{"id": 7, "src": "a", "mt": "b", "pe": "c"}']}, "stats --in corpus.jsonl",
+                        2, "corpus.jsonl: line 1: field 'id' must be a string"),
+    "meta-not-an-object": ({"corpus.jsonl": ['{"src": "a", "mt": "b", "pe": "c", "meta": []}']},
+                           "stats --in corpus.jsonl", 2, "corpus.jsonl: line 1: field 'meta' must be an object"),
+    "unknown-config-key": ({"corpus.jsonl": [GOOD_ROW], "config.json": ['{"bogus": 1}']},
+                           "filter --in corpus.jsonl --out-dir out --config config.json",
+                           1, "invalid filter config: unknown filter config keys: ['bogus']"),
+    "missing-config": ({"corpus.jsonl": [GOOD_ROW]}, "filter --in corpus.jsonl --out-dir out --config missing.json",
+                       1, "config file not found: missing.json"),
+    "too-few-survivors": ({"corpus.jsonl": EN_ROWS,
+                           "config.json": ['{"dev_size": 2, "test_size": 1, "expected_tgt_lang": "en"}']},
+                          "filter --in corpus.jsonl --out-dir out --config config.json",
+                          2, "3 triplet(s) survive filtering, too few for dev_size + test_size = 3"),
+    "two-column-score": ({"scores.csv": ["size,replicate,value", "1,0"]}, "ablate --scores scores.csv --sizes 1",
+                         2, "scores.csv: line 2: expected size,replicate,value"),
+    "bad-sizes": ({}, "ablate --scores scores.csv --sizes 1x",
+                  1, "invalid --sizes value '1x': invalid literal for int() with base 10: '1x'"),
+    "empty-buckets": ({"base.txt": [], "ape.txt": [], "ref.txt": []},
+                      "buckets --baseline base.txt --ape ape.txt --ref ref.txt",
+                      2, "bucket analysis needs at least one item"),
+    "empty-evaluate": ({"hyp.txt": [], "ref.txt": []}, "evaluate --hyp hyp.txt --ref ref.txt",
+                       2, "corpus BLEU needs at least one sentence pair"),
+    "empty-significance": ({"a.txt": [], "b.txt": [], "ref.txt": []},
+                           "significance --hyp-a a.txt --hyp-b b.txt --ref ref.txt",
+                           2, "bootstrap needs at least one sentence"),
+}
+
+
+@pytest.mark.parametrize("files, command, code, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_rejection_exit_code_and_message(tmp_path, monkeypatch, capsys, files, command, code, message):
+    """Each rejection exits with its code and full message, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    for name, lines in files.items():
+        write_lines(tmp_path / name, lines)
+    assert (main(command.split()), capsys.readouterr().err) == (code, f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apekit.corpus import (
-    Corpus,
     CorpusFormatError,
     CorpusStats,
     Triplet,
@@ -21,7 +20,7 @@ from apekit.corpus import (
 
 
 def make_corpus(rows):
-    return Corpus(tuple(Triplet(id=f"{i:06d}", src=s, mt=m, pe=p) for i, (s, m, p) in enumerate(rows, 1)))
+    return tuple(Triplet(id=f"{i:06d}", src=s, mt=m, pe=p) for i, (s, m, p) in enumerate(rows, 1))
 
 
 def write_tsv(path, rows):
@@ -102,7 +101,7 @@ class TestWriteCorpus:
         assert again[0].src == "a\tb"
 
     def test_meta_round_trips_in_jsonl(self, tmp_path):
-        corpus = Corpus((Triplet("x", "a", "b", "c", meta={"origin": "test"}),))
+        corpus = (Triplet("x", "a", "b", "c", meta={"origin": "test"}),)
         path = tmp_path / "out.jsonl"
         write_corpus(corpus, path)
         assert read_corpus(path)[0].meta == {"origin": "test"}
@@ -153,7 +152,7 @@ def test_round_trip_thousand_random_triplets(tmp_path):
 
 class TestCorpusStats:
     def test_empty_corpus_all_zero(self):
-        assert corpus_stats(Corpus()) == CorpusStats()
+        assert corpus_stats(()) == CorpusStats()
 
     def test_double_space_counts(self):
         corpus = make_corpus([("a b  c", "x", "y")])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apekit.corpus import Corpus, Triplet
+from apekit.corpus import Triplet
 from apekit.filtering import (
     _PUNCT_TABLE,
     FilterConfig,
@@ -23,11 +23,8 @@ from apekit.langid import NgramLanguageClassifier, TabFileClassifier
 from oracles import ConstantClassifier
 
 
-def corpus_of(rows, **kwargs):
-    return Corpus(
-        tuple(Triplet(id=f"{i:06d}", src=s, mt=m, pe=p) for i, (s, m, p) in enumerate(rows, 1)),
-        **kwargs,
-    )
+def corpus_of(rows):
+    return tuple(Triplet(id=f"{i:06d}", src=s, mt=m, pe=p) for i, (s, m, p) in enumerate(rows, 1))
 
 
 class TestGlobalRatio:
@@ -47,7 +44,7 @@ class TestGlobalRatio:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            compute_global_ratio(Corpus(), "src", "mt")
+            compute_global_ratio((), "src", "mt")
 
     def test_zero_denominator_rejected(self):
         corpus = corpus_of([("abcd", "", "")])
@@ -120,7 +117,7 @@ class TestNormalizePunctuation:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(*[st.sampled_from(["a b", "a  b", "“a”", "\u00a0", "ä"])] * 3), max_size=8))
     def test_normalize_corpus_keeps_unchanged_triplets(self, fields):
-        corpus = Corpus(
+        corpus = tuple(
             Triplet(id=str(i), src=src, mt=mt, pe=pe, meta={"k": "v"}) for i, (src, mt, pe) in enumerate(fields)
         )
         for before, after in zip(corpus, normalize_corpus(corpus)):
