@@ -182,7 +182,7 @@ def read_adequacy_csv(path) -> AdequacyTable:
     table = AdequacyTable()
     errors = []
     for line_no, row in read_csv(path):
-        if not row or (line_no == 1 and [c.lower() for c in row[:2]] == ["annotator_id", "item_id"]):
+        if not row or (line_no == 1 and [c.strip().lower() for c in row[:2]] == ["annotator_id", "item_id"]):
             continue
         if len(row) != 4:
             errors.append(f"line {line_no}: expected 4 columns, found {len(row)}")

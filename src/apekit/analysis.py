@@ -2,8 +2,10 @@
 
 Everything here is seeded and deterministic. The harness never trains a
 model; it draws training subsets, ingests externally produced scores or
-system outputs, and aggregates them. A mock scorer makes the full
-data-size protocol exercisable hermetically.
+system outputs, and aggregates them. A data-size curve is
+``curve_report`` over (size, replicate, value) rows: values come from an
+external scores file, or from ``mock_scorer`` on the ``draw_samples``
+subsets, which exercises the protocol hermetically.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .corpus import Corpus, DuplicateIdError, Triplet
 from .ter import ter_corpus, ter_sentence
@@ -135,16 +137,6 @@ def mock_scorer(size: int, replicate: int, sample: Corpus) -> float:
         digest.update(t.id.encode("utf-8"))
     wobble = int.from_bytes(digest.digest()[:4], "big") / 2**32
     return 40.0 + 25.0 * (1.0 - 2.0 ** (-size / 500.0)) + 2.0 * wobble
-
-
-def run_size_ablation(
-    samples: Sequence[Tuple[int, int, Corpus]],
-    scorer: Callable[[int, int, Corpus], float] = mock_scorer,
-    metric: str = "metric",
-) -> Tuple[List[Tuple[int, int, float]], List[CurvePoint]]:
-    """Score every sample from ``draw_samples`` and aggregate the curve."""
-    results = [(size, replicate, scorer(size, replicate, sample)) for size, replicate, sample in samples]
-    return results, curve_report(results, metric=metric)
 
 
 def upsample_mix(a: Corpus, factor: int, b: Corpus, seed: int = 0) -> Corpus:

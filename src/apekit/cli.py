@@ -28,17 +28,18 @@ from .agreement import (
     shared_decided_ratings,
 )
 from .analysis import (
+    DEFAULT_REPLICATES,
     SampleSpec,
     curve_report,
     draw_samples,
     mock_scorer,
-    run_size_ablation,
     ter_buckets,
 )
 from .bleu import bleu_corpus
 from .bootstrap import DEFAULT_SAMPLES, STATISTICS, bootstrap_significance
 from .chrf import chrf
 from .corpus import (
+    FORMATS,
     TEXT_FIELDS,
     corpus_stats,
     iter_corpus,
@@ -54,7 +55,7 @@ from .filtering import SEED_RULE, FilterConfig, is_seed, run_filter_pipeline
 from .langid import NgramLanguageClassifier
 from .segments import postprocess_all, preprocess, read_changelog, write_changelog
 from .ter import EmptyReferenceError, ter_corpus, ter_sentence
-from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig
+from .tokenizer import SCHEMES, TER_NORMALIZED_TOKENIZER, TokenizerConfig
 
 WMT_APE_EN_DE_SIZE = 13_441  # reference marker for data-size curves
 
@@ -388,7 +389,6 @@ def cmd_ablate(args) -> int:
 
     if args.scores:
         results = _read_scores(args.scores, spec)
-        points = curve_report(results, metric=args.metric)
     else:
         corpus = read_corpus(args.input, args.format)
         samples = draw_samples(corpus, spec)
@@ -396,7 +396,8 @@ def cmd_ablate(args) -> int:
             samples_dir = Path(args.emit_samples)
             for size, replicate, sample in samples:
                 write_corpus(sample, samples_dir / f"sample_{size}_{replicate}.jsonl")
-        results, points = run_size_ablation(samples, scorer=mock_scorer, metric=args.metric)
+        results = [(size, replicate, mock_scorer(size, replicate, sample)) for size, replicate, sample in samples]
+    points = curve_report(results, metric=args.metric)
 
     payload = {
         "manifest": _manifest("ablate", [args.scores or args.input], seed=spec.base_seed),
@@ -410,7 +411,8 @@ def cmd_ablate(args) -> int:
     }
     _write_report(args.out, payload)
     if args.out_csv:
-        _write_csv(args.out_csv, ["size", "mean", "min", "max"], ([p.size, p.mean, p.min, p.max] for p in points))
+        rows = ([p.metric, p.size, p.mean, p.min, p.max] for p in points)
+        _write_csv(args.out_csv, ["metric", "size", "mean", "min", "max"], rows)
     print(f"ablate: {len(results)} runs -> {len(points)} curve points")
     return 0
 
@@ -472,7 +474,7 @@ def build_parser() -> _Parser:
     seeded = flag("--seed", type=seed, default=None, help="seed for all randomness")
     inert_seed = flag("--seed", type=seed, default=None, help="accepted for scripts; has no effect")
     threads = flag("--threads", type=int, default=1, help="accepted for scripts; has no effect")
-    fmt = flag("--format", choices=["jsonl", "tsv"], default="jsonl", help="corpus format")
+    fmt = flag("--format", choices=FORMATS, default="jsonl", help="corpus format")
     config = flag("--config", default=None, help="JSON filter config file")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -500,7 +502,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ref", required=True)
     p.add_argument("--hyp-b", default=None, help="second system; adds a bootstrap block")
     p.add_argument("--out", default="metric_report.json")
-    p.add_argument("--tokenizer", choices=["whitespace", "punct_split"], default="punct_split")
+    p.add_argument("--tokenizer", choices=SCHEMES, default="punct_split")
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--no-ter-normalize", dest="ter_normalize", action="store_false",
                    help="score TER with the BLEU tokenizer instead of lowercased punct split")
@@ -533,7 +535,7 @@ def build_parser() -> _Parser:
     source.add_argument("--in", dest="input", help="training corpus to sample")
     source.add_argument("--scores", help="external size,replicate,value CSV to aggregate")
     p.add_argument("--sizes", required=True, help="comma-separated sample sizes")
-    p.add_argument("--replicates", type=count, default=3)
+    p.add_argument("--replicates", type=count, default=DEFAULT_REPLICATES)
     p.add_argument("--metric", default="mock")
     p.add_argument("--emit-samples", default=None, help="directory to write sampled corpora")
     p.add_argument("--baseline", type=float, default=None, help="do-nothing baseline reference line")

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 TEXT_FIELDS = ("src", "mt", "pe")
+FORMATS = ("jsonl", "tsv")
 
 
 class CorpusFormatError(ValueError):
@@ -235,7 +236,7 @@ def iter_corpus(path, format: str = "jsonl") -> Iterator[Triplet]:
     ids are kept: the first repeated id is raised, naming both of its
     lines, once the rest of the file has framed and parsed.
     """
-    if format not in ("jsonl", "tsv"):
+    if format not in FORMATS:
         raise ValueError(f"unknown corpus format {format!r}")
     parse = _triplet_from_json_line if format == "jsonl" else _triplet_from_tsv_line
     seen = set()

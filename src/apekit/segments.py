@@ -8,7 +8,9 @@ original is restored byte for byte. When the output was edited, records
 anchored at segment boundaries (leading hyphens, whole-segment tags) are
 re-attached and interior ones are dropped and tallied.
 
-A changelog file is a header line, then one log per triplet and line.
+A changelog file is a header line, then one log per triplet and line:
+``ChangeLog.to_json`` writes a log, and ``ChangeLog.from_json`` reads
+one back and rejects counts and records that do not fit.
 """
 
 from __future__ import annotations
@@ -98,20 +100,19 @@ class ChangeLog:
     parts: Mapping[str, int]
     clean_digests: Mapping[str, Tuple[str, ...]]
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        data = {
             "triplet_id": self.triplet_id,
             "parts": dict(self.parts),
             "clean_digests": {f: list(v) for f, v in self.clean_digests.items()},
             "records": [vars(r) for r in self.records],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False)
+        return json.dumps(data, ensure_ascii=False)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ChangeLog":
-        """Read a log written by ``to_dict``; raise ValueError on counts that do not fit."""
+    def from_json(cls, text: str) -> "ChangeLog":
+        """Read a log written by ``to_json``; raise ValueError on counts that do not fit."""
+        data = json.loads(text)
         # From lists, not generators: a tuple grown from a generator skips
         # CPython's per-length free lists when made but lands in them when
         # freed, so they filled up as a changelog was read.
@@ -139,10 +140,6 @@ class ChangeLog:
                     f"boundary records of {f!r} join parts {sorted(joins[f])}, expected {[*range(n - 1)]}"
                 )
         return cls(data["triplet_id"], records, parts, {f: tuple(v) for f, v in digests.items()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChangeLog":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -275,7 +272,7 @@ def preprocess(triplet: Triplet) -> Tuple[List[CleanTriplet], ChangeLog]:
         triplet_id=triplet.id,
         records=tuple(records),
         parts={f: len(cleaned[f]) for f in TEXT_FIELDS},
-        clean_digests={f: tuple([_digest(p) for p in cleaned[f]]) for f in TEXT_FIELDS},  # see from_dict
+        clean_digests={f: tuple([_digest(p) for p in cleaned[f]]) for f in TEXT_FIELDS},  # see from_json
     )
     return clean_triplets, log
 

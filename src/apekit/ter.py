@@ -387,7 +387,9 @@ def ter_sentence(
     Shifts move at most MAX_SHIFT_SPAN tokens over at most
     MAX_SHIFT_DISTANCE positions; each costs 1 and is applied only while
     it strictly reduces the edit distance, so the total never exceeds the
-    shift-free edit distance. Iterations are capped at 2 * ref_len.
+    shift-free edit distance. The search stops at the multiset floor,
+    which no shift changes, so a pair of n hypothesis and m reference
+    tokens makes at most edit_distance - floor <= min(n, m) shifts.
     """
     hyp_tokens = tokenize(hyp, tok)
     ref_tokens = tokenize(ref, tok)
@@ -400,7 +402,7 @@ def ter_sentence(
     shifts: List[ShiftOp] = []
     if current_ed > floor:
         ref_ids, tables = _word_tables(ref_tokens)
-        while current_ed > floor and len(shifts) < 2 * len(ref_tokens):
+        while current_ed > floor:
             best, best_ed = _best_shift(current, ref_ids, tables, len(ref_tokens), current_ed, floor)
             if best is None:
                 break

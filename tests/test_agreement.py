@@ -18,6 +18,7 @@ from apekit.agreement import (
     shared_decided_ratings,
     weighted_kappa,
 )
+from apekit.cli import main
 
 
 class TestCohenKappa:
@@ -192,6 +193,16 @@ class TestCsvIngestion:
         )
         table = read_adequacy_csv(path)
         assert table.scores["A"]["i1"] == {"nmt": 3, "ape": 4, "human": "X"}
+
+    def test_header_cells_are_stripped(self, tmp_path):
+        path = tmp_path / "adequacy.csv"
+        path.write_text(
+            "annotator_id, item_id, system, score\n"
+            "A,i1,nmt,3\nA,i1,ape,4\nA,i1,human,5\n",
+            encoding="utf-8",
+        )
+        assert read_adequacy_csv(path).scores["A"]["i1"] == {"nmt": 3, "ape": 4, "human": 5}
+        assert main(["adequacy", "--csv", str(path), "--out", str(tmp_path / "adequacy.json")]) == 0
 
     def test_malformed_rows_list_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -8,7 +8,6 @@ from apekit.analysis import (
     curve_report,
     draw_samples,
     mock_scorer,
-    run_size_ablation,
     ter_buckets,
     upsample_mix,
 )
@@ -99,7 +98,9 @@ class TestCurveReport:
     def test_min_mean_max_ordering_from_ablation(self):
         corpus = corpus_of_size(3000)
         spec = SampleSpec(sizes=(62, 125, 250, 500, 1000, 1250), replicates=3, base_seed=9)
-        results, points = run_size_ablation(draw_samples(corpus, spec), scorer=mock_scorer)
+        results = [(size, replicate, mock_scorer(size, replicate, sample))
+                   for size, replicate, sample in draw_samples(corpus, spec)]
+        points = curve_report(results)
         assert len(results) == 18 and len(points) == 6
         for p in points:
             assert p.min <= p.mean <= p.max

@@ -8,11 +8,11 @@ import pytest
 
 import apekit.analysis
 import apekit.cli
-from apekit.analysis import mock_scorer
+from apekit.analysis import DEFAULT_REPLICATES, mock_scorer
 from apekit.bootstrap import bootstrap_significance
 from apekit.cli import build_parser, main
-from apekit.corpus import Triplet, read_corpus, write_corpus
-from apekit.tokenizer import TokenizerConfig
+from apekit.corpus import FORMATS, TEXT_FIELDS, Triplet, read_corpus, write_corpus
+from apekit.tokenizer import SCHEMES, TokenizerConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -416,7 +416,7 @@ class TestAblateCommand:
         for point in report["points"]:
             assert point["min"] <= point["mean"] <= point["max"]
         assert report["wmt_size_marker"] == 13441
-        assert out_csv.read_text(encoding="utf-8").startswith("size,mean,min,max")
+        assert out_csv.read_text(encoding="utf-8").startswith("metric,size,mean,min,max\nmock,62,")
 
     def test_external_scores_aggregation(self, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -851,7 +851,8 @@ def test_out_csv_creates_its_directory(tmp_path, command):
     csv_path = tmp_path / "no" / "dir" / "table.csv"
     assert main([*argv, "--out", str(tmp_path / "rep" / "r.json"), "--out-csv", str(csv_path)]) == 0
     header = csv_path.read_text(encoding="utf-8").splitlines()[0]
-    assert header == ("size,mean,min,max" if command == "ablate" else "bucket,count,baseline_ter,ape_ter,delta_ter")
+    expected = "metric,size,mean,min,max" if command == "ablate" else "bucket,count,baseline_ter,ape_ter,delta_ter"
+    assert header == expected
 
 
 @pytest.mark.parametrize("command", ["evaluate", "significance"])
@@ -957,15 +958,16 @@ def test_largest_seed_parses(command):
     assert args.seed == 2**64 - 1
 
 
-def _seed_help(command):
+def _option(command, flag):
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a.help for a in subparsers.choices[command]._actions if "--seed" in a.option_strings)
+    return next(a for a in subparsers.choices[command]._actions if flag in a.option_strings)
 
 
 @pytest.mark.parametrize("command", SEEDED_COMMANDS)
 def test_seed_help_says_whether_the_command_reads_it(command):
     unread = command in {"preprocess", "postprocess", "buckets"}
-    assert _seed_help(command) == ("accepted for scripts; has no effect" if unread else "seed for all randomness")
+    expected = "accepted for scripts; has no effect" if unread else "seed for all randomness"
+    assert _option(command, "--seed").help == expected
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
@@ -973,6 +975,14 @@ def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path)
     assert main([command, *REQUIRED_ARGS[command], flag, FLAG_VALUES[flag]]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_choices_and_defaults_come_from_the_modules_that_state_them():
+    for command in ("filter", "preprocess", "ablate", "stats"):
+        assert _option(command, "--format").choices is FORMATS
+    assert _option("evaluate", "--tokenizer").choices is SCHEMES
+    assert _option("postprocess", "--field").choices is TEXT_FIELDS
+    assert _option("ablate", "--replicates").default == DEFAULT_REPLICATES
 
 
 def test_every_benchmark_command_line_still_parses(monkeypatch):

@@ -455,6 +455,24 @@ def test_greedy_matches_a_search_over_the_full_scan(pair):
 
 
 @st.composite
+def shift_heavy_pairs(draw):
+    alphabet = [f"t{i}" for i in range(draw(st.integers(2, 8)))]
+    hyp = draw(st.lists(st.sampled_from(alphabet), max_size=30))
+    ref = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=30))
+    return hyp, ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(shift_heavy_pairs())
+def test_shifts_stay_within_the_multiset_overlap(pair):
+    # Each shift lowers the distance by at least 1, and no shift moves the
+    # multiset floor, where the search stops.
+    hyp, ref = pair
+    score, _ = ter_sentence(" ".join(hyp), " ".join(ref), WS)
+    assert score.shifts <= edit_distance(hyp, ref) - ter_mod._multiset_floor(hyp, ref) <= min(len(hyp), len(ref))
+
+
+@st.composite
 def batches(draw):
     alphabet = [f"t{i}" for i in range(draw(st.integers(2, 6)))]
     pattern = draw(st.lists(st.sampled_from(alphabet + ["t-rare"]), min_size=1, max_size=140))
