@@ -23,9 +23,9 @@ from .tokenizer import TER_NORMALIZED_TOKENIZER
 
 DEFAULT_REPLICATES = 3
 
-# Bucket edges over baseline sentence TER on the 0-100 scale, worst first.
-# Each bucket is (low, high]: low-exclusive, high-inclusive, except the
-# first which is open above and the last which includes 0.
+# Bucket edges over baseline sentence TER on the 0-100 scale, worst first and
+# contiguous. Each bucket is (low, high]: low-exclusive, high-inclusive,
+# except the first which is open above and the last which includes 0.
 BUCKET_EDGES: Tuple[Tuple[float, float], ...] = (
     (90.0, float("inf")),
     (80.0, 90.0),
@@ -196,10 +196,9 @@ class BucketAnalysis:
 
 
 def _bucket_index(sentence_ter_pct: float) -> int:
-    for idx, (low, high) in enumerate(BUCKET_EDGES):
-        if low < sentence_ter_pct <= high or (low == 0.0 and sentence_ter_pct <= high):
-            return idx
-    raise AssertionError(f"sentence TER {sentence_ter_pct} fell through the bucket ranges")
+    """The bucket of BUCKET_EDGES holding a value: each later bucket whose
+    ``high`` is at or above it moves it one bucket down the table."""
+    return sum(high >= sentence_ter_pct for _, high in BUCKET_EDGES[1:])
 
 
 def ter_buckets(baseline_hyps: Sequence[str], ape_hyps: Sequence[str], refs: Sequence[str]) -> BucketAnalysis:

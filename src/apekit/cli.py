@@ -1,8 +1,10 @@
 """Command-line interface: the whole toolkit as subcommands.
 
-Every command reads plain files, writes UTF-8 JSON reports with a stable
-key order, and embeds a run manifest (version, config digest, input file
-digests, seeds, timestamp) so results stay traceable and re-runnable.
+Every command reads plain files and writes a UTF-8 JSON report with a
+stable key order, led by a run manifest: the toolkit version, the digest
+of the filter config (null for every other command), the SHA-256 of each
+input file, the seed and a timestamp. Scoring options such as the
+tokenizer are not recorded yet.
 Exit codes: 0 success, 1 usage or config error, 2 data or validation
 error.
 """
@@ -98,9 +100,10 @@ def _record_json(record) -> dict:
     return record.to_dict() if hasattr(record, "to_dict") else vars(record)
 
 
-def _write_report(path, payload: dict) -> None:
+def _write_report(path, manifest: dict, /, **body) -> None:
+    """Write ``{"manifest": manifest, **body}`` as indented UTF-8 JSON."""
     with open_lines(path) as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2, default=_record_json)
+        json.dump({"manifest": manifest, **body}, handle, ensure_ascii=False, indent=2, default=_record_json)
         handle.write("\n")
 
 
@@ -111,33 +114,29 @@ def _write_csv(path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_line_files(*paths) -> list:
-    """Read a subcommand's line files, one item per line; each must have as
-    many lines as the last, the reference. A path of None (an optional
-    input left out) reads as None."""
+@contextmanager
+def _scoring_inputs(*paths):
+    """Read a scoring command's line files, one item per line, and yield them.
+
+    Each must have as many lines as the last, the reference. A path of
+    None (an optional input left out) reads as None. An empty reference
+    that TER rejects inside the block is named by file and line: TER
+    scores lines in file order and stops at the first empty one, so that
+    is the first line with the rejected text.
+    """
     files = [list(read_lines(path)) if path else None for path in paths]
     refs = files[-1]
     for path, lines in zip(paths, files):
         if lines is not None and len(lines) != len(refs):
             raise ValueError(f"line count mismatch: {path} has {len(lines)}, {paths[-1]} has {len(refs)}")
-    return files
+    try:
+        yield files
+    except EmptyReferenceError as exc:
+        raise ValueError(f"{paths[-1]}: line {refs.index(exc.ref) + 1}: {exc}") from exc
 
 
 def _tokenizer_from_args(args) -> TokenizerConfig:
     return TokenizerConfig(scheme=args.tokenizer, lowercase=args.lowercase)
-
-
-@contextmanager
-def _naming_empty_reference(path, refs):
-    """Name the file and line of the empty reference TER rejected.
-
-    TER scores lines in file order and stops at the first empty one, so
-    that is the first line with the rejected text.
-    """
-    try:
-        yield
-    except EmptyReferenceError as exc:
-        raise ValueError(f"{path}: line {refs.index(exc.ref) + 1}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- filter
@@ -172,12 +171,8 @@ def cmd_filter(args) -> int:
     out_dir = Path(args.out_dir)
     for name, split in (("train", train), ("dev", dev), ("test", test)):
         write_corpus(split, out_dir / f"{name}.jsonl")
-    payload = {
-        "manifest": _manifest("filter", [args.input], seed=config.seed, config=vars(config)),
-        "config": config,
-        "report": report,
-    }
-    _write_report(out_dir / "filter_report.json", payload)
+    manifest = _manifest("filter", [args.input], seed=config.seed, config=vars(config))
+    _write_report(out_dir / "filter_report.json", manifest, config=config, report=report)
     print(f"filter: kept {report.kept_count}/{report.input_count} -> {out_dir}")
     return 0
 
@@ -219,12 +214,7 @@ def cmd_preprocess(args) -> int:
         with open_lines(cleaned_path) as cleaned:
             header = write_changelog(changelog_path, _preprocessed(iter_corpus(args.input, args.format), cleaned),
                                      input_sha256)
-        payload = {
-            "manifest": manifest,
-            "n_triplets": header["n_triplets"],
-            "n_parts": header["n_parts"],
-        }
-        _write_report(report_path, payload)
+        _write_report(report_path, manifest, n_triplets=header["n_triplets"], n_parts=header["n_parts"])
     print(f"preprocess: {header['n_triplets']} triplets -> {header['n_parts']['mt']} mt parts in {out_dir}")
     return 0
 
@@ -266,45 +256,34 @@ def _metric_report(hyps, refs, bleu_tok, ter_tok, per_sentence=False) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    hyps, hyps_b, refs = _read_line_files(args.hyp, args.hyp_b, args.ref)
     bleu_tok = _tokenizer_from_args(args)
     ter_tok = TER_NORMALIZED_TOKENIZER if args.ter_normalize else bleu_tok
     seed = args.seed if args.seed is not None else 0
-
-    inputs = [args.hyp, args.ref]
-    payload = {"manifest": None}
-    with _naming_empty_reference(args.ref, refs):
-        payload.update(_metric_report(hyps, refs, bleu_tok, ter_tok, args.per_sentence))
-
-    if args.hyp_b:
-        inputs.append(args.hyp_b)
-        payload["system_b"] = _metric_report(hyps_b, refs, bleu_tok, ter_tok)
-        payload["bootstrap"] = bootstrap_significance(
-            hyps, hyps_b, refs, n_samples=args.n_samples or DEFAULT_SAMPLES, seed=seed, tok=bleu_tok
-        )
-
-    payload["manifest"] = _manifest("evaluate", inputs, seed=seed)
-    _write_report(args.out, payload)
+    with _scoring_inputs(args.hyp, args.hyp_b, args.ref) as (hyps, hyps_b, refs):
+        report = _metric_report(hyps, refs, bleu_tok, ter_tok, args.per_sentence)
+        if args.hyp_b:
+            report["system_b"] = _metric_report(hyps_b, refs, bleu_tok, ter_tok)
+            report["bootstrap"] = bootstrap_significance(
+                hyps, hyps_b, refs, n_samples=args.n_samples or DEFAULT_SAMPLES, seed=seed, tok=bleu_tok
+            )
+    manifest = _manifest("evaluate", [path for path in (args.hyp, args.ref, args.hyp_b) if path], seed=seed)
+    _write_report(args.out, manifest, **report)
     print(
         "evaluate: BLEU {:.2f} ChrF {:.2f} TER {:.2f}".format(
-            payload["bleu"].score, payload["chrf"], payload["ter"].score * 100.0
+            report["bleu"].score, report["chrf"], report["ter"].score * 100.0
         )
     )
     return 0
 
 
 def cmd_significance(args) -> int:
-    hyps_a, hyps_b, refs = _read_line_files(args.hyp_a, args.hyp_b, args.ref)
     seed = args.seed if args.seed is not None else 0
-    with _naming_empty_reference(args.ref, refs):
+    with _scoring_inputs(args.hyp_a, args.hyp_b, args.ref) as (hyps_a, hyps_b, refs):
         result = bootstrap_significance(
             hyps_a, hyps_b, refs, n_samples=args.n_samples, seed=seed, statistic=args.statistic
         )
-    payload = {
-        "manifest": _manifest("significance", [args.hyp_a, args.hyp_b, args.ref], seed=seed),
-        "bootstrap": result,
-    }
-    _write_report(args.out, payload)
+    _write_report(args.out, _manifest("significance", [args.hyp_a, args.hyp_b, args.ref], seed=seed),
+                  bootstrap=result)
     print(
         f"significance: wins_a={result.wins_a} wins_b={result.wins_b} "
         f"ties={result.ties} p={result.p_value:.4f}"
@@ -320,13 +299,8 @@ def cmd_agreement(args) -> int:
     items, ratings = shared_decided_ratings(table)
     plain = pairwise_average_kappa(ratings, weighting="none")
     weighted = pairwise_average_kappa(ratings, weighting="quadratic")
-    payload = {
-        "manifest": _manifest("agreement", [args.csv]),
-        "n_shared_items": len(items),
-        "cohen_kappa": plain,
-        "weighted_kappa": weighted,
-    }
-    _write_report(args.out, payload)
+    _write_report(args.out, _manifest("agreement", [args.csv]),
+                  n_shared_items=len(items), cohen_kappa=plain, weighted_kappa=weighted)
     print(
         f"agreement: {len(items)} shared items, "
         f"kappa={plain.mean_kappa:.4f} weighted={weighted.mean_kappa:.4f}"
@@ -336,8 +310,7 @@ def cmd_agreement(args) -> int:
 
 def cmd_adequacy(args) -> int:
     summary = adequacy_summary(read_adequacy_csv(require_file(args.csv)))
-    payload = {"manifest": _manifest("adequacy", [args.csv]), "summary": summary}
-    _write_report(args.out, payload)
+    _write_report(args.out, _manifest("adequacy", [args.csv]), summary=summary)
     for row in (*summary.per_annotator, summary.overall):
         means = " ".join(f"{s}={m:.1f}" if m is not None else f"{s}=n/a" for s, m in row["means"].items())
         print(f"adequacy: {row['annotator']}: {means} ({row['used']} / {row['assigned']})")
@@ -399,17 +372,17 @@ def cmd_ablate(args) -> int:
         results = [(size, replicate, mock_scorer(size, replicate, sample)) for size, replicate, sample in samples]
     points = curve_report(results, metric=args.metric)
 
-    payload = {
-        "manifest": _manifest("ablate", [args.scores or args.input], seed=spec.base_seed),
-        "metric": args.metric,
-        "replicates": args.replicates,
-        "n_samples": len(results),
-        "baseline": args.baseline,
-        "wmt_size_marker": WMT_APE_EN_DE_SIZE,
-        "results": [{"size": s, "replicate": r, "value": v} for s, r, v in results],
-        "points": points,
-    }
-    _write_report(args.out, payload)
+    _write_report(
+        args.out,
+        _manifest("ablate", [args.scores or args.input], seed=spec.base_seed),
+        metric=args.metric,
+        replicates=args.replicates,
+        n_samples=len(results),
+        baseline=args.baseline,
+        wmt_size_marker=WMT_APE_EN_DE_SIZE,
+        results=[{"size": s, "replicate": r, "value": v} for s, r, v in results],
+        points=points,
+    )
     if args.out_csv:
         rows = ([p.metric, p.size, p.mean, p.min, p.max] for p in points)
         _write_csv(args.out_csv, ["metric", "size", "mean", "min", "max"], rows)
@@ -418,14 +391,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_buckets(args) -> int:
-    baseline, ape, refs = _read_line_files(args.baseline, args.ape, args.ref)
-    with _naming_empty_reference(args.ref, refs):
+    with _scoring_inputs(args.baseline, args.ape, args.ref) as (baseline, ape, refs):
         analysis = ter_buckets(baseline, ape, refs)
-    payload = {
-        "manifest": _manifest("buckets", [args.baseline, args.ape, args.ref]),
-        "analysis": analysis,
-    }
-    _write_report(args.out, payload)
+    _write_report(args.out, _manifest("buckets", [args.baseline, args.ape, args.ref]), analysis=analysis)
     if args.out_csv:
         rows = ([b.label, b.count, b.baseline_ter, b.ape_ter, b.delta_ter] for b in analysis.buckets)
         _write_csv(args.out_csv, ["bucket", "count", "baseline_ter", "ape_ter", "delta_ter"], rows)
@@ -438,8 +406,7 @@ def cmd_buckets(args) -> int:
 
 def cmd_stats(args) -> int:
     stats = corpus_stats(iter_corpus(args.input, args.format))
-    payload = {"manifest": _manifest("stats", [args.input]), "stats": stats}
-    _write_report(args.out, payload)
+    _write_report(args.out, _manifest("stats", [args.input]), stats=stats)
     print(
         f"stats: {stats.n_triplets} triplets, tokens src/mt/pe = "
         f"{stats.tokens_src}/{stats.tokens_mt}/{stats.tokens_pe}"

@@ -222,15 +222,17 @@ def language_filter(
 ) -> Tuple[Corpus, Corpus]:
     """Keep triplets whose src and pe are identified as the expected languages.
 
-    Classifier failures route the triplet to removed rather than aborting
-    the run.
+    A text the classifier rejects by contract (ValueError for empty text,
+    KeyError for a text missing from a TabFileClassifier table) routes the
+    triplet to removed with reason "langid_error"; any other exception is a
+    classifier bug and propagates.
     """
     kept, removed = [], []
     for triplet in corpus:
         try:
             src_lang = classifier.classify(triplet.src)
             pe_lang = classifier.classify(triplet.pe)
-        except Exception as exc:
+        except (ValueError, KeyError) as exc:
             removed.append(triplet.with_meta(removed_reason="langid_error", langid_error=str(exc)))
             continue
         if src_lang == expected_src and pe_lang == expected_tgt:
@@ -247,14 +249,15 @@ def split_holdout(corpus: Corpus, dev_size: int, test_size: int, seed: int) -> T
 
     A seeded shuffle of positions picks dev then test; the remaining
     triplets form train in their original relative order. Deterministic
-    for a given (corpus, seed).
+    for a given (corpus, seed). The corpus is what survived filtering, and
+    a split that would leave no train triplet is rejected in those terms.
     """
     n = len(corpus)
     if dev_size < 0 or test_size < 0:
         raise ValueError("split sizes must be non-negative")
     held = dev_size + test_size
     if held > 0 and held >= n:
-        raise ValueError(f"dev_size + test_size ({held}) must be smaller than the corpus ({n})")
+        raise ValueError(f"{n} triplet(s) survive filtering, too few for dev_size + test_size = {held}")
     positions = list(range(n))
     random.Random(seed).shuffle(positions)
     dev_positions = positions[:dev_size]
@@ -284,12 +287,6 @@ def run_filter_pipeline(
     after_langid, removed_langid = language_filter(
         after_dedup, classifier, config.expected_src_lang, config.expected_tgt_lang
     )
-    held = config.dev_size + config.test_size
-    if held > 0 and held >= len(after_langid):
-        raise ValueError(
-            f"{len(after_langid)} triplet(s) survive filtering, too few for "
-            f"dev_size + test_size = {held}"
-        )
     train, dev, test = split_holdout(after_langid, config.dev_size, config.test_size, config.seed)
 
     report = FilterReport(

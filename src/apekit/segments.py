@@ -338,6 +338,15 @@ def postprocess_with_report(
     return joined, dropped
 
 
+def _until_fault(lines: Iterable[str], faults: list) -> Iterator[str]:
+    """Yield ``lines`` until reading one raises OSError or ValueError, then
+    end, holding that fault in ``faults``."""
+    try:
+        yield from lines
+    except (OSError, ValueError) as exc:
+        faults.append(exc)
+
+
 def postprocess_all(
     outputs: Iterable[str], logs: Iterable[ChangeLog], field_name: str = "mt"
 ) -> Iterator[Tuple[str, int]]:
@@ -348,29 +357,19 @@ def postprocess_all(
     is met; one in reading ``outputs``, and then a total part count that
     differs from the number of decoded lines, once every log is read.
     """
-    lines = iter(outputs)
+    faults = []
+    lines = _until_fault(outputs, faults)
     expected = read = 0
-    fault = None
     for log in logs:
         n = log.parts[field_name]
         expected += n
-        if fault is not None or read + n != expected:  # outputs failed, or ran out before this log
-            continue
-        try:
-            parts = list(islice(lines, n))
-        except (OSError, ValueError) as exc:
-            fault = exc
-            continue
+        parts = list(islice(lines, n))
         read += len(parts)
-        if len(parts) == n:
+        if read == expected:  # else outputs failed or ran out, here or before this log
             yield postprocess_with_report(parts, log, field_name)
-    if fault is None:
-        try:
-            read += sum(1 for _ in lines)
-        except (OSError, ValueError) as exc:
-            fault = exc
-    if fault is not None:
-        raise fault
+    read += sum(1 for _ in lines)
+    if faults:
+        raise faults[0]
     if read != expected:
         raise PartCountError(
             f"outputs/changelog mismatch: changelog expects {expected} {field_name} part(s), "

@@ -1,9 +1,12 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from apekit.analysis import (
     BUCKET_EDGES,
+    _bucket_index,
     SampleSpec,
     curve_report,
     draw_samples,
@@ -197,6 +200,23 @@ class TestTerBuckets:
         assert len(BUCKET_EDGES) == 10
         assert BUCKET_EDGES[0][1] == float("inf")
         assert BUCKET_EDGES[-1] == (0.0, 10.0)
+
+    EDGE_VALUES = sorted({edge for bucket in BUCKET_EDGES for edge in bucket if edge != float("inf")})
+
+    @staticmethod
+    def rule_index(value):
+        """The one bucket whose (low, high] holds ``value``; the last also holds 0."""
+        (index,) = [i for i, (low, high) in enumerate(BUCKET_EDGES)
+                    if low < value <= high or low == 0.0 == value]
+        return index
+
+    @given(st.floats(0, 200))
+    def test_bucket_index_follows_the_low_exclusive_rule(self, value):
+        assert _bucket_index(value) == self.rule_index(value)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_bucket_index_puts_each_edge_in_the_bucket_below(self, value):
+        assert _bucket_index(value) == self.rule_index(value)
 
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):

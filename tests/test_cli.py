@@ -1066,6 +1066,9 @@ REJECTIONS = {
     "empty-significance": ({"a.txt": [], "b.txt": [], "ref.txt": []},
                            "significance --hyp-a a.txt --hyp-b b.txt --ref ref.txt",
                            2, "bootstrap needs at least one sentence"),
+    "constant-ratings": ({"ad.csv": ["annotator_id,item_id,system,score"]
+                                    + [f"{a},i1,{s},3" for a in "AB" for s in ("nmt", "ape", "human")]},
+                         "agreement --csv ad.csv", 2, "kappa undefined for every annotator pair"),
 }
 
 

@@ -168,6 +168,15 @@ class TestLanguageFilter:
         assert len(kept) == 0
         assert removed[0].meta["removed_reason"] == "langid_error"
 
+    def test_classifier_bug_propagates(self):
+        class Broken:
+            def classify(self, text):
+                raise TypeError("classifier bug")
+
+        corpus = corpus_of([("hello", "hallo", "hallo")])
+        with pytest.raises(TypeError, match="classifier bug"):
+            language_filter(corpus, Broken(), "en", "de")
+
     def test_builtin_classifier_on_planted_sentences(self):
         english = [
             "The children walked home from school together.",
@@ -260,6 +269,11 @@ class TestSplitHoldout:
         corpus = corpus_of([(f"s{i}", "m", "p") for i in range(5)])
         with pytest.raises(ValueError):
             split_holdout(corpus, 3, 2, seed=0)
+
+    def test_oversized_split_names_the_survivors_as_the_cli_does(self):
+        corpus = corpus_of([(f"s{i}", "m", "p") for i in range(3)])
+        with pytest.raises(ValueError, match=r"^3 triplet\(s\) survive filtering, too few for dev_size \+ test_size = 3$"):
+            split_holdout(corpus, 2, 1, seed=0)
 
     def test_paper_scale_arithmetic(self):
         corpus = corpus_of([(f"s{i}", "m", "p") for i in range(161_413)])

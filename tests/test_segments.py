@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apekit.corpus import Triplet
+from apekit.corpus import CorpusFormatError, Triplet, read_lines
 from apekit.segments import (
     LEADING_HYPHEN_RE,
     MUSIC_CHARS,
@@ -228,6 +228,15 @@ class TestPostprocess:
             list(postprocess_all(["C", "D"], logs, "mt"))
         with pytest.raises(PartCountError, match="changelog expects 3 mt part.*decoded file has 4 line"):
             list(postprocess_all(["C", "D", "H", "J"], logs, "mt"))
+
+    def test_postprocess_all_raises_a_read_fault_after_the_last_log(self, tmp_path):
+        decoded = tmp_path / "decoded.txt"
+        decoded.write_bytes(b"C\nD\n\r")  # both expected lines, then a third holding a bare \r
+        logs = [preprocess(triplet("A<br>B", "C<br>D", "E<br>F"))[1]]
+        restored = []
+        with pytest.raises(CorpusFormatError, match=r"decoded\.txt: line 3: carriage return inside a line"):
+            restored.extend(postprocess_all(read_lines(decoded), logs, "mt"))
+        assert restored == [("C<br>D", 0)]
 
     def test_br_fallback_round_trip(self):
         t = triplet("A<br>B<br/>C", "no breaks", "none either")
