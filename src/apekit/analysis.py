@@ -4,8 +4,8 @@ Everything here is seeded and deterministic. The harness never trains a
 model; it draws training subsets, ingests externally produced scores or
 system outputs, and aggregates them. A data-size curve is
 ``curve_report`` over (size, replicate, value) rows: values come from an
-external scores file, or from ``mock_scorer`` on the ``draw_samples``
-subsets, which exercises the protocol hermetically.
+external scores file (``read_scores``), or from ``mock_scorer`` on the
+``draw_samples`` subsets, which exercises the protocol hermetically.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import reduce
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .corpus import Corpus, DuplicateIdError, Triplet
+from .corpus import Corpus, DuplicateIdError, Triplet, read_csv
 from .ter import ter_corpus, ter_sentence
 from .tokenizer import TER_NORMALIZED_TOKENIZER
 
@@ -65,6 +65,36 @@ class SampleSpec:
             raise ValueError("sizes must be positive")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+
+
+def read_scores(path, spec: SampleSpec) -> List[Tuple[int, int, float]]:
+    """Read external size,replicate,value rows (a header on line 1 only); each must be
+    a distinct run of the grid of ``spec``, whose sizes each need a row. A fault raises
+    ValueError naming the line and the grid by ablate's --sizes and --replicates."""
+    rows = []
+    runs = set()
+    for line_no, row in read_csv(path):
+        if not row or (line_no == 1 and row[0].strip().lower() == "size"):
+            continue
+        where = f"{path}: line {line_no}"
+        if len(row) != 3:
+            raise ValueError(f"{where}: expected size,replicate,value")
+        try:
+            size, replicate, value = int(row[0]), int(row[1]), float(row[2])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        if size not in spec.sizes:
+            raise ValueError(f"{where}: size {size} is not in --sizes")
+        if not 0 <= replicate < spec.replicates:
+            raise ValueError(f"{where}: replicate {replicate} is outside 0..{spec.replicates - 1}")
+        if (size, replicate) in runs:
+            raise ValueError(f"{where}: size {size} replicate {replicate} repeats")
+        runs.add((size, replicate))
+        rows.append((size, replicate, value))
+    missing = sorted(set(spec.sizes) - {size for size, _ in runs})
+    if missing:
+        raise ValueError(f"{path}: no rows for --sizes {','.join(map(str, missing))}")
+    return rows
 
 
 def _derived_seed(base_seed: int, size: int, replicate: int) -> int:

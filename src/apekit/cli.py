@@ -35,6 +35,7 @@ from .analysis import (
     curve_report,
     draw_samples,
     mock_scorer,
+    read_scores,
     ter_buckets,
 )
 from .bleu import bleu_corpus
@@ -47,7 +48,6 @@ from .corpus import (
     iter_corpus,
     open_lines,
     read_corpus,
-    read_csv,
     read_lines,
     require_file,
     staged_outputs,
@@ -55,7 +55,7 @@ from .corpus import (
 )
 from .filtering import SEED_RULE, FilterConfig, is_seed, run_filter_pipeline
 from .langid import NgramLanguageClassifier
-from .segments import postprocess_all, preprocess, read_changelog, write_changelog
+from .segments import postprocess_all, preprocess_all, read_changelog, write_changelog
 from .ter import EmptyReferenceError, ter_corpus, ter_sentence
 from .tokenizer import SCHEMES, TER_NORMALIZED_TOKENIZER, TokenizerConfig
 
@@ -79,15 +79,12 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _manifest(subcommand: str, inputs, seed=None, config: dict = None) -> dict:
     return {
         "toolkit_version": __version__,
         "subcommand": subcommand,
-        "config_digest": _sha256_text(json.dumps(config, sort_keys=True)) if config else None,
+        "config_digest": hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+        if config else None,
         "input_digests": {str(p): _sha256_file(p) for p in inputs},
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -135,10 +132,6 @@ def _scoring_inputs(*paths):
         raise ValueError(f"{paths[-1]}: line {refs.index(exc.ref) + 1}: {exc}") from exc
 
 
-def _tokenizer_from_args(args) -> TokenizerConfig:
-    return TokenizerConfig(scheme=args.tokenizer, lowercase=args.lowercase)
-
-
 # ---------------------------------------------------------------- filter
 
 
@@ -169,39 +162,17 @@ def cmd_filter(args) -> int:
     train, dev, test, report = run_filter_pipeline(corpus, config, classifier)
 
     out_dir = Path(args.out_dir)
-    for name, split in (("train", train), ("dev", dev), ("test", test)):
-        write_corpus(split, out_dir / f"{name}.jsonl")
-    manifest = _manifest("filter", [args.input], seed=config.seed, config=vars(config))
-    _write_report(out_dir / "filter_report.json", manifest, config=config, report=report)
+    outputs = (out_dir / name for name in ("train.jsonl", "dev.jsonl", "test.jsonl", "filter_report.json"))
+    with staged_outputs(*outputs) as (*split_paths, report_path):
+        for split, path in zip((train, dev, test), split_paths):
+            write_corpus(split, path)
+        manifest = _manifest("filter", [args.input], seed=config.seed, config=vars(config))
+        _write_report(report_path, manifest, config=config, report=report)
     print(f"filter: kept {report.kept_count}/{report.input_count} -> {out_dir}")
     return 0
 
 
 # ---------------------------------------------------- preprocess / postprocess
-
-
-def _line_break_fault(triplet):
-    for name in TEXT_FIELDS:
-        if "\n" in triplet.text(name) or "\r" in triplet.text(name):
-            return ValueError(f"triplet {triplet.id!r}: field {name!r} contains a newline or carriage return; "
-                              "line-oriented decoding files cannot represent it")
-    return None
-
-
-def _preprocessed(triplets, cleaned):
-    """Write each triplet's cleaned parts to ``cleaned`` and yield its log. The
-    first field holding a line break is raised after every triplet is read,
-    so a fault of the corpus itself is raised first."""
-    fault = None
-    for triplet in triplets:
-        fault = fault or _line_break_fault(triplet)
-        if fault is None:
-            parts, log = preprocess(triplet)
-            # vars: the fields in declaration order, at half asdict's cost
-            cleaned.writelines(json.dumps(vars(part), ensure_ascii=False) + "\n" for part in parts)
-            yield log
-    if fault is not None:
-        raise fault
 
 
 def cmd_preprocess(args) -> int:
@@ -212,7 +183,7 @@ def cmd_preprocess(args) -> int:
     outputs = (out_dir / name for name in ("cleaned.jsonl", "changelog.jsonl", "preprocess_report.json"))
     with staged_outputs(*outputs) as (cleaned_path, changelog_path, report_path):
         with open_lines(cleaned_path) as cleaned:
-            header = write_changelog(changelog_path, _preprocessed(iter_corpus(args.input, args.format), cleaned),
+            header = write_changelog(changelog_path, preprocess_all(iter_corpus(args.input, args.format), cleaned),
                                      input_sha256)
         _write_report(report_path, manifest, n_triplets=header["n_triplets"], n_parts=header["n_parts"])
     print(f"preprocess: {header['n_triplets']} triplets -> {header['n_parts']['mt']} mt parts in {out_dir}")
@@ -256,7 +227,9 @@ def _metric_report(hyps, refs, bleu_tok, ter_tok, per_sentence=False) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    bleu_tok = _tokenizer_from_args(args)
+    if args.n_samples is not None and not args.hyp_b:
+        raise ConfigError("evaluate --n-samples needs --hyp-b (it sets the bootstrap's resample count)")
+    bleu_tok = TokenizerConfig(scheme=args.tokenizer, lowercase=args.lowercase)
     ter_tok = TER_NORMALIZED_TOKENIZER if args.ter_normalize else bleu_tok
     seed = args.seed if args.seed is not None else 0
     with _scoring_inputs(args.hyp, args.hyp_b, args.ref) as (hyps, hyps_b, refs):
@@ -327,41 +300,16 @@ def _parse_sizes(raw: str):
         raise ConfigError(f"invalid --sizes value {raw!r}: {exc}") from exc
 
 
-def _read_scores(path, spec: SampleSpec) -> list:
-    """Read external size,replicate,value rows (a header on line 1 only); each
-    must be a distinct run that the --sizes and --replicates of ``spec`` describe."""
-    rows = []
-    runs = set()
-    for line_no, row in read_csv(path):
-        if not row or (line_no == 1 and row[0].strip().lower() == "size"):
-            continue
-        where = f"{path}: line {line_no}"
-        if len(row) != 3:
-            raise ValueError(f"{where}: expected size,replicate,value")
-        try:
-            size, replicate, value = int(row[0]), int(row[1]), float(row[2])
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
-        if size not in spec.sizes:
-            raise ValueError(f"{where}: size {size} is not in --sizes")
-        if not 0 <= replicate < spec.replicates:
-            raise ValueError(f"{where}: replicate {replicate} is outside 0..{spec.replicates - 1}")
-        if (size, replicate) in runs:
-            raise ValueError(f"{where}: size {size} replicate {replicate} repeats")
-        runs.add((size, replicate))
-        rows.append((size, replicate, value))
-    missing = sorted(set(spec.sizes) - {size for size, _ in runs})
-    if missing:
-        raise ValueError(f"{path}: no rows for --sizes {','.join(map(str, missing))}")
-    return rows
-
-
 def cmd_ablate(args) -> int:
+    if args.input and args.metric != "mock":
+        raise ConfigError(f"ablate --metric {args.metric} needs --scores (--in samples are mock-scored)")
+    if args.scores and args.emit_samples:
+        raise ConfigError("ablate --emit-samples needs --in (--scores draws no samples)")
     sizes = _parse_sizes(args.sizes)
     spec = SampleSpec(sizes=sizes, replicates=args.replicates, base_seed=args.seed or 0)
 
     if args.scores:
-        results = _read_scores(args.scores, spec)
+        results = read_scores(args.scores, spec)
     else:
         corpus = read_corpus(args.input, args.format)
         samples = draw_samples(corpus, spec)
@@ -433,6 +381,11 @@ def build_parser() -> _Parser:
             raise argparse.ArgumentTypeError(f"must be {SEED_RULE}, got {value}")
         return value
 
+    def path(raw: str) -> str:  # argparse type for every file and directory option
+        if not raw:
+            raise argparse.ArgumentTypeError("must be a non-empty path")
+        return raw
+
     def flag(*names, **kwargs):
         parent = argparse.ArgumentParser(add_help=False)
         parent.add_argument(*names, **kwargs)
@@ -442,33 +395,33 @@ def build_parser() -> _Parser:
     inert_seed = flag("--seed", type=seed, default=None, help="accepted for scripts; has no effect")
     threads = flag("--threads", type=int, default=1, help="accepted for scripts; has no effect")
     fmt = flag("--format", choices=FORMATS, default="jsonl", help="corpus format")
-    config = flag("--config", default=None, help="JSON filter config file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("filter", parents=[seeded, threads, fmt, config], help="run the corpus filter pipeline")
-    p.add_argument("--in", dest="input", required=True, help="input corpus")
-    p.add_argument("--out-dir", required=True, help="directory for splits and report")
+    p = sub.add_parser("filter", parents=[seeded, threads, fmt], help="run the corpus filter pipeline")
+    p.add_argument("--in", type=path, dest="input", required=True, help="input corpus")
+    p.add_argument("--out-dir", type=path, required=True, help="directory for splits and report")
+    p.add_argument("--config", type=path, default=None, help="JSON filter config file")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("preprocess", parents=[inert_seed, threads, fmt], help="split and strip subtitle markup")
-    p.add_argument("--in", dest="input", required=True, help="input corpus")
-    p.add_argument("--out-dir", required=True, help="directory for cleaned corpus and changelog")
+    p.add_argument("--in", type=path, dest="input", required=True, help="input corpus")
+    p.add_argument("--out-dir", type=path, required=True, help="directory for cleaned corpus and changelog")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("postprocess", parents=[inert_seed, threads], help="restore tracked changes")
-    p.add_argument("--outputs", required=True, help="decoded text, one cleaned part per line")
-    p.add_argument("--changelog", required=True, help="changelog from the matching preprocess run")
-    p.add_argument("--out", required=True, help="restored text output path")
+    p.add_argument("--outputs", type=path, required=True, help="decoded text, one cleaned part per line")
+    p.add_argument("--changelog", type=path, required=True, help="changelog from the matching preprocess run")
+    p.add_argument("--out", type=path, required=True, help="restored text output path")
     p.add_argument("--field", choices=TEXT_FIELDS, default="mt")
-    p.add_argument("--orig", default=None, help="original corpus to digest-check against")
+    p.add_argument("--orig", type=path, default=None, help="original corpus to digest-check against")
     p.set_defaults(func=cmd_postprocess)
 
     p = sub.add_parser("evaluate", parents=[seeded, threads], help="BLEU, ChrF, and TER report")
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--hyp-b", default=None, help="second system; adds a bootstrap block")
-    p.add_argument("--out", default="metric_report.json")
+    p.add_argument("--hyp", type=path, required=True)
+    p.add_argument("--ref", type=path, required=True)
+    p.add_argument("--hyp-b", type=path, default=None, help="second system; adds a bootstrap block")
+    p.add_argument("--out", type=path, default="metric_report.json")
     p.add_argument("--tokenizer", choices=SCHEMES, default="punct_split")
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--no-ter-normalize", dest="ter_normalize", action="store_false",
@@ -479,48 +432,48 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("significance", parents=[seeded, threads], help="paired bootstrap test")
-    p.add_argument("--hyp-a", required=True)
-    p.add_argument("--hyp-b", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--out", default="significance.json")
+    p.add_argument("--hyp-a", type=path, required=True)
+    p.add_argument("--hyp-b", type=path, required=True)
+    p.add_argument("--ref", type=path, required=True)
+    p.add_argument("--out", type=path, default="significance.json")
     p.add_argument("--statistic", choices=list(STATISTICS), default="bleu")
     p.add_argument("--n-samples", type=count, default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_significance)
 
     p = sub.add_parser("agreement", help="pairwise kappa matrix")
-    p.add_argument("--csv", required=True, help="annotator_id,item_id,system,score rows")
-    p.add_argument("--out", default="agreement.json")
+    p.add_argument("--csv", type=path, required=True, help="annotator_id,item_id,system,score rows")
+    p.add_argument("--out", type=path, default="agreement.json")
     p.set_defaults(func=cmd_agreement)
 
     p = sub.add_parser("adequacy", help="adequacy summary table")
-    p.add_argument("--csv", required=True, help="annotator_id,item_id,system,score rows")
-    p.add_argument("--out", default="adequacy.json")
+    p.add_argument("--csv", type=path, required=True, help="annotator_id,item_id,system,score rows")
+    p.add_argument("--out", type=path, default="adequacy.json")
     p.set_defaults(func=cmd_adequacy)
 
     p = sub.add_parser("ablate", parents=[seeded, fmt], help="data-size curve protocol")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--in", dest="input", help="training corpus to sample")
-    source.add_argument("--scores", help="external size,replicate,value CSV to aggregate")
+    source.add_argument("--in", type=path, dest="input", help="training corpus to sample")
+    source.add_argument("--scores", type=path, help="external size,replicate,value CSV to aggregate")
     p.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     p.add_argument("--replicates", type=count, default=DEFAULT_REPLICATES)
     p.add_argument("--metric", default="mock")
-    p.add_argument("--emit-samples", default=None, help="directory to write sampled corpora")
+    p.add_argument("--emit-samples", type=path, default=None, help="directory to write sampled corpora")
     p.add_argument("--baseline", type=float, default=None, help="do-nothing baseline reference line")
-    p.add_argument("--out", default="curve.json")
-    p.add_argument("--out-csv", default=None)
+    p.add_argument("--out", type=path, default="curve.json")
+    p.add_argument("--out-csv", type=path, default=None)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("buckets", parents=[inert_seed, threads], help="TER-bucket delta analysis")
-    p.add_argument("--baseline", required=True, help="do-nothing system output, one line per item")
-    p.add_argument("--ape", required=True, help="post-edited system output, one line per item")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--out", default="buckets.json")
-    p.add_argument("--out-csv", default=None)
+    p.add_argument("--baseline", type=path, required=True, help="do-nothing system output, one line per item")
+    p.add_argument("--ape", type=path, required=True, help="post-edited system output, one line per item")
+    p.add_argument("--ref", type=path, required=True)
+    p.add_argument("--out", type=path, default="buckets.json")
+    p.add_argument("--out-csv", type=path, default=None)
     p.set_defaults(func=cmd_buckets)
 
     p = sub.add_parser("stats", parents=[fmt], help="corpus statistics")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default="stats.json")
+    p.add_argument("--in", type=path, dest="input", required=True)
+    p.add_argument("--out", type=path, default="stats.json")
     p.set_defaults(func=cmd_stats)
 
     return parser
@@ -535,12 +488,6 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.command == "ablate" and args.input and args.metric != "mock":
-            raise ConfigError(f"ablate --metric {args.metric} needs --scores (--in samples are mock-scored)")
-        if args.command == "ablate" and args.scores and args.emit_samples:
-            raise ConfigError("ablate --emit-samples needs --in (--scores draws no samples)")
-        if args.command == "evaluate" and args.n_samples is not None and not args.hyp_b:
-            raise ConfigError("evaluate --n-samples needs --hyp-b (it sets the bootstrap's resample count)")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -198,9 +198,13 @@ def staged_outputs(*paths) -> Iterator[List[Path]]:
 
     Yields a ``<path>.tmp`` for each path, in a directory made if needed.
     When the block ends normally each is renamed over its path; when it
-    raises they are removed, with every directory made for them.
+    raises they are removed, with every directory made for them. A path
+    that is an existing directory is rejected before anything is made.
     """
     targets = [Path(p) for p in paths]
+    for target in targets:
+        if target.is_dir():
+            raise ValueError(f"output path is a directory: {target}")
     made = []
     for target in targets:
         directory = target.parent

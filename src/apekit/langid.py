@@ -22,7 +22,7 @@ from collections import Counter
 from functools import reduce
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Dict, Iterable, Mapping, Protocol, Sequence
+from typing import Dict, Mapping, Protocol, Sequence
 
 from .corpus import read_lines
 
@@ -217,7 +217,7 @@ class NgramLanguageClassifier:
 class TabFileClassifier:
     """Replays language decisions produced by an external tool.
 
-    The source is a file (or iterable of lines) of "text TAB lang" pairs.
+    The source is a file of "text TAB lang" pairs.
     Texts not present in the table raise KeyError, which the filter stage
     turns into a removal with a reason code.
     """
@@ -226,22 +226,17 @@ class TabFileClassifier:
         self._table = dict(table)
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str], prefix: str = "") -> "TabFileClassifier":
-        """Build the table; a malformed line raises ValueError naming it after `prefix`."""
+    def from_file(cls, path) -> "TabFileClassifier":
+        """Build the table; a malformed line raises ValueError naming ``path`` and the line."""
         table = {}
-        for i, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\n")
+        for i, line in enumerate(read_lines(path), start=1):
             if not line:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ValueError(f"{prefix}line {i}: expected 'text<TAB>lang', found {len(parts)} columns")
+                raise ValueError(f"{path}: line {i}: expected 'text<TAB>lang', found {len(parts)} columns")
             table[parts[0]] = parts[1]
         return cls(table)
-
-    @classmethod
-    def from_file(cls, path) -> "TabFileClassifier":
-        return cls.from_lines(read_lines(path), f"{path}: ")
 
     def classify(self, text: str) -> str:
         return self._table[text]

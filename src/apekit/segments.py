@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import IO, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from . import __version__
 from .corpus import TEXT_FIELDS, Triplet, read_lines, write_lines
@@ -277,6 +277,30 @@ def preprocess(triplet: Triplet) -> Tuple[List[CleanTriplet], ChangeLog]:
     return clean_triplets, log
 
 
+def _line_break_fault(triplet: Triplet):
+    for name in TEXT_FIELDS:
+        if "\n" in triplet.text(name) or "\r" in triplet.text(name):
+            return ValueError(f"triplet {triplet.id!r}: field {name!r} contains a newline or carriage return; "
+                              "line-oriented decoding files cannot represent it")
+    return None
+
+
+def preprocess_all(triplets: Iterable[Triplet], cleaned: IO[str]) -> Iterator[ChangeLog]:
+    """Write each triplet's cleaned parts to ``cleaned`` as JSON lines and yield its log.
+    A field holding a line break, which a decoding file could not hold, is raised
+    after every triplet is read, so a fault of ``triplets`` itself is raised first."""
+    fault = None
+    for triplet in triplets:
+        fault = fault or _line_break_fault(triplet)
+        if fault is None:
+            parts, log = preprocess(triplet)
+            # vars: the fields in declaration order, at half asdict's cost
+            cleaned.writelines(json.dumps(vars(part), ensure_ascii=False) + "\n" for part in parts)
+            yield log
+    if fault is not None:
+        raise fault
+
+
 def _restore_exact(text: str, part_records: Sequence[ChangeRecord]) -> str:
     for record in reversed(part_records):
         end = record.offset + len(record.replacement)
@@ -377,13 +401,12 @@ def postprocess_all(
         )
 
 
-def _counted(logs: Iterable[ChangeLog], counts: dict) -> Iterator[ChangeLog]:
-    """Pass ``logs`` through, adding each to the header counts in ``counts``."""
-    for log in logs:
-        counts["n_triplets"] += 1
-        for f in TEXT_FIELDS:
-            counts["n_parts"][f] += log.parts[f]
-        yield log
+def _tally(counts: dict, log: ChangeLog) -> ChangeLog:
+    """Add ``log`` to the header counts in ``counts`` and return it."""
+    counts["n_triplets"] += 1
+    for f in TEXT_FIELDS:
+        counts["n_parts"][f] += log.parts[f]
+    return log
 
 
 def _no_counts() -> dict:
@@ -399,7 +422,7 @@ def write_changelog(path, logs: Iterable[ChangeLog], input_sha256: str) -> dict:
     body = Path(f"{path}.logs")
     counts = _no_counts()
     try:
-        write_lines(body, map(ChangeLog.to_json, _counted(logs, counts)))
+        write_lines(body, (ChangeLog.to_json(_tally(counts, log)) for log in logs))
         header = {"type": "header", "toolkit_version": __version__, "input_sha256": input_sha256, **counts}
         write_lines(path, [json.dumps(header, ensure_ascii=False)])
         with open(path, "ab") as handle, open(body, "rb") as written:
@@ -437,16 +460,9 @@ def read_changelog(path) -> Tuple[dict, Iterator[ChangeLog]]:
 
 
 def _read_logs(path, header: dict, lines: Iterator[Tuple[int, str]]) -> Iterator[ChangeLog]:
+    """Parse each non-blank line, then check the header counts against the logs.
+    The first line that does not parse is raised after the rest have framed."""
     counts = _no_counts()
-    yield from _counted(_parsed_logs(path, lines), counts)
-    if (header.get("n_triplets"), header.get("n_parts")) != (counts["n_triplets"], counts["n_parts"]):
-        raise ValueError(f"{path}: line 1: header counts {header.get('n_triplets')!r} triplet(s) with parts "
-                         f"{header.get('n_parts')!r}, but the logs hold {counts['n_triplets']} triplet(s) "
-                         f"with parts {counts['n_parts']}")
-
-
-def _parsed_logs(path, lines: Iterator[Tuple[int, str]]) -> Iterator[ChangeLog]:
-    """Parse each non-blank line; the first that does not parse is raised after the rest have framed."""
     fault = None
     for number, line in lines:
         if fault is not None or not line.strip():
@@ -456,6 +472,10 @@ def _parsed_logs(path, lines: Iterator[Tuple[int, str]]) -> Iterator[ChangeLog]:
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             fault = ValueError(f"{path}: line {number}: malformed changelog ({exc})")
             continue
-        yield log
+        yield _tally(counts, log)
     if fault is not None:
         raise fault
+    if (header.get("n_triplets"), header.get("n_parts")) != (counts["n_triplets"], counts["n_parts"]):
+        raise ValueError(f"{path}: line 1: header counts {header.get('n_triplets')!r} triplet(s) with parts "
+                         f"{header.get('n_parts')!r}, but the logs hold {counts['n_triplets']} triplet(s) "
+                         f"with parts {counts['n_parts']}")

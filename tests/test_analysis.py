@@ -11,6 +11,7 @@ from apekit.analysis import (
     curve_report,
     draw_samples,
     mock_scorer,
+    read_scores,
     ter_buckets,
     upsample_mix,
 )
@@ -107,6 +108,15 @@ class TestCurveReport:
         assert len(results) == 18 and len(points) == 6
         for p in points:
             assert p.min <= p.mean <= p.max
+
+
+class TestReadScores:
+    def test_out_of_grid_replicate_is_rejected_with_the_cli_message(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("size,replicate,value\n10,0,50\n10,3,51\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_scores(path, SampleSpec(sizes=(10,), replicates=3))
+        assert str(err.value) == f"{path}: line 3: replicate 3 is outside 0..2"
 
 
 class TestUpsampleMix:

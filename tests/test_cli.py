@@ -977,6 +977,85 @@ def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatc
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+PATH_FLAGS = {
+    "filter": ["--in", "--out-dir", "--config"],
+    "preprocess": ["--in", "--out-dir"],
+    "postprocess": ["--outputs", "--changelog", "--out", "--orig"],
+    "evaluate": ["--hyp", "--ref", "--hyp-b", "--out"],
+    "significance": ["--hyp-a", "--hyp-b", "--ref", "--out"],
+    "agreement": ["--csv", "--out"],
+    "adequacy": ["--csv", "--out"],
+    "ablate": ["--in", "--scores", "--emit-samples", "--out", "--out-csv"],
+    "buckets": ["--baseline", "--ape", "--ref", "--out", "--out-csv"],
+    "stats": ["--in", "--out"],
+}
+PATH_OPTIONS = [(command, flag) for command, flags in PATH_FLAGS.items() for flag in flags]
+
+
+def test_the_path_options_are_every_option_that_names_a_file():
+    assert len(PATH_OPTIONS) == 33
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    typed = {(command, action.option_strings[0]) for command, sub in subparsers.choices.items()
+             for action in sub._actions if getattr(action.type, "__name__", None) == "path"}
+    assert typed == set(PATH_OPTIONS)
+
+
+@pytest.mark.parametrize("command, flag", PATH_OPTIONS)
+def test_an_empty_path_is_a_usage_error_naming_the_flag(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = ["--sizes", "10"] if (command, flag) == ("ablate", "--in") else list(REQUIRED_ARGS[command])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = ""
+    else:
+        argv += [flag, ""]
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().err == f"error: argument {flag}: must be a non-empty path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _tree(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command, target", [("preprocess", "pp/changelog.jsonl"), ("filter", "test.jsonl")])
+def test_an_output_that_is_a_directory_is_rejected_before_anything_is_written(tmp_path, capsys, command, target):
+    path, _ = make_corpus_file(tmp_path, synthetic_rows(60))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dev_size": 5, "test_size": 5, "expected_tgt_lang": "en"}), encoding="utf-8")
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    before = _tree(out)
+    argv = {"preprocess": ["preprocess", "--in", str(path), "--out-dir", str(out / "pp")],
+            "filter": ["filter", "--in", str(path), "--out-dir", str(out), "--config", str(config)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: output path is a directory: {out / target}\n"
+    assert _tree(out) == before
+
+
+def test_filter_is_all_or_nothing(tmp_path, monkeypatch, capsys):
+    """A write fault on the third split leaves the outputs of an earlier run as they were."""
+    path, _ = make_corpus_file(tmp_path, synthetic_rows(60))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dev_size": 5, "test_size": 5, "expected_tgt_lang": "en"}), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["filter", "--in", str(path), "--out-dir", str(out), "--config", str(config)]
+    assert main(argv) == 0
+    before = _tree(out)
+    written = []
+    real_write_corpus = apekit.cli.write_corpus
+
+    def failing_third_write(corpus, target):
+        written.append(target)
+        if len(written) == 3:
+            raise OSError("disk full")
+        real_write_corpus(corpus, target)
+
+    monkeypatch.setattr(apekit.cli, "write_corpus", failing_third_write)
+    assert main([*argv, "--seed", "8"]) == 2
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert len(written) == 3 and _tree(out) == before
+
+
 def test_choices_and_defaults_come_from_the_modules_that_state_them():
     for command in ("filter", "preprocess", "ablate", "stats"):
         assert _option(command, "--format").choices is FORMATS

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apekit.corpus import CorpusFormatError, Triplet, read_lines
+from apekit.corpus import CorpusFormatError, Triplet, iter_corpus, read_lines
 from apekit.segments import (
     LEADING_HYPHEN_RE,
     MUSIC_CHARS,
@@ -18,6 +19,7 @@ from apekit.segments import (
     postprocess_all,
     postprocess_with_report,
     preprocess,
+    preprocess_all,
     read_changelog,
     strip_markup,
     write_changelog,
@@ -181,6 +183,23 @@ class TestPreprocess:
         t = triplet("- <i>A</i><br>B", "- <i>C</i><br>D", "- <i>E</i><br>F")
         _, log = preprocess(t)
         assert ChangeLog.from_json(log.to_json()) == log
+
+    def test_preprocess_all_raises_a_repeated_id_before_a_later_line_break_field(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        rows = [{"id": "a", "src": "x", "mt": "y", "pe": "z"},
+                {"id": "a", "src": "x", "mt": "y", "pe": "z"},
+                {"id": "b", "src": "x", "mt": "y\rz", "pe": "w"}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as err:
+            list(preprocess_all(iter_corpus(path), io.StringIO()))
+        assert str(err.value) == f"{path}: line 2: duplicate triplet id 'a' (first on line 1)"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows[1:]), encoding="utf-8")
+        cleaned = io.StringIO()
+        with pytest.raises(ValueError) as err:
+            list(preprocess_all(iter_corpus(path), cleaned))
+        assert str(err.value) == ("triplet 'b': field 'mt' contains a newline or carriage return; "
+                                  "line-oriented decoding files cannot represent it")
+        assert cleaned.getvalue() == '{"parent_id": "a", "part_index": 0, "src": "x", "mt": "y", "pe": "z"}\n'
 
 
 class TestPostprocess:
