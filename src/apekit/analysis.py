@@ -11,6 +11,7 @@ external scores file (``read_scores``), or from ``mock_scorer`` on the
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -83,6 +84,8 @@ def read_scores(path, spec: SampleSpec) -> List[Tuple[int, int, float]]:
             size, replicate, value = int(row[0]), int(row[1]), float(row[2])
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: value {row[2]!r} is not a finite number")
         if size not in spec.sizes:
             raise ValueError(f"{where}: size {size} is not in --sizes")
         if not 0 <= replicate < spec.replicates:

@@ -4,7 +4,9 @@ Every command reads plain files and writes a UTF-8 JSON report with a
 stable key order, led by a run manifest: the toolkit version, the digest
 of the filter config (null for every other command), the SHA-256 of each
 input file, the seed and a timestamp. Scoring options such as the
-tokenizer are not recorded yet.
+tokenizer are not recorded yet. A command writes only to the paths that
+``main``'s ``staged_outputs`` block stages for it, so its files appear
+once it has succeeded and a failed command leaves no file behind.
 Exit codes: 0 success, 1 usage or config error, 2 data or validation
 error.
 """
@@ -15,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -100,7 +103,8 @@ def _record_json(record) -> dict:
 def _write_report(path, manifest: dict, /, **body) -> None:
     """Write ``{"manifest": manifest, **body}`` as indented UTF-8 JSON."""
     with open_lines(path) as handle:
-        json.dump({"manifest": manifest, **body}, handle, ensure_ascii=False, indent=2, default=_record_json)
+        json.dump({"manifest": manifest, **body}, handle, ensure_ascii=False, indent=2, default=_record_json,
+                  allow_nan=False)
         handle.write("\n")
 
 
@@ -135,7 +139,7 @@ def _scoring_inputs(*paths):
 # ---------------------------------------------------------------- filter
 
 
-def cmd_filter(args) -> int:
+def cmd_filter(args, stage) -> str:
     if args.config:
         config_path = Path(args.config)
         if not config_path.is_file():
@@ -162,55 +166,47 @@ def cmd_filter(args) -> int:
     train, dev, test, report = run_filter_pipeline(corpus, config, classifier)
 
     out_dir = Path(args.out_dir)
-    outputs = (out_dir / name for name in ("train.jsonl", "dev.jsonl", "test.jsonl", "filter_report.json"))
-    with staged_outputs(*outputs) as (*split_paths, report_path):
-        for split, path in zip((train, dev, test), split_paths):
-            write_corpus(split, path)
-        manifest = _manifest("filter", [args.input], seed=config.seed, config=vars(config))
-        _write_report(report_path, manifest, config=config, report=report)
-    print(f"filter: kept {report.kept_count}/{report.input_count} -> {out_dir}")
-    return 0
+    for split, name in zip((train, dev, test), ("train.jsonl", "dev.jsonl", "test.jsonl")):
+        write_corpus(split, stage(out_dir / name))
+    manifest = _manifest("filter", [args.input], seed=config.seed, config=vars(config))
+    _write_report(stage(out_dir / "filter_report.json"), manifest, config=config, report=report)
+    return f"filter: kept {report.kept_count}/{report.input_count} -> {out_dir}"
 
 
 # ---------------------------------------------------- preprocess / postprocess
 
 
-def cmd_preprocess(args) -> int:
+def cmd_preprocess(args, stage) -> str:
     require_file(args.input)
     manifest = _manifest("preprocess", [args.input])  # hashes the input once, for the changelog too
     input_sha256 = manifest["input_digests"][args.input]
     out_dir = Path(args.out_dir)
-    outputs = (out_dir / name for name in ("cleaned.jsonl", "changelog.jsonl", "preprocess_report.json"))
-    with staged_outputs(*outputs) as (cleaned_path, changelog_path, report_path):
-        with open_lines(cleaned_path) as cleaned:
-            header = write_changelog(changelog_path, preprocess_all(iter_corpus(args.input, args.format), cleaned),
-                                     input_sha256)
-        _write_report(report_path, manifest, n_triplets=header["n_triplets"], n_parts=header["n_parts"])
-    print(f"preprocess: {header['n_triplets']} triplets -> {header['n_parts']['mt']} mt parts in {out_dir}")
-    return 0
+    outputs = ("cleaned.jsonl", "changelog.jsonl", "preprocess_report.json")
+    cleaned_path, changelog_path, report_path = (stage(out_dir / name) for name in outputs)
+    with open_lines(cleaned_path) as cleaned:
+        header = write_changelog(changelog_path, preprocess_all(iter_corpus(args.input, args.format), cleaned),
+                                 input_sha256)
+    _write_report(report_path, manifest, n_triplets=header["n_triplets"], n_parts=header["n_parts"])
+    return f"preprocess: {header['n_triplets']} triplets -> {header['n_parts']['mt']} mt parts in {out_dir}"
 
 
-def cmd_postprocess(args) -> int:
+def cmd_postprocess(args, stage) -> str:
     header, logs = read_changelog(args.changelog)
     restored = dropped_total = 0
-    with staged_outputs(args.out) as (out,):
-        with open_lines(out) as handle:
-            for text, dropped in postprocess_all(read_lines(args.outputs), logs, args.field):
-                handle.write(text + "\n")
-                restored += 1
-                dropped_total += dropped
-        if args.orig:
-            orig_digest = _sha256_file(require_file(args.orig))
-            if orig_digest != header.get("input_sha256"):
-                raise ValueError(
-                    f"changelog digest mismatch: changelog was produced from input "
-                    f"{header.get('input_sha256')}, but {args.orig} hashes to {orig_digest}"
-                )
-    print(
-        f"postprocess: restored {restored} segment(s) to {Path(args.out)}"
-        + (f" ({dropped_total} irrecoverable record(s) dropped)" if dropped_total else "")
-    )
-    return 0
+    with open_lines(stage(args.out)) as handle:
+        for text, dropped in postprocess_all(read_lines(args.outputs), logs, args.field):
+            handle.write(text + "\n")
+            restored += 1
+            dropped_total += dropped
+    if args.orig:
+        orig_digest = _sha256_file(require_file(args.orig))
+        if orig_digest != header.get("input_sha256"):
+            raise ValueError(
+                f"changelog digest mismatch: changelog was produced from input "
+                f"{header.get('input_sha256')}, but {args.orig} hashes to {orig_digest}"
+            )
+    return (f"postprocess: restored {restored} segment(s) to {Path(args.out)}"
+            + (f" ({dropped_total} irrecoverable record(s) dropped)" if dropped_total else ""))
 
 
 # ---------------------------------------------------------------- evaluate
@@ -226,7 +222,7 @@ def _metric_report(hyps, refs, bleu_tok, ter_tok, per_sentence=False) -> dict:
     return report
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, stage) -> str:
     if args.n_samples is not None and not args.hyp_b:
         raise ConfigError("evaluate --n-samples needs --hyp-b (it sets the bootstrap's resample count)")
     bleu_tok = TokenizerConfig(scheme=args.tokenizer, lowercase=args.lowercase)
@@ -240,54 +236,45 @@ def cmd_evaluate(args) -> int:
                 hyps, hyps_b, refs, n_samples=args.n_samples or DEFAULT_SAMPLES, seed=seed, tok=bleu_tok
             )
     manifest = _manifest("evaluate", [path for path in (args.hyp, args.ref, args.hyp_b) if path], seed=seed)
-    _write_report(args.out, manifest, **report)
-    print(
-        "evaluate: BLEU {:.2f} ChrF {:.2f} TER {:.2f}".format(
-            report["bleu"].score, report["chrf"], report["ter"].score * 100.0
-        )
+    _write_report(stage(args.out), manifest, **report)
+    return "evaluate: BLEU {:.2f} ChrF {:.2f} TER {:.2f}".format(
+        report["bleu"].score, report["chrf"], report["ter"].score * 100.0
     )
-    return 0
 
 
-def cmd_significance(args) -> int:
+def cmd_significance(args, stage) -> str:
     seed = args.seed if args.seed is not None else 0
     with _scoring_inputs(args.hyp_a, args.hyp_b, args.ref) as (hyps_a, hyps_b, refs):
         result = bootstrap_significance(
             hyps_a, hyps_b, refs, n_samples=args.n_samples, seed=seed, statistic=args.statistic
         )
-    _write_report(args.out, _manifest("significance", [args.hyp_a, args.hyp_b, args.ref], seed=seed),
+    _write_report(stage(args.out), _manifest("significance", [args.hyp_a, args.hyp_b, args.ref], seed=seed),
                   bootstrap=result)
-    print(
-        f"significance: wins_a={result.wins_a} wins_b={result.wins_b} "
-        f"ties={result.ties} p={result.p_value:.4f}"
-    )
-    return 0
+    return f"significance: wins_a={result.wins_a} wins_b={result.wins_b} ties={result.ties} p={result.p_value:.4f}"
 
 
 # ------------------------------------------------------- agreement / adequacy
 
 
-def cmd_agreement(args) -> int:
+def cmd_agreement(args, stage) -> str:
     table = read_adequacy_csv(require_file(args.csv))
     items, ratings = shared_decided_ratings(table)
     plain = pairwise_average_kappa(ratings, weighting="none")
     weighted = pairwise_average_kappa(ratings, weighting="quadratic")
-    _write_report(args.out, _manifest("agreement", [args.csv]),
+    _write_report(stage(args.out), _manifest("agreement", [args.csv]),
                   n_shared_items=len(items), cohen_kappa=plain, weighted_kappa=weighted)
-    print(
-        f"agreement: {len(items)} shared items, "
-        f"kappa={plain.mean_kappa:.4f} weighted={weighted.mean_kappa:.4f}"
-    )
-    return 0
+    return f"agreement: {len(items)} shared items, kappa={plain.mean_kappa:.4f} weighted={weighted.mean_kappa:.4f}"
 
 
-def cmd_adequacy(args) -> int:
+def cmd_adequacy(args, stage) -> str:
     summary = adequacy_summary(read_adequacy_csv(require_file(args.csv)))
-    _write_report(args.out, _manifest("adequacy", [args.csv]), summary=summary)
-    for row in (*summary.per_annotator, summary.overall):
-        means = " ".join(f"{s}={m:.1f}" if m is not None else f"{s}=n/a" for s, m in row["means"].items())
-        print(f"adequacy: {row['annotator']}: {means} ({row['used']} / {row['assigned']})")
-    return 0
+    _write_report(stage(args.out), _manifest("adequacy", [args.csv]), summary=summary)
+    return "\n".join(
+        f"adequacy: {row['annotator']}: "
+        + " ".join(f"{s}={m:.1f}" if m is not None else f"{s}=n/a" for s, m in row["means"].items())
+        + f" ({row['used']} / {row['assigned']})"
+        for row in (*summary.per_annotator, summary.overall)
+    )
 
 
 # ------------------------------------------------------------ ablate / buckets
@@ -300,11 +287,13 @@ def _parse_sizes(raw: str):
         raise ConfigError(f"invalid --sizes value {raw!r}: {exc}") from exc
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args, stage) -> str:
     if args.input and args.metric != "mock":
         raise ConfigError(f"ablate --metric {args.metric} needs --scores (--in samples are mock-scored)")
     if args.scores and args.emit_samples:
         raise ConfigError("ablate --emit-samples needs --in (--scores draws no samples)")
+    if args.baseline is not None and not math.isfinite(args.baseline):
+        raise ConfigError(f"argument --baseline: must be a finite number, got {args.baseline}")
     sizes = _parse_sizes(args.sizes)
     spec = SampleSpec(sizes=sizes, replicates=args.replicates, base_seed=args.seed or 0)
 
@@ -316,12 +305,12 @@ def cmd_ablate(args) -> int:
         if args.emit_samples:
             samples_dir = Path(args.emit_samples)
             for size, replicate, sample in samples:
-                write_corpus(sample, samples_dir / f"sample_{size}_{replicate}.jsonl")
+                write_corpus(sample, stage(samples_dir / f"sample_{size}_{replicate}.jsonl"))
         results = [(size, replicate, mock_scorer(size, replicate, sample)) for size, replicate, sample in samples]
     points = curve_report(results, metric=args.metric)
 
     _write_report(
-        args.out,
+        stage(args.out),
         _manifest("ablate", [args.scores or args.input], seed=spec.base_seed),
         metric=args.metric,
         replicates=args.replicates,
@@ -333,33 +322,28 @@ def cmd_ablate(args) -> int:
     )
     if args.out_csv:
         rows = ([p.metric, p.size, p.mean, p.min, p.max] for p in points)
-        _write_csv(args.out_csv, ["metric", "size", "mean", "min", "max"], rows)
-    print(f"ablate: {len(results)} runs -> {len(points)} curve points")
-    return 0
+        _write_csv(stage(args.out_csv), ["metric", "size", "mean", "min", "max"], rows)
+    return f"ablate: {len(results)} runs -> {len(points)} curve points"
 
 
-def cmd_buckets(args) -> int:
+def cmd_buckets(args, stage) -> str:
     with _scoring_inputs(args.baseline, args.ape, args.ref) as (baseline, ape, refs):
         analysis = ter_buckets(baseline, ape, refs)
-    _write_report(args.out, _manifest("buckets", [args.baseline, args.ape, args.ref]), analysis=analysis)
+    _write_report(stage(args.out), _manifest("buckets", [args.baseline, args.ape, args.ref]), analysis=analysis)
     if args.out_csv:
         rows = ([b.label, b.count, b.baseline_ter, b.ape_ter, b.delta_ter] for b in analysis.buckets)
-        _write_csv(args.out_csv, ["bucket", "count", "baseline_ter", "ape_ter", "delta_ter"], rows)
-    print(f"buckets: {analysis.total} items over {len(analysis.buckets)} buckets")
-    return 0
+        _write_csv(stage(args.out_csv), ["bucket", "count", "baseline_ter", "ape_ter", "delta_ter"], rows)
+    return f"buckets: {analysis.total} items over {len(analysis.buckets)} buckets"
 
 
 # ------------------------------------------------------------------- stats
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args, stage) -> str:
     stats = corpus_stats(iter_corpus(args.input, args.format))
-    _write_report(args.out, _manifest("stats", [args.input]), stats=stats)
-    print(
-        f"stats: {stats.n_triplets} triplets, tokens src/mt/pe = "
-        f"{stats.tokens_src}/{stats.tokens_mt}/{stats.tokens_pe}"
-    )
-    return 0
+    _write_report(stage(args.out), _manifest("stats", [args.input]), stats=stats)
+    return (f"stats: {stats.n_triplets} triplets, tokens src/mt/pe = "
+            f"{stats.tokens_src}/{stats.tokens_mt}/{stats.tokens_pe}")
 
 
 # ------------------------------------------------------------------ parser
@@ -488,7 +472,10 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        with staged_outputs() as stage:
+            summary = args.func(args, stage)
+        print(summary)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

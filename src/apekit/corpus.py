@@ -19,7 +19,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from operator import add
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import IO, Callable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 TEXT_FIELDS = ("src", "mt", "pe")
 FORMATS = ("jsonl", "tsv")
@@ -193,32 +193,37 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 
 @contextmanager
-def staged_outputs(*paths) -> Iterator[List[Path]]:
-    """Make the writes to ``paths`` all or nothing.
+def staged_outputs() -> Iterator[Callable[[object], Path]]:
+    """Make a command's writes all or nothing.
 
-    Yields a ``<path>.tmp`` for each path, in a directory made if needed.
-    When the block ends normally each is renamed over its path; when it
-    raises they are removed, with every directory made for them. A path
-    that is an existing directory is rejected before anything is made.
+    Yields ``stage(path)``, which makes the path's directory if needed and
+    returns ``<path>.tmp`` to write instead; it rejects a path that is an
+    existing directory or was staged before. When the block ends normally
+    each staged file is renamed over its path in the order staged; when it
+    raises they are removed, with every directory made for them.
     """
-    targets = [Path(p) for p in paths]
-    for target in targets:
+    staged, made = {}, []  # absolute target -> its temporary file, in staging order; directories made
+
+    def stage(path) -> Path:
+        target, key = Path(path), os.path.abspath(path)
         if target.is_dir():
             raise ValueError(f"output path is a directory: {target}")
-    made = []
-    for target in targets:
+        if key in staged:
+            raise ValueError(f"output path is given twice: {target}")
         directory = target.parent
-        while not directory.exists() and directory not in made:
+        while not directory.exists():
             made.append(directory)
             directory = directory.parent
         target.parent.mkdir(parents=True, exist_ok=True)
-    temps = [target.with_name(target.name + ".tmp") for target in targets]
+        staged[key] = target.with_name(target.name + ".tmp")
+        return staged[key]
+
     try:
-        yield temps
-        for temp, target in zip(temps, targets):
+        yield stage
+        for target, temp in staged.items():
             os.replace(temp, target)
     except BaseException:
-        for temp in temps:
+        for temp in staged.values():
             temp.unlink(missing_ok=True)
         for directory in sorted(made, key=lambda d: len(d.parts), reverse=True):
             with suppress(OSError):

@@ -1017,16 +1017,23 @@ def _tree(root):
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
-@pytest.mark.parametrize("command, target", [("preprocess", "pp/changelog.jsonl"), ("filter", "test.jsonl")])
+@pytest.mark.parametrize("command, target", [("preprocess", "pp/changelog.jsonl"), ("filter", "test.jsonl"),
+                                             ("buckets", "t.csv"), ("ablate", "curve.json"), ("evaluate", "rep.json")])
 def test_an_output_that_is_a_directory_is_rejected_before_anything_is_written(tmp_path, capsys, command, target):
     path, _ = make_corpus_file(tmp_path, synthetic_rows(60))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"dev_size": 5, "test_size": 5, "expected_tgt_lang": "en"}), encoding="utf-8")
+    lines = str(write_lines(tmp_path / "lines.txt", ["a b c", "d e f"]))
     out = tmp_path / "out"
     (out / target).mkdir(parents=True)
     before = _tree(out)
     argv = {"preprocess": ["preprocess", "--in", str(path), "--out-dir", str(out / "pp")],
-            "filter": ["filter", "--in", str(path), "--out-dir", str(out), "--config", str(config)]}[command]
+            "filter": ["filter", "--in", str(path), "--out-dir", str(out), "--config", str(config)],
+            "buckets": ["buckets", "--baseline", lines, "--ape", lines, "--ref", lines,
+                        "--out", str(out / "rep.json"), "--out-csv", str(out / "t.csv")],
+            "ablate": ["ablate", "--in", str(path), "--sizes", "5", "--replicates", "2",
+                       "--emit-samples", str(out / "samples"), "--out", str(out / "curve.json")],
+            "evaluate": ["evaluate", "--hyp", lines, "--ref", lines, "--out", str(out / "rep.json")]}[command]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: output path is a directory: {out / target}\n"
     assert _tree(out) == before
@@ -1145,10 +1152,36 @@ REJECTIONS = {
     "empty-significance": ({"a.txt": [], "b.txt": [], "ref.txt": []},
                            "significance --hyp-a a.txt --hyp-b b.txt --ref ref.txt",
                            2, "bootstrap needs at least one sentence"),
+    "output-given-twice": ({"h.txt": ["a b"], "r.txt": ["a c"]},
+                           "buckets --baseline h.txt --ape h.txt --ref r.txt --out same.json --out-csv same.json",
+                           2, "output path is given twice: same.json"),
+    "nan-score": ({"scores.csv": ["size,replicate,value", "5,0,nan", "5,1,1"]},
+                  "ablate --scores scores.csv --sizes 5 --replicates 2",
+                  2, "scores.csv: line 2: value 'nan' is not a finite number"),
+    "infinite-score": ({"scores.csv": ["size,replicate,value", "5,0,1", "5,1,1e999"]},
+                       "ablate --scores scores.csv --sizes 5 --replicates 2",
+                       2, "scores.csv: line 3: value '1e999' is not a finite number"),
+    "infinite-baseline": ({"scores.csv": ["size,replicate,value", "5,0,1", "5,1,2"]},
+                          "ablate --scores scores.csv --sizes 5 --replicates 2 --baseline inf",
+                          1, "argument --baseline: must be a finite number, got inf"),
+    "nan-baseline": ({"scores.csv": ["size,replicate,value", "5,0,1", "5,1,2"]},
+                     "ablate --scores scores.csv --sizes 5 --replicates 2 --baseline nan",
+                     1, "argument --baseline: must be a finite number, got nan"),
     "constant-ratings": ({"ad.csv": ["annotator_id,item_id,system,score"]
                                     + [f"{a},i1,{s},3" for a in "AB" for s in ("nmt", "ape", "human")]},
                          "agreement --csv ad.csv", 2, "kappa undefined for every annotator pair"),
 }
+
+
+def test_a_non_finite_value_that_reaches_a_report_writes_nothing(tmp_path, monkeypatch, capsys):
+    """NaN is not JSON: a report that would hold one exits 2, with no report, CSV or sample left."""
+    path, _ = make_corpus_file(tmp_path, synthetic_rows(20))
+    monkeypatch.setattr(apekit.cli, "mock_scorer", lambda size, replicate, sample: float("nan"))
+    out = tmp_path / "out"
+    assert main(["ablate", "--in", str(path), "--sizes", "5", "--emit-samples", str(out / "samples"),
+                 "--out", str(out / "curve.json"), "--out-csv", str(out / "curve.csv")]) == 2
+    assert capsys.readouterr().err == "error: Out of range float values are not JSON compliant: nan\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("files, command, code, message", REJECTIONS.values(), ids=REJECTIONS.keys())

@@ -304,7 +304,8 @@ class TestReadCsv:
 class TestStagedOutputs:
     def test_outputs_appear_only_when_the_block_ends(self, tmp_path):
         target = tmp_path / "new" / "dir" / "out.txt"
-        with staged_outputs(target) as (temp,):
+        with staged_outputs() as stage:
+            temp = stage(target)
             write_lines(temp, ["x"])
             assert temp.name == "out.txt.tmp" and not target.exists()
         assert target.read_text(encoding="utf-8") == "x\n"
@@ -314,9 +315,25 @@ class TestStagedOutputs:
         old = tmp_path / "old.txt"
         old.write_text("old\n", encoding="utf-8")
         with pytest.raises(ValueError, match="boom"):
-            with staged_outputs(old, tmp_path / "new" / "dir" / "out.txt") as temps:
-                for temp in temps:
-                    write_lines(temp, ["half"])
+            with staged_outputs() as stage:
+                for path in (old, tmp_path / "new" / "dir" / "out.txt"):
+                    write_lines(stage(path), ["half"])
                 raise ValueError("boom")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
         assert old.read_text(encoding="utf-8") == "old\n"
+
+    def test_a_directory_staged_after_a_written_file_leaves_nothing_new(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(ValueError, match="output path is a directory: .*taken$"):
+            with staged_outputs() as stage:
+                write_lines(stage(tmp_path / "new" / "dir" / "out.txt"), ["x"])
+                stage(tmp_path / "taken")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
+
+    def test_a_path_staged_twice_is_rejected_however_it_is_spelled(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=r"^output path is given twice: sub/\.\./out\.txt$"):
+            with staged_outputs() as stage:
+                write_lines(stage(tmp_path / "out.txt"), ["x"])
+                stage("sub/../out.txt")
+        assert list(tmp_path.iterdir()) == []
