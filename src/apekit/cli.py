@@ -5,8 +5,9 @@ stable key order, led by a run manifest: the toolkit version, the digest
 of the filter config (null for every other command), the SHA-256 of each
 input file, the seed and a timestamp. Scoring options such as the
 tokenizer are not recorded yet. A command writes only to the paths that
-``main``'s ``staged_outputs`` block stages for it, so its files appear
-once it has succeeded and a failed command leaves no file behind.
+``main``'s ``staged_outputs`` block stages for it, none of them one of
+its input files, so its files appear once it has succeeded and a failed
+command leaves no file behind.
 Exit codes: 0 success, 1 usage or config error, 2 data or validation
 error.
 """
@@ -67,6 +68,10 @@ WMT_APE_EN_DE_SIZE = 13_441  # reference marker for data-size curves
 
 class ConfigError(Exception):
     """Bad configuration: maps to exit code 1."""
+
+
+class _Input(str):
+    """A path option's value that names a file the command reads."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -365,10 +370,13 @@ def build_parser() -> _Parser:
             raise argparse.ArgumentTypeError(f"must be {SEED_RULE}, got {value}")
         return value
 
-    def path(raw: str) -> str:  # argparse type for every file and directory option
+    def path(raw: str) -> str:  # argparse type for every output file and directory option
         if not raw:
             raise argparse.ArgumentTypeError("must be a non-empty path")
         return raw
+
+    def input_path(raw: str) -> _Input:  # argparse type for every input file option
+        return _Input(path(raw))
 
     def flag(*names, **kwargs):
         parent = argparse.ArgumentParser(add_help=False)
@@ -383,28 +391,28 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("filter", parents=[seeded, threads, fmt], help="run the corpus filter pipeline")
-    p.add_argument("--in", type=path, dest="input", required=True, help="input corpus")
+    p.add_argument("--in", type=input_path, dest="input", required=True, help="input corpus")
     p.add_argument("--out-dir", type=path, required=True, help="directory for splits and report")
-    p.add_argument("--config", type=path, default=None, help="JSON filter config file")
+    p.add_argument("--config", type=input_path, default=None, help="JSON filter config file")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("preprocess", parents=[inert_seed, threads, fmt], help="split and strip subtitle markup")
-    p.add_argument("--in", type=path, dest="input", required=True, help="input corpus")
+    p.add_argument("--in", type=input_path, dest="input", required=True, help="input corpus")
     p.add_argument("--out-dir", type=path, required=True, help="directory for cleaned corpus and changelog")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("postprocess", parents=[inert_seed, threads], help="restore tracked changes")
-    p.add_argument("--outputs", type=path, required=True, help="decoded text, one cleaned part per line")
-    p.add_argument("--changelog", type=path, required=True, help="changelog from the matching preprocess run")
+    p.add_argument("--outputs", type=input_path, required=True, help="decoded text, one cleaned part per line")
+    p.add_argument("--changelog", type=input_path, required=True, help="changelog from the matching preprocess run")
     p.add_argument("--out", type=path, required=True, help="restored text output path")
     p.add_argument("--field", choices=TEXT_FIELDS, default="mt")
-    p.add_argument("--orig", type=path, default=None, help="original corpus to digest-check against")
+    p.add_argument("--orig", type=input_path, default=None, help="original corpus to digest-check against")
     p.set_defaults(func=cmd_postprocess)
 
     p = sub.add_parser("evaluate", parents=[seeded, threads], help="BLEU, ChrF, and TER report")
-    p.add_argument("--hyp", type=path, required=True)
-    p.add_argument("--ref", type=path, required=True)
-    p.add_argument("--hyp-b", type=path, default=None, help="second system; adds a bootstrap block")
+    p.add_argument("--hyp", type=input_path, required=True)
+    p.add_argument("--ref", type=input_path, required=True)
+    p.add_argument("--hyp-b", type=input_path, default=None, help="second system; adds a bootstrap block")
     p.add_argument("--out", type=path, default="metric_report.json")
     p.add_argument("--tokenizer", choices=SCHEMES, default="punct_split")
     p.add_argument("--lowercase", action="store_true")
@@ -416,28 +424,28 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("significance", parents=[seeded, threads], help="paired bootstrap test")
-    p.add_argument("--hyp-a", type=path, required=True)
-    p.add_argument("--hyp-b", type=path, required=True)
-    p.add_argument("--ref", type=path, required=True)
+    p.add_argument("--hyp-a", type=input_path, required=True)
+    p.add_argument("--hyp-b", type=input_path, required=True)
+    p.add_argument("--ref", type=input_path, required=True)
     p.add_argument("--out", type=path, default="significance.json")
     p.add_argument("--statistic", choices=list(STATISTICS), default="bleu")
     p.add_argument("--n-samples", type=count, default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_significance)
 
     p = sub.add_parser("agreement", help="pairwise kappa matrix")
-    p.add_argument("--csv", type=path, required=True, help="annotator_id,item_id,system,score rows")
+    p.add_argument("--csv", type=input_path, required=True, help="annotator_id,item_id,system,score rows")
     p.add_argument("--out", type=path, default="agreement.json")
     p.set_defaults(func=cmd_agreement)
 
     p = sub.add_parser("adequacy", help="adequacy summary table")
-    p.add_argument("--csv", type=path, required=True, help="annotator_id,item_id,system,score rows")
+    p.add_argument("--csv", type=input_path, required=True, help="annotator_id,item_id,system,score rows")
     p.add_argument("--out", type=path, default="adequacy.json")
     p.set_defaults(func=cmd_adequacy)
 
     p = sub.add_parser("ablate", parents=[seeded, fmt], help="data-size curve protocol")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--in", type=path, dest="input", help="training corpus to sample")
-    source.add_argument("--scores", type=path, help="external size,replicate,value CSV to aggregate")
+    source.add_argument("--in", type=input_path, dest="input", help="training corpus to sample")
+    source.add_argument("--scores", type=input_path, help="external size,replicate,value CSV to aggregate")
     p.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     p.add_argument("--replicates", type=count, default=DEFAULT_REPLICATES)
     p.add_argument("--metric", default="mock")
@@ -448,15 +456,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("buckets", parents=[inert_seed, threads], help="TER-bucket delta analysis")
-    p.add_argument("--baseline", type=path, required=True, help="do-nothing system output, one line per item")
-    p.add_argument("--ape", type=path, required=True, help="post-edited system output, one line per item")
-    p.add_argument("--ref", type=path, required=True)
+    p.add_argument("--baseline", type=input_path, required=True, help="do-nothing system output, one line per item")
+    p.add_argument("--ape", type=input_path, required=True, help="post-edited system output, one line per item")
+    p.add_argument("--ref", type=input_path, required=True)
     p.add_argument("--out", type=path, default="buckets.json")
     p.add_argument("--out-csv", type=path, default=None)
     p.set_defaults(func=cmd_buckets)
 
     p = sub.add_parser("stats", parents=[fmt], help="corpus statistics")
-    p.add_argument("--in", type=path, dest="input", required=True)
+    p.add_argument("--in", type=input_path, dest="input", required=True)
     p.add_argument("--out", type=path, default="stats.json")
     p.set_defaults(func=cmd_stats)
 
@@ -472,7 +480,7 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        with staged_outputs() as stage:
+        with staged_outputs(value for value in vars(args).values() if isinstance(value, _Input)) as stage:
             summary = args.func(args, stage)
         print(summary)
         return 0

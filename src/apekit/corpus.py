@@ -193,21 +193,25 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 
 @contextmanager
-def staged_outputs() -> Iterator[Callable[[object], Path]]:
+def staged_outputs(inputs: Iterable = ()) -> Iterator[Callable[[object], Path]]:
     """Make a command's writes all or nothing.
 
     Yields ``stage(path)``, which makes the path's directory if needed and
     returns ``<path>.tmp`` to write instead; it rejects a path that is an
-    existing directory or was staged before. When the block ends normally
+    existing directory, names one of the command's ``inputs`` (symbolic
+    links resolved) or was staged before. When the block ends normally
     each staged file is renamed over its path in the order staged; when it
     raises they are removed, with every directory made for them.
     """
+    read = {os.path.realpath(path) for path in inputs}
     staged, made = {}, []  # absolute target -> its temporary file, in staging order; directories made
 
     def stage(path) -> Path:
         target, key = Path(path), os.path.abspath(path)
         if target.is_dir():
             raise ValueError(f"output path is a directory: {target}")
+        if os.path.realpath(path) in read:
+            raise ValueError(f"output path is also an input: {target}")
         if key in staged:
             raise ValueError(f"output path is given twice: {target}")
         directory = target.parent

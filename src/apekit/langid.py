@@ -7,12 +7,17 @@ from an external tool's "text TAB lang" output.
 
 The n-gram classifier's label is the argmax of its exact ``scores()``,
 ties going to the first language in sorted order. ``classify`` reaches it
-from one pass per other language over the text's n-grams, summing
-precomputed per-gram score differences against the first language. When
-the winner's lead is above a bound on the rounding error of both sums
-(``8 (N+2)^2 u L`` for N n-gram occurrences, u = 2**-53 and L the
-largest log-probability magnitude), the label is the exact rule's;
-otherwise ``classify`` computes the exact scores and applies the rule.
+from one sum per other language of precomputed per-gram score
+differences against the first language. A text's n-grams are those of
+its padded words plus one trigram across each gap, so the sum is taken
+by word: each distinct word's sums are computed on its second sighting
+and cached per classifier, up to ``WORD_CACHE_ENTRIES`` words; a text
+with a word seen for the first time takes one pass over all its n-grams
+instead. When the winner's lead is above a bound on the rounding error
+of both ways of summing and of the exact scores (``8 (N+2k+2)^2 u L`` for
+N n-gram occurrences and k words, u = 2**-53 and L the largest
+log-probability magnitude), the label is the exact rule's; otherwise
+``classify`` computes the exact scores and applies the rule.
 """
 
 from __future__ import annotations
@@ -70,6 +75,10 @@ Die Antwort auf deine Frage hängt davon ab, wie viel Zeit uns noch bleibt.
 _NGRAM_ORDER = 3
 # u, the unit roundoff of IEEE double precision.
 _EPS = 2.0**-53
+# Most words a classifier keeps table sums for, and most words it
+# remembers seeing; both full take about 5 MB. A full store is emptied
+# before the next entry.
+WORD_CACHE_ENTRIES = 1 << 14
 
 
 def ngrams_by_order(units: Sequence, max_n: int) -> list:
@@ -89,10 +98,15 @@ def ngrams_by_order(units: Sequence, max_n: int) -> list:
     return by_order
 
 
-def _padded(text: str) -> str:
-    """The lowercased text with its whitespace runs collapsed, padded with
-    spaces so word boundaries contribute n-grams too."""
-    return f" {' '.join(text.lower().split())} "
+def _words(text: str) -> list:
+    """The lowercased text's whitespace-separated words."""
+    return text.lower().split()
+
+
+def _padded(words: Sequence[str]) -> str:
+    """The words joined by single spaces, padded with spaces so word
+    boundaries contribute n-grams too."""
+    return f" {' '.join(words)} "
 
 
 def _char_ngrams(text: str) -> Counter:
@@ -102,7 +116,7 @@ def _char_ngrams(text: str) -> Counter:
     insertion order (which fixes the order scores are summed in) is that
     of a plain loop over orders and positions.
     """
-    return Counter(chain.from_iterable(ngrams_by_order(_padded(text), _NGRAM_ORDER)))
+    return Counter(chain.from_iterable(ngrams_by_order(_padded(_words(text)), _NGRAM_ORDER)))
 
 
 class NgramLanguageClassifier:
@@ -118,9 +132,10 @@ class NgramLanguageClassifier:
     its log-probability minus the first language's, per gram of either
     profile, and the difference of the two fallbacks for grams of
     neither; ``classify`` sums each table over the text's n-gram
-    occurrences. When the best of these leads is too close to call, by a
-    bound on the rounding error (see ``classify``), it computes
-    ``scores()`` and applies the exact rule, which also settles ties.
+    occurrences, by word where it can (see the module docstring). When
+    the best of these leads is too close to call, by a bound on the
+    rounding error (see ``classify``), it computes ``scores()`` and
+    applies the exact rule, which also settles ties.
     """
 
     def __init__(self, profiles: Mapping[str, Counter]):
@@ -146,8 +161,12 @@ class NgramLanguageClassifier:
             table = {gram: fallback - lp for gram, lp in first_log_probs.items()}
             table.update((gram, lp - first_log_probs.get(gram, first_fallback)) for gram, lp in log_probs.items())
             self._differences.append((table, fallback - first_fallback))
-        # B per (N+2)^2: the lead that decides without the exact scores.
+        # B per (N+2k+2)^2: the lead that decides without the exact scores.
         self._bound_scale = 8 * _EPS * max(map(abs, self._fallback.values()))
+        # word -> its padded n-grams' sum per table, and the words seen,
+        # both filled by classify.
+        self._word_sums: Dict[str, tuple] = {}
+        self._seen: set = set()
 
     @classmethod
     def default(cls) -> "NgramLanguageClassifier":
@@ -173,27 +192,38 @@ class NgramLanguageClassifier:
     def classify(self, text: str) -> str:
         """The language of the highest score, the first in sorted order on a tie.
 
-        Let u = 2**-53, N = 3 len(padded) - 3 the number of n-gram
-        occurrences and L the largest fallback magnitude. Counts are
-        non-negative, so every log-probability lies in [-L, 0] and the real
-        score R of a language, summed with the stored log-probabilities,
-        is a sum of count times log-probability over at most N grams whose
-        magnitudes add up to at most N L. Within N u <= 1/2:
+        Let u = 2**-53, k the number of words, N = 3 len(padded) - 3 the
+        number of n-gram occurrences, M = N + 2k and L the largest
+        fallback magnitude. Counts are non-negative, so every
+        log-probability lies in [-L, 0] and the real score R of a
+        language, summed with the stored log-probabilities, is a sum of
+        count times log-probability over at most N grams whose magnitudes
+        add up to at most N L. Within M u <= 1/2:
 
         - an exact score from ``scores()`` is within 2 N^2 u L of R (a
           dot product of at most N terms), with plain or compensated
           summation alike;
         - a table entry is one rounded subtraction of two such
           log-probabilities, so it is within u L of the real difference
-          and at most L in magnitude, and the sum of N entries is within
-          2 (N+1)^2 u L of R minus the first language's R.
+          and at most L in magnitude;
+        - a lead is R minus the first language's R, summed either over
+          the N entries of the text's n-grams, or by word: the cached sums
+          over each padded word's 3 len(word) + 3 entries, plus the k - 1
+          entries of the trigrams across the gaps, less k - 1 times the
+          space's entry (which each padded word counts once too often), in
+          one rounded product. Either way the lead adds up at most M
+          entries (the product standing for k - 1 of them), each at most L
+          in magnitude and within u L of its real value, and no entry
+          passes through more than M roundings. So the lead is within
+          2 (M+1)^2 u L of its real value, with plain or compensated
+          summation alike.
 
-        ``classify`` returns the language b of the largest sum when the
-        rounded difference between it and every other language's sum
-        exceeds B = 8 (N+2)^2 u L. Rounding is monotone, so the unrounded
+        ``classify`` returns the language b of the largest lead when the
+        rounded difference between it and every other language's lead
+        exceeds B = 8 (M+2)^2 u L. Rounding is monotone, so the unrounded
         difference exceeds B too; b's real score then leads every other by
-        more than B - 4 (N+1)^2 u L, and its exact score by more than
-        B - 4 (N+1)^2 u L - 4 N^2 u L, which is positive with room for B's
+        more than B - 4 (M+1)^2 u L, and its exact score by more than
+        B - 4 (M+1)^2 u L - 4 N^2 u L, which is positive with room for B's
         own rounding. So ``scores()`` ranks b first, with no tie.
         Otherwise ``classify`` computes ``scores()`` and applies the exact
         rule.
@@ -202,16 +232,55 @@ class NgramLanguageClassifier:
             raise ValueError("cannot classify empty text")
         if not self._differences:
             return self.languages[0]
-        padded = _padded(text)
-        by_order = ngrams_by_order(padded, _NGRAM_ORDER)
+        words = _words(text)
+        k = len(words)
+        try:
+            rows = [self._word_sums[word] for word in words]
+        except KeyError:
+            rows = self._word_rows(words)
         leads = [0.0]  # each language's score minus the first language's
-        for table, fallback in self._differences:
-            leads.append(sum(map(table.get, chain.from_iterable(by_order), repeat(fallback))))
+        if rows is None:
+            padded = _padded(words)
+            length = len(padded)
+            by_order = ngrams_by_order(padded, _NGRAM_ORDER)
+            for table, fallback in self._differences:
+                leads.append(sum(map(table.get, chain.from_iterable(by_order), repeat(fallback))))
+        else:
+            length = sum(map(len, words)) + k + 1  # of the padded text
+            gaps = [left[-1] + " " + right[0] for left, right in zip(words, words[1:])]
+            for (table, fallback), word_sums in zip(self._differences, zip(*rows)):
+                leads.append(sum(chain(word_sums, map(table.get, gaps, repeat(fallback))))
+                             - (k - 1) * table.get(" ", fallback))
         *_, (second, _), (best, lang) = sorted(zip(leads, self.languages))
-        if best - second > self._bound_scale * (3 * len(padded) - 1) ** 2:
+        if best - second > self._bound_scale * (3 * length + 2 * k - 1) ** 2:  # (M+2)^2
             return lang
         scores = self.scores(text)
         return max(self.languages, key=scores.__getitem__)
+
+    def _word_rows(self, words: list):
+        """Each word's sums per table, or None when one is not cached.
+
+        A word's sums are computed and cached on its second sighting, so
+        a text of words that never repeat costs little more than its
+        whole-text pass. A store about to hold more than
+        ``WORD_CACHE_ENTRIES`` words is emptied first; only a text of
+        more words than that takes the seen words past it.
+        """
+        word_sums, seen = self._word_sums, self._seen
+        repeated = seen.intersection(words).difference(word_sums)
+        if len(seen) + len(words) > WORD_CACHE_ENTRIES:
+            seen.clear()
+        seen.update(words)
+        if not repeated:  # the word that missed is still not cached
+            return None
+        for word in repeated:
+            grams = list(chain.from_iterable(ngrams_by_order(_padded((word,)), _NGRAM_ORDER)))
+            row = tuple(sum(map(table.get, grams, repeat(fallback))) for table, fallback in self._differences)
+            if len(word_sums) >= WORD_CACHE_ENTRIES:
+                word_sums.clear()
+            word_sums[word] = row
+        rows = list(map(word_sums.get, words))
+        return None if None in rows else rows
 
 
 class TabFileClassifier:

@@ -990,14 +990,18 @@ PATH_FLAGS = {
     "stats": ["--in", "--out"],
 }
 PATH_OPTIONS = [(command, flag) for command, flags in PATH_FLAGS.items() for flag in flags]
+OUTPUT_FLAGS = {"--out", "--out-dir", "--out-csv", "--emit-samples"}
 
 
 def test_the_path_options_are_every_option_that_names_a_file():
+    # Outputs are typed `path`; inputs `input_path`, which is `path` plus
+    # the mark that lets no output name them.
     assert len(PATH_OPTIONS) == 33
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    typed = {(command, action.option_strings[0]) for command, sub in subparsers.choices.items()
-             for action in sub._actions if getattr(action.type, "__name__", None) == "path"}
-    assert typed == set(PATH_OPTIONS)
+    typed = {(command, action.option_strings[0]): action.type.__name__
+             for command, sub in subparsers.choices.items()
+             for action in sub._actions if getattr(action.type, "__name__", None) in ("path", "input_path")}
+    assert typed == {option: "path" if option[1] in OUTPUT_FLAGS else "input_path" for option in PATH_OPTIONS}
 
 
 @pytest.mark.parametrize("command, flag", PATH_OPTIONS)
@@ -1167,6 +1171,18 @@ REJECTIONS = {
     "nan-baseline": ({"scores.csv": ["size,replicate,value", "5,0,1", "5,1,2"]},
                      "ablate --scores scores.csv --sizes 5 --replicates 2 --baseline nan",
                      1, "argument --baseline: must be a finite number, got nan"),
+    "output-is-the-baseline": ({"h.txt": ["a b"], "a.txt": ["a c"], "r.txt": ["a c"]},
+                               "buckets --baseline h.txt --ape a.txt --ref r.txt --out h.txt",
+                               2, "output path is also an input: h.txt"),
+    "output-is-the-ref": ({"h.txt": ["a b"], "r.txt": ["a c"]}, "evaluate --hyp h.txt --ref r.txt --out ./r.txt",
+                          2, "output path is also an input: r.txt"),
+    "output-is-the-decoded-text": ({"changelog.jsonl": ['{"type": "header"}'], "dec.txt": ["a"]},
+                                   "postprocess --outputs dec.txt --changelog changelog.jsonl --out dec.txt",
+                                   2, "output path is also an input: dec.txt"),
+    "output-dir-holds-the-input": ({"d/train.jsonl": EN_ROWS,
+                                    "config.json": ['{"dev_size": 1, "test_size": 1, "expected_tgt_lang": "en"}']},
+                                   "filter --in d/train.jsonl --out-dir d --config config.json",
+                                   2, "output path is also an input: d/train.jsonl"),
     "constant-ratings": ({"ad.csv": ["annotator_id,item_id,system,score"]
                                     + [f"{a},i1,{s},3" for a in "AB" for s in ("nmt", "ape", "human")]},
                          "agreement --csv ad.csv", 2, "kappa undefined for every annotator pair"),
@@ -1189,6 +1205,9 @@ def test_rejection_exit_code_and_message(tmp_path, monkeypatch, capsys, files, c
     """Each rejection exits with its code and full message, and writes nothing."""
     monkeypatch.chdir(tmp_path)
     for name, lines in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         write_lines(tmp_path / name, lines)
+    before = {name: (tmp_path / name).read_bytes() for name in files}
     assert (main(command.split()), capsys.readouterr().err) == (code, f"error: {message}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    assert {p.relative_to(tmp_path).as_posix(): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert {p for p in tmp_path.rglob("*") if p.is_dir()} == {(tmp_path / name).parent for name in files} - {tmp_path}

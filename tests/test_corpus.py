@@ -337,3 +337,16 @@ class TestStagedOutputs:
                 write_lines(stage(tmp_path / "out.txt"), ["x"])
                 stage("sub/../out.txt")
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_input_is_rejected_as_an_output_through_a_link_or_a_new_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        source = tmp_path / "in.txt"
+        write_lines(source, ["x"])
+        (tmp_path / "link.txt").symlink_to(source)
+        for output in ("link.txt", "new/../in.txt"):
+            with pytest.raises(ValueError, match=rf"^output path is also an input: {output}$"):
+                with staged_outputs(["in.txt"]) as stage:
+                    write_lines(stage("out.txt"), ["y"])
+                    stage(output)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "link.txt"]
+            assert source.read_text(encoding="utf-8") == "x\n"

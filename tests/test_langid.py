@@ -140,13 +140,17 @@ Les enfants jouaient dans le jardin pendant que leur mère lisait un livre.
 """
 
 
-@pytest.fixture(scope="module")
-def three_languages():
+def three_language_classifier():
     return NgramLanguageClassifier({
         "fr": _char_ngrams(_FRENCH_SEED),
         "en": _char_ngrams(langid._ENGLISH_SEED),
         "de": _char_ngrams(langid._GERMAN_SEED),
     })
+
+
+@pytest.fixture(scope="module")
+def three_languages():
+    return three_language_classifier()
 
 
 def test_three_languages_label_each_language(monkeypatch, three_languages):
@@ -162,6 +166,63 @@ def test_three_languages_label_each_language(monkeypatch, three_languages):
 @given(MIXED_TEXT | st.sampled_from(["le jardin", "der Garten", "the garden"]))
 def test_three_languages_classify_is_the_exact_rule(three_languages, text):
     assert three_languages.classify(text) == exact_label(three_languages, text)
+
+
+# Few words, so that within one classifier a text's words mix cached ones
+# with ones seen for the first or second time; "İ" lowercases to two characters.
+VOCABULARY = ["der", "Garten", "the", "garden", "le", "jardin", "ß", "İst", "a", "ab", "x9", "жж", "Straße"]
+WORD_TEXTS = st.lists(
+    st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=8).map(" ".join)
+    | st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=8).map("\t ".join),
+    min_size=1,
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize("make", [NgramLanguageClassifier.default, three_language_classifier],
+                         ids=["classifier", "three_languages"])
+@settings(max_examples=150, deadline=None)
+@given(WORD_TEXTS)
+def test_classify_by_word_is_the_exact_rule_in_any_order(make, texts):
+    for ordered in (texts, texts[::-1]):
+        fresh = make()
+        assert [fresh.classify(text) for text in ordered] == [exact_label(fresh, text) for text in ordered]
+
+
+def test_a_lowered_cache_cap_keeps_labels_and_is_never_exceeded(monkeypatch):
+    texts = [" ".join(VOCABULARY[i:i + 4]) for i in range(len(VOCABULARY))] * 3 + ["der Garten", "the garden"] * 3
+    uncapped = NgramLanguageClassifier.default()
+    expected = [uncapped.classify(text) for text in texts]
+    monkeypatch.setattr(langid, "WORD_CACHE_ENTRIES", 3)
+    capped = NgramLanguageClassifier.default()
+    sizes = []
+    for text, label in zip(texts, expected):
+        assert capped.classify(text) == label == exact_label(capped, text)
+        sizes.append(len(capped._word_sums))
+        assert len(capped._seen) <= 4  # at most the cap, or one text's words
+    assert max(sizes) == 3 and 0 < sizes[-1]
+    assert len(uncapped._word_sums) == len({word.lower() for text in texts for word in text.split()})
+
+
+def test_default_starts_with_an_empty_cache():
+    fresh = NgramLanguageClassifier.default()
+    assert fresh._word_sums == {} and fresh._seen == set()
+
+
+def test_a_cached_lead_within_the_rounding_bound_falls_back(monkeypatch):
+    # As above; the second call sums the repeated word once and takes the
+    # word path, whose bound is no tighter, so it still falls back.
+    close = NgramLanguageClassifier({"en": Counter(a=10**12, b=10**12), "de": Counter(a=10**12 + 1, b=10**12)})
+    scored = spy_on_scores(monkeypatch, close)
+    padded = []
+    ngrams = langid.ngrams_by_order
+    monkeypatch.setattr(langid, "ngrams_by_order", lambda units, max_n: padded.append(units) or ngrams(units, max_n))
+    text = "abab abab abab"
+    assert [close.classify(text), close.classify(text)] == ["en", "en"]
+    whole = " abab abab abab "  # the whole-text pass's and the exact scores' n-grams
+    assert padded == [whole, whole, " abab ", whole]
+    assert scored == [text, text]
+    assert list(close._word_sums) == ["abab"]
 
 
 def test_tab_file_classifier_names_file_and_line(tmp_path):
