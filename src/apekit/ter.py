@@ -5,13 +5,16 @@ single block shift that most reduces the word-level edit distance to the
 reference (unit cost per shift), then charge the remaining edit distance.
 Distances come from a bit-parallel kernel with the reference as the
 pattern, which scores a batch of shift candidates in one pass of array
-operations. A swap of two adjacent runs of at most MAX_SHIFT_SPAN tokens
-each is scored once, not once per run that could move. The shift search
-stops once it reaches the multiset floor, a lower bound on the distance
-that no shift can change. When the final distance is that floor, the
-insertion, deletion and substitution counts follow from the two lengths
-alone. Otherwise they come from a backtrace that reads its cells from
-the DP columns, which the scalar form of the kernel keeps as bit vectors.
+operations: the match masks of the whole batch are gathered once, by
+position in the current hypothesis, the bit vectors are updated in
+place, and each distance is read from the last column. A swap of two
+adjacent runs of at most MAX_SHIFT_SPAN tokens each is scored once, not
+once per run that could move. The shift search stops once it reaches
+the multiset floor, a lower bound on the distance that no shift can
+change. When the final distance is that floor, the insertion, deletion
+and substitution counts follow from the two lengths alone. Otherwise
+they come from a backtrace that reads its cells from the DP columns,
+which the scalar form of the kernel keeps as bit vectors.
 
 numpy is imported inside the shift-search functions, not at module
 level, so commands that never run a shift search (every corpus-build
@@ -28,7 +31,11 @@ from .tokenizer import TER_NORMALIZED_TOKENIZER, TokenizerConfig, tokenize
 
 MAX_SHIFT_SPAN = 10
 MAX_SHIFT_DISTANCE = 50
-SCAN_CELLS = 1 << 18  # candidate tokens scored in one batch, which bounds its memory
+# Candidate tokens scored in one batch, which bounds its memory: 8 bytes a
+# cell for the positions and 8 more per 64-bit word of the reference for
+# the match masks (16 to 32 bytes a cell up to 192 reference tokens), plus
+# about 200 bytes per candidate.
+SCAN_CELLS = 1 << 18
 
 if TYPE_CHECKING:
     import numpy as np
@@ -244,7 +251,10 @@ def _shifted_positions(n: int, start: np.ndarray, end: np.ndarray, destination: 
 
     A shift offsets two adjacent runs of positions, the moved block and
     the tokens it jumps over, so each row is a running sum of the offset
-    changes at the three run boundaries.
+    changes at the three run boundaries. The array is built position by
+    position and returned transposed: its transpose, one row per position,
+    is C-contiguous intp, ready to gather each position's column of a
+    batch at once (numpy would copy any other index dtype to intp first).
     """
     import numpy as np
 
@@ -257,15 +267,17 @@ def _shifted_positions(n: int, start: np.ndarray, end: np.ndarray, destination: 
     stop = np.where(backward, end + 1, destination + length)
     first_offset = np.where(backward, start - destination, length)
     second_offset = np.where(backward, -length, start - destination)
-    rows = np.arange(len(start))
-    steps = np.zeros((len(start), n + 1), dtype=np.int32)
-    steps[rows, first] = first_offset
-    steps[rows, second] = second_offset - first_offset
-    steps[rows, stop] = -second_offset
-    np.cumsum(steps, axis=1, out=steps)
-    positions = steps[:, :n]
-    positions += np.arange(n, dtype=np.int32)
-    return positions
+    candidates = np.arange(len(start))
+    steps = np.zeros((n + 1, len(start)), dtype=np.intp)
+    steps[first, candidates] = first_offset
+    steps[second, candidates] = second_offset - first_offset
+    steps[stop, candidates] = -second_offset
+    # A row at a time: np.cumsum along axis 0 is several times slower.
+    for j in range(1, n):
+        steps[j] += steps[j - 1]
+    positions = steps[:n]
+    positions += np.arange(n, dtype=np.intp)[:, None]
+    return positions.T
 
 
 def _word_tables(pattern: Sequence[str]) -> Tuple[Dict[str, int], List[np.ndarray]]:
@@ -289,54 +301,80 @@ def _word_tables(pattern: Sequence[str]) -> Tuple[Dict[str, int], List[np.ndarra
 def _batch_distances(columns: np.ndarray, tables: List[np.ndarray], m: int) -> np.ndarray:
     """Levenshtein distances of many texts to one pattern of length m.
 
-    columns[j] holds the token ids at position j of every text. The same
-    bit-parallel recurrence as _bit_distance, run on all texts at once
-    with the pattern split into 64-bit words (carries cross words in the
-    addition and the shifts).
+    columns[j] holds, for every text, the index of its token at position
+    j into tables, whose w-th array gives each index's match mask for the
+    w-th 64-bit word of the pattern. The same bit-parallel recurrence as
+    _bit_distance, run on all texts at once with the pattern split into
+    words (carries cross words in the addition and the shifts). Every
+    mask of the batch is gathered once, one array per word, and the
+    column steps update their arrays in place. As in _bit_distance, each
+    distance is read from the last column: n + popcount(vp) -
+    popcount(vn) for texts of n tokens. The bits of the top word above m
+    are never masked during the steps: additions and left shifts carry
+    only upward, so they cannot reach the bits below m; vp's are cleared
+    once before the count, and vn has none, as the masks have none.
     """
     import numpy as np
 
     # uint64 scalars, not Python ints: numpy 1.x rejects a uint64 array
-    # shifted by a Python int. Made once per call; each costs about as
-    # much as one array operation of the loop below.
-    one, zero, top_shift = np.uint64(1), np.uint64(0), np.uint64(63)
-
-    def shift_left(words: List[np.ndarray], fill: np.uint64) -> List[np.ndarray]:
-        """Bit vectors split into 64-bit words (lowest first), shifted left
-        by one with `fill` as the new lowest bit."""
-        out = [(words[0] << one) | fill]
-        for low, high in zip(words, words[1:]):
-            out.append((high << one) | (low >> top_shift))
-        return out
-
-    count = columns.shape[1]
+    # shifted by a Python int.
+    one, top_shift = np.uint64(1), np.uint64(63)
+    n, count = columns.shape
     k = len(tables)
-    full = [np.uint64(0xFFFFFFFFFFFFFFFF)] * (k - 1) + [np.uint64((1 << (m - 64 * (k - 1))) - 1)]
-    top_word, top_bit = (m - 1) // 64, np.uint64((m - 1) % 64)
-    vp = [np.full(count, f, dtype=np.uint64) for f in full]
-    vn = [np.zeros(count, dtype=np.uint64) for _ in range(k)]
-    score = np.full(count, m, dtype=np.int64)
-    for column in columns:
-        eq = [table[column] for table in tables]
-        xv = [e | n for e, n in zip(eq, vn)]
-        xh, carry = [], None
-        for e, p in zip(eq, vp):
-            a = e & p
-            total = a + p
-            overflow = total < a
-            if carry is not None:
-                total += carry
-                overflow |= total < carry
-            carry = overflow.astype(np.uint64)
-            xh.append((total ^ p) | e)
-        ph = [n | ~(x | p) for n, x, p in zip(vn, xh, vp)]
-        mh = [p & x for p, x in zip(vp, xh)]
-        score += ((ph[top_word] >> top_bit) & one).astype(np.int64)
-        score -= ((mh[top_word] >> top_bit) & one).astype(np.int64)
-        ph, mh = shift_left(ph, one), shift_left(mh, zero)
-        vp = [(h | ~(x | p)) & f for h, x, p, f in zip(mh, xv, ph, full)]
-        vn = [p & x for p, x in zip(ph, xv)]
-    return score
+    masks = [table[columns] for table in tables]
+    vp = [np.full(count, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64) for _ in range(k)]
+    vn, xv, xh, ph = ([np.zeros(count, dtype=np.uint64) for _ in range(k)] for _ in range(4))
+    carry = [np.zeros(count, dtype=bool) for _ in range(k - 1)]
+    for j in range(n):
+        for w in range(k):
+            eq = masks[w][j]
+            np.bitwise_or(eq, vn[w], out=xv[w])
+            # xh = ((eq & vp) + vp + carry in) ^ vp | eq; a sum is below
+            # an addend exactly when the addition wrapped.
+            np.bitwise_and(eq, vp[w], out=xh[w])
+            xh[w] += vp[w]
+            if w < k - 1:
+                np.less(xh[w], vp[w], out=carry[w])
+            if w:
+                xh[w] += carry[w - 1]
+                if w < k - 1:
+                    np.less(xh[w], carry[w - 1], out=carry[w - 1])
+                    carry[w] |= carry[w - 1]
+            xh[w] ^= vp[w]
+            xh[w] |= eq
+            np.bitwise_or(xh[w], vp[w], out=ph[w])
+            np.invert(ph[w], out=ph[w])
+            ph[w] |= vn[w]
+            vp[w] &= xh[w]  # now mh
+        # Shift ph and mh left by one, the top word first so that each
+        # word still reads the unshifted top bit of the word below.
+        for w in range(k - 1, 0, -1):
+            for h in (ph, vp):
+                np.right_shift(h[w - 1], top_shift, out=xh[w])
+                h[w] <<= one
+                h[w] |= xh[w]
+        ph[0] <<= one
+        ph[0] |= one
+        vp[0] <<= one
+        for w in range(k):
+            np.bitwise_or(xv[w], ph[w], out=xh[w])
+            np.invert(xh[w], out=xh[w])
+            vp[w] |= xh[w]
+            np.bitwise_and(ph[w], xv[w], out=vn[w])
+    vp[-1] &= np.uint64((1 << (m - 64 * (k - 1))) - 1)
+    # A popcount is at most 64, so viewing it as int64 keeps its value.
+    return n + sum(_popcount(p).view(np.int64) - _popcount(q).view(np.int64) for p, q in zip(vp, vn))
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64, by the SWAR (SIMD within a register)
+    method: numpy 1.x has no bitwise_count."""
+    import numpy as np
+
+    words = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    words = (words & np.uint64(0x3333333333333333)) + ((words >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    words = (words + (words >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (words * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
 
 def _best_shift(
@@ -351,7 +389,9 @@ def _best_shift(
 
     Candidates are scored in batches of up to SCAN_CELLS tokens, in scan
     order; all candidates of a sentence of up to 36 tokens fit in one,
-    as _shift_grid leaves out the backward twins of forward moves.
+    as _shift_grid leaves out the backward twins of forward moves. The
+    match masks are looked up once per call, by position in `current`,
+    so a batch's masks come from one gather by its shifted positions.
     The scan stops after the batch in which a candidate reaches the
     multiset floor: no later candidate can beat it, and ties never
     replace the earlier winner.
@@ -360,7 +400,8 @@ def _best_shift(
 
     n = len(current)
     other = len(ref_ids)
-    current_ids = np.array([ref_ids.get(token, other) for token in current], dtype=np.int32)
+    current_ids = np.array([ref_ids.get(token, other) for token in current], dtype=np.intp)
+    position_tables = [table[current_ids] for table in tables]
     best = None
     best_ed = current_ed
     starts, ends, destinations = _shift_grid(n)
@@ -368,7 +409,7 @@ def _best_shift(
     for lo in range(0, len(starts), rows):
         chunk = slice(lo, lo + rows)
         positions = _shifted_positions(n, starts[chunk], ends[chunk], destinations[chunk])
-        distances = _batch_distances(current_ids[positions.T], tables, ref_len)
+        distances = _batch_distances(positions.T, position_tables, ref_len)
         i = int(distances.argmin())
         if distances[i] < best_ed:
             best = (int(starts[lo + i]), int(ends[lo + i]), int(destinations[lo + i]))

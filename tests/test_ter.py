@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -405,6 +406,9 @@ def test_shift_grid_keeps_scan_order_and_shifted_positions(n):
     if triples:
         positions = ter_mod._shifted_positions(n, *ter_mod._shift_grid(n))
         assert positions.tolist() == [ter_mod._apply_shift(range(n), *t) for t in triples]
+        # _best_shift gathers a batch's masks with positions.T as the index,
+        # one contiguous row per position, with no copy to intp.
+        assert positions.T.flags.c_contiguous and positions.dtype == np.intp
 
 
 def test_every_dropped_shift_repeats_an_earlier_kept_one():
@@ -476,21 +480,32 @@ def test_shifts_stay_within_the_multiset_overlap(pair):
 def batches(draw):
     alphabet = [f"t{i}" for i in range(draw(st.integers(2, 6)))]
     pattern = draw(st.lists(st.sampled_from(alphabet + ["t-rare"]), min_size=1, max_size=140))
-    n = draw(st.integers(0, 40))
+    n = draw(st.integers(0, 150))
     texts = draw(st.lists(st.lists(st.sampled_from(alphabet + ["t-other"]), min_size=n, max_size=n),
                           min_size=1, max_size=5))
     return pattern, texts
 
 
+def batch_distances(texts, pattern):
+    """ter._batch_distances of texts of one length against pattern, which
+    must leave its index and table arrays as they were: _best_shift
+    reuses its tables for every batch, ter_sentence for every shift."""
+    ids, tables = ter_mod._word_tables(pattern)
+    columns = np.array([[ids.get(t, len(ids)) for t in text] for text in texts], dtype=np.intp).T
+    kept = [columns.copy()] + [table.copy() for table in tables]
+    got = ter_mod._batch_distances(columns, tables, len(pattern))
+    for before, after in zip(kept, [columns] + tables):
+        np.testing.assert_array_equal(after, before)
+    return got.tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(batches())
 def test_batch_distances_match_dp(batch):
-    # Patterns of 1-140 tokens take one to three 64-bit words.
+    # Patterns of 1-140 tokens take one to three 64-bit words; texts of
+    # 0-150 tokens run past 64 tokens and past the pattern's length.
     pattern, texts = batch
-    ids, tables = ter_mod._word_tables(pattern)
-    columns = np.array([[ids.get(t, len(ids)) for t in text] for text in texts], dtype=np.intp).T
-    got = ter_mod._batch_distances(columns, tables, len(pattern))
-    assert got.tolist() == [dp_edit_distance(text, pattern) for text in texts]
+    assert batch_distances(texts, pattern) == [dp_edit_distance(text, pattern) for text in texts]
 
 
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129, 200])
@@ -506,7 +521,30 @@ def test_batch_distances_across_words(m):
         for i in rng.sample(range(n), min(edits, n)):
             text[i] = rng.choice("xyzw")
         texts.append(text)
-    ids, tables = ter_mod._word_tables(pattern)
-    columns = np.array([[ids.get(t, len(ids)) for t in text] for text in texts], dtype=np.intp).T
-    got = ter_mod._batch_distances(columns, tables, m)
-    assert got.tolist() == [dp_edit_distance(text, pattern) for text in texts]
+    assert batch_distances(texts, pattern) == [dp_edit_distance(text, pattern) for text in texts]
+
+
+def test_a_batch_stays_within_the_memory_scan_cells_states():
+    # SCAN_CELLS's comment: 8 bytes a cell for the positions, 8 more per
+    # 64-bit word of the reference, about 200 bytes per candidate. The
+    # shift grid grows with the square of the length, not with SCAN_CELLS,
+    # so its bytes are measured apart.
+    n = 150
+    rng = random.Random(n)
+    vocab = [f"w{i}" for i in range(400)]
+    ref, hyp = rng.choices(vocab, k=n), rng.choices(vocab, k=n)
+    ids, tables = ter_mod._word_tables(ref)
+    tracemalloc.start()
+    try:
+        grid = ter_mod._shift_grid(n)
+        grid_bytes = tracemalloc.get_traced_memory()[0]
+        del grid
+        tracemalloc.reset_peak()
+        # A floor of -1 is never reached, so every batch is scored.
+        ter_mod._best_shift(hyp, ids, tables, n, edit_distance(hyp, ref), -1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 3
+    candidates = ter_mod.SCAN_CELLS // n
+    assert peak - grid_bytes <= ter_mod.SCAN_CELLS * 8 * (1 + len(tables)) + candidates * 256
