@@ -2,15 +2,15 @@
 
 Everything here is seeded and deterministic. The harness never trains a
 model; it draws training subsets, ingests externally produced scores or
-system outputs, and aggregates them. A data-size curve is
-``curve_report`` over (size, replicate, value) rows: values come from an
-external scores file (``read_scores``), or from ``mock_scorer`` on the
-``draw_samples`` subsets, which exercises the protocol hermetically.
+system outputs, and aggregates them. A data-size curve takes two steps
+with a model trained outside in between: ``draw_samples`` draws the
+subsets to train on, and ``curve_report`` aggregates the (size,
+replicate, value) rows that ``read_scores`` reads from the scores of the
+models trained on them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
@@ -131,11 +131,11 @@ class CurvePoint:
     mean: float
     min: float
     max: float
-    metric: str = "metric"
+    metric: Optional[str] = "metric"
 
 
 def curve_report(
-    results: Sequence[Tuple[int, int, float]], metric: str = "metric"
+    results: Sequence[Tuple[int, int, float]], metric: Optional[str] = "metric"
 ) -> List[CurvePoint]:
     """Collapse (size, replicate, value) rows into per-size curve points."""
     if not results:
@@ -157,19 +157,6 @@ def curve_report(
             )
         )
     return points
-
-
-def mock_scorer(size: int, replicate: int, sample: Corpus) -> float:
-    """Deterministic stand-in for an externally trained system's score.
-
-    Saturating in the sample size with a small content-dependent wobble,
-    so curve plumbing can be exercised without any model in the loop.
-    """
-    digest = hashlib.sha256()
-    for t in sample:
-        digest.update(t.id.encode("utf-8"))
-    wobble = int.from_bytes(digest.digest()[:4], "big") / 2**32
-    return 40.0 + 25.0 * (1.0 - 2.0 ** (-size / 500.0)) + 2.0 * wobble
 
 
 def upsample_mix(a: Corpus, factor: int, b: Corpus, seed: int = 0) -> Corpus:

@@ -38,7 +38,6 @@ from .analysis import (
     SampleSpec,
     curve_report,
     draw_samples,
-    mock_scorer,
     read_scores,
     ter_buckets,
 )
@@ -292,31 +291,40 @@ def _parse_sizes(raw: str):
         raise ConfigError(f"invalid --sizes value {raw!r}: {exc}") from exc
 
 
+# Each flag that belongs to one ablate mode, and that mode: --in draws
+# samples and scores none, --scores aggregates scores and draws nothing.
+ABLATE_MODE_FLAGS = (("--emit-samples", "--in"), ("--seed", "--in"),
+                     ("--metric", "--scores"), ("--baseline", "--scores"), ("--out-csv", "--scores"))
+
+
 def cmd_ablate(args, stage) -> str:
-    if args.input and args.metric != "mock":
-        raise ConfigError(f"ablate --metric {args.metric} needs --scores (--in samples are mock-scored)")
-    if args.scores and args.emit_samples:
-        raise ConfigError("ablate --emit-samples needs --in (--scores draws no samples)")
+    mode = "--in" if args.input else "--scores"
+    for flag, needs in ABLATE_MODE_FLAGS:
+        if needs != mode and getattr(args, flag[2:].replace("-", "_")) is not None:
+            unused = "draws" if needs == "--in" else "scores"
+            raise ConfigError(f"ablate {flag} needs {needs} ({mode} {unused} nothing)")
+    if args.input and args.emit_samples is None:
+        raise ConfigError("ablate --in needs --emit-samples (the directory the drawn samples are written to)")
     if args.baseline is not None and not math.isfinite(args.baseline):
         raise ConfigError(f"argument --baseline: must be a finite number, got {args.baseline}")
-    sizes = _parse_sizes(args.sizes)
-    spec = SampleSpec(sizes=sizes, replicates=args.replicates, base_seed=args.seed or 0)
+    spec = SampleSpec(sizes=_parse_sizes(args.sizes), replicates=args.replicates, base_seed=args.seed or 0)
 
-    if args.scores:
-        results = read_scores(args.scores, spec)
-    else:
-        corpus = read_corpus(args.input, args.format)
-        samples = draw_samples(corpus, spec)
-        if args.emit_samples:
-            samples_dir = Path(args.emit_samples)
-            for size, replicate, sample in samples:
-                write_corpus(sample, stage(samples_dir / f"sample_{size}_{replicate}.jsonl"))
-        results = [(size, replicate, mock_scorer(size, replicate, sample)) for size, replicate, sample in samples]
+    if args.input:
+        samples = []
+        for size, replicate, sample in draw_samples(read_corpus(args.input, args.format), spec):
+            path = Path(args.emit_samples) / f"sample_{size}_{replicate}.jsonl"
+            staged = stage(path)
+            write_corpus(sample, staged)
+            samples.append({"size": size, "replicate": replicate, "path": str(path), "sha256": _sha256_file(staged)})
+        _write_report(stage(args.out), _manifest("ablate", [args.input], seed=spec.base_seed),
+                      replicates=args.replicates, samples=samples)
+        return f"ablate: drew {len(samples)} samples -> {args.emit_samples}"
+
+    results = read_scores(args.scores, spec)
     points = curve_report(results, metric=args.metric)
-
     _write_report(
         stage(args.out),
-        _manifest("ablate", [args.scores or args.input], seed=spec.base_seed),
+        _manifest("ablate", [args.scores]),
         metric=args.metric,
         replicates=args.replicates,
         n_samples=len(results),
@@ -385,7 +393,7 @@ def build_parser() -> _Parser:
 
     seeded = flag("--seed", type=seed, default=None, help="seed for all randomness")
     inert_seed = flag("--seed", type=seed, default=None, help="accepted for scripts; has no effect")
-    threads = flag("--threads", type=int, default=1, help="accepted for scripts; has no effect")
+    threads = flag("--threads", type=count, default=1, help="accepted for scripts; has no effect")
     fmt = flag("--format", choices=FORMATS, default="jsonl", help="corpus format")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -448,8 +456,8 @@ def build_parser() -> _Parser:
     source.add_argument("--scores", type=input_path, help="external size,replicate,value CSV to aggregate")
     p.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     p.add_argument("--replicates", type=count, default=DEFAULT_REPLICATES)
-    p.add_argument("--metric", default="mock")
-    p.add_argument("--emit-samples", type=path, default=None, help="directory to write sampled corpora")
+    p.add_argument("--metric", default=None, help="label of the --scores values")
+    p.add_argument("--emit-samples", type=path, default=None, help="directory to write the drawn samples")
     p.add_argument("--baseline", type=float, default=None, help="do-nothing baseline reference line")
     p.add_argument("--out", type=path, default="curve.json")
     p.add_argument("--out-csv", type=path, default=None)

@@ -242,7 +242,8 @@ def _shift_grid(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         & (np.abs(destination - start) <= MAX_SHIFT_DISTANCE)
     )
     start, extra, destination = np.nonzero(valid)  # row-major, so scan order
-    return start, start + extra, destination  # the block has extra + 1 tokens
+    extra += start  # the block's end (it has extra + 1 tokens), in place: the three views share one buffer
+    return start, extra, destination
 
 
 def _shifted_positions(n: int, start: np.ndarray, end: np.ndarray, destination: np.ndarray) -> np.ndarray:

@@ -3,10 +3,10 @@
 The files pin the exact output of ``apekit filter``, ``apekit stats`` and
 ``apekit ablate`` on a small English/German corpus: each JSON report
 without its ``manifest.timestamp`` (the one field allowed to differ
-between runs), the filter splits, the ablate curve CSV, and one console
-file with each command's exit code, stdout and stderr. Changes to how the
-CLI builds or writes these reports can be checked against it for
-byte-identical results. Commands run in the ``report_golden`` directory on
+between runs), the filter splits, and one console file with each
+command's exit code, stdout and stderr. Changes to how the CLI builds or
+writes these reports can be checked against it for byte-identical
+results. Commands run in the ``report_golden`` directory on
 relative paths, so paths in messages and the manifest's input keys are
 stable. Regenerate only when a change of outputs is intended:
 
@@ -16,8 +16,8 @@ The corpus plants one triplet for each filter stage to remove: a length
 ratio outlier, an empty post-edit, a duplicate (src, mt) pair and an
 English post-edit; others carry typographic quotes for normalization.
 ``filter`` runs with a config file, and again with ``--seed`` overriding
-its seed. ``ablate`` runs once on the corpus with ``--out-csv`` and once
-on an external scores file.
+its seed. ``ablate`` runs once on the corpus, drawing samples whose
+digests its report pins, and once on an external scores file.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ def run_commands(directory: Path) -> dict:
     """Run filter, stats and ablate in `directory`.
 
     Returns {file name: text}: each report without its timestamp, the
-    filter splits, the ablate CSV, and console.txt with every command's
-    exit code, stdout and stderr.
+    filter splits, and console.txt with every command's exit code, stdout
+    and stderr.
     """
     with golden.cd(directory):
         console = []
@@ -123,13 +123,11 @@ def run_commands(directory: Path) -> dict:
 
         golden.run(console, ["stats", "--in", "in/corpus.jsonl", "--out", "out/stats.json"])
         golden.run(console, ["ablate", "--in", "in/corpus.jsonl", "--sizes", "4,8,16", "--replicates", "2",
-                             "--seed", "3", "--baseline", "61.5", "--out", "out/ablate_corpus.json",
-                             "--out-csv", "out/ablate_corpus.csv"])
+                             "--seed", "3", "--emit-samples", "out/samples", "--out", "out/ablate_corpus.json"])
         golden.run(console, ["ablate", "--scores", "in/scores.csv", "--sizes", "100,200,400", "--replicates", "2",
                              "--metric", "bleu", "--out", "out/ablate_scores.json"])
         for name in ("stats.json", "ablate_corpus.json", "ablate_scores.json"):
             outputs[name] = golden.without_timestamp(Path("out", name).read_text(encoding="utf-8"))
-        outputs["ablate_corpus.csv"] = Path("out/ablate_corpus.csv").read_text(encoding="utf-8")
         outputs["console.txt"] = "".join(console)
         shutil.rmtree("out")
         return outputs

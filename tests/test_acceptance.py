@@ -3,12 +3,14 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
+import hashlib
 import itertools
 import json
 import random
 import time
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -290,31 +292,48 @@ def test_criterion_6_statistics():
 
 
 def test_criterion_7_protocol_shape(tmp_path):
-    with verdict(7, "ablate emits 18 samples / 6 points; buckets partition with zero deltas"):
+    with verdict(7, "ablate draws 18 digested samples, 18 scores give 6 points; buckets partition with zero deltas"):
         rows = [
             Triplet(id=f"{i:05d}", src=f"source {i}", mt=f"mt {i}", pe=f"edit {i}")
             for i in range(1500)
         ]
         corpus_path = tmp_path / "train.jsonl"
         write_corpus(tuple(rows), corpus_path)
-        curve_path = tmp_path / "curve.json"
+        sizes = "62,125,250,500,1000,1250"
+        draw_path = tmp_path / "draw.json"
         code = main(
             [
                 "ablate",
                 "--in", str(corpus_path),
-                "--sizes", "62,125,250,500,1000,1250",
+                "--sizes", sizes,
                 "--replicates", "3",
                 "--seed", "7",
-                "--out", str(curve_path),
+                "--emit-samples", str(tmp_path / "samples"),
+                "--out", str(draw_path),
             ]
         )
+        assert code == 0
+        samples = json.loads(draw_path.read_text(encoding="utf-8"))["samples"]
+        assert len(samples) == 18
+        for sample in samples:
+            assert sample["sha256"] == hashlib.sha256(Path(sample["path"]).read_bytes()).hexdigest()
+
+        # One externally produced score per drawn sample.
+        scores_path = tmp_path / "scores.csv"
+        scores_path.write_text(
+            "".join(f"{s['size']},{s['replicate']},{40 + s['size'] / 100 + s['replicate']}\n" for s in samples),
+            encoding="utf-8",
+        )
+        curve_path = tmp_path / "curve.json"
+        code = main(["ablate", "--scores", str(scores_path), "--sizes", sizes, "--replicates", "3",
+                     "--out", str(curve_path)])
         assert code == 0
         curve = json.loads(curve_path.read_text(encoding="utf-8"))
         assert curve["n_samples"] == 18
         assert len(curve["results"]) == 18
         assert len(curve["points"]) == 6
         for point in curve["points"]:
-            assert point["min"] <= point["mean"] <= point["max"]
+            assert point["min"] < point["mean"] < point["max"]
 
         rng = random.Random(3)
         refs = [" ".join(rng.choices("wer das wie nun gut tag".split(), k=6)) for _ in range(40)]

@@ -10,7 +10,6 @@ from apekit.analysis import (
     SampleSpec,
     curve_report,
     draw_samples,
-    mock_scorer,
     read_scores,
     ter_buckets,
     upsample_mix,
@@ -100,14 +99,18 @@ class TestCurveReport:
             curve_report([])
 
     def test_min_mean_max_ordering_from_ablation(self):
-        corpus = corpus_of_size(3000)
-        spec = SampleSpec(sizes=(62, 125, 250, 500, 1000, 1250), replicates=3, base_seed=9)
-        results = [(size, replicate, mock_scorer(size, replicate, sample))
-                   for size, replicate, sample in draw_samples(corpus, spec)]
+        # An ablation grid of six sizes and three replicates, largest size
+        # first and each size's values out of order.
+        values = {62: (41.0, 40.0, 42.0), 125: (44.0, 43.0, 45.0), 250: (47.0, 48.5, 45.5),
+                  500: (51.0, 50.5, 51.5), 1000: (54.0, 55.0, 53.0), 1250: (55.5, 56.0, 55.0)}
+        results = [(size, replicate, value)
+                   for size in reversed(values) for replicate, value in enumerate(values[size])]
         points = curve_report(results)
-        assert len(results) == 18 and len(points) == 6
-        for p in points:
-            assert p.min <= p.mean <= p.max
+        assert len(results) == 18
+        assert [(p.size, p.min, p.mean, p.max) for p in points] == [
+            (62, 40.0, 41.0, 42.0), (125, 43.0, 44.0, 45.0), (250, 45.5, 47.0, 48.5),
+            (500, 50.5, 51.0, 51.5), (1000, 53.0, 54.0, 55.0), (1250, 55.0, 55.5, 56.0),
+        ]
 
 
 class TestReadScores:

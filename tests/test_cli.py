@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib
 import json
 import random
@@ -8,7 +9,7 @@ import pytest
 
 import apekit.analysis
 import apekit.cli
-from apekit.analysis import DEFAULT_REPLICATES, mock_scorer
+from apekit.analysis import DEFAULT_REPLICATES, SampleSpec, draw_samples
 from apekit.bootstrap import bootstrap_significance
 from apekit.cli import build_parser, main
 from apekit.corpus import FORMATS, TEXT_FIELDS, Triplet, read_corpus, write_corpus
@@ -394,29 +395,36 @@ class TestAdequacyCommand:
 
 
 class TestAblateCommand:
-    def test_mock_scorer_protocol_shape(self, tmp_path):
+    def test_draw_report_protocol_shape(self, tmp_path, capsys):
         path, _ = make_corpus_file(tmp_path, synthetic_rows(1500))
-        out = tmp_path / "curve.json"
-        out_csv = tmp_path / "curve.csv"
+        out = tmp_path / "draw.json"
+        samples_dir = tmp_path / "samples"
+        sizes = (62, 125, 250, 500, 1000, 1250)
         code = main(
             [
                 "ablate",
                 "--in", str(path),
-                "--sizes", "62,125,250,500,1000,1250",
+                "--sizes", ",".join(map(str, sizes)),
                 "--replicates", "3",
                 "--seed", "13",
+                "--emit-samples", str(samples_dir),
                 "--out", str(out),
-                "--out-csv", str(out_csv),
             ]
         )
         assert code == 0
+        assert capsys.readouterr().out == f"ablate: drew 18 samples -> {samples_dir}\n"
         report = load_json(out)
-        assert report["n_samples"] == 18
-        assert len(report["points"]) == 6
-        for point in report["points"]:
-            assert point["min"] <= point["mean"] <= point["max"]
-        assert report["wmt_size_marker"] == 13441
-        assert out_csv.read_text(encoding="utf-8").startswith("metric,size,mean,min,max\nmock,62,")
+        assert list(report) == ["manifest", "replicates", "samples"]
+        assert (report["manifest"]["seed"], report["replicates"]) == (13, 3)
+        assert [(row["size"], row["replicate"]) for row in report["samples"]] == [
+            (size, replicate) for size in sizes for replicate in range(3)
+        ]
+        for row in report["samples"]:
+            assert row["path"] == str(samples_dir / f"sample_{row['size']}_{row['replicate']}.jsonl")
+            assert row["sha256"] == hashlib.sha256(Path(row["path"]).read_bytes()).hexdigest()
+            assert len(read_corpus(row["path"])) == row["size"]
+        assert sorted(samples_dir.iterdir()) == sorted(Path(row["path"]) for row in report["samples"])
+        assert "mock" not in out.read_text(encoding="utf-8")
 
     def test_external_scores_aggregation(self, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -427,6 +435,9 @@ class TestAblateCommand:
         report = load_json(out)
         assert [p["size"] for p in report["points"]] == [10, 20]
         assert report["points"][0]["mean"] == pytest.approx(52.0)
+        # Nothing is drawn, and an unlabelled curve names no metric.
+        assert report["manifest"]["seed"] is None
+        assert report["metric"] is None and {p["metric"] for p in report["points"]} == {None}
 
     @pytest.mark.parametrize("csv_text, extra, message", [
         pytest.param("size,replicate,value\n10,0,50\n20,0,60\n", ["--sizes", "999"],
@@ -465,9 +476,11 @@ class TestAblateCommand:
         scores.write_text("10,0,50\n20,0,60\n", encoding="utf-8")
         argv = ["ablate", source, str(path if source == "--in" else scores), "--sizes", sizes,
                 "--out", str(tmp_path / "c.json")]
+        if source == "--in":
+            argv += ["--emit-samples", str(tmp_path / "samples")]
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "c.json").exists()
+        assert not (tmp_path / "c.json").exists() and not (tmp_path / "samples").exists()
 
     def test_replicates_below_one_is_a_usage_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -497,13 +510,6 @@ class TestAblateCommand:
         assert "--emit-samples needs --in" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "samples").exists()
 
-    def test_metric_other_than_mock_needs_scores(self, tmp_path, capsys):
-        path, _ = make_corpus_file(tmp_path, synthetic_rows(100))
-        out = tmp_path / "curve.json"
-        assert main(["ablate", "--in", str(path), "--sizes", "10,20", "--metric", "bleu", "--out", str(out)]) == 1
-        assert "--metric bleu needs --scores" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_emit_samples_draws_each_sample_once(self, tmp_path, monkeypatch):
         draws = []
         original = apekit.analysis.draw_samples
@@ -520,25 +526,16 @@ class TestAblateCommand:
         assert main(argv) == 0
         assert len(draws) == 1
 
-    def test_emitted_samples_are_the_scored_samples(self, tmp_path, monkeypatch):
-        scored = {}
-
-        def recording(size, replicate, sample):
-            scored[(size, replicate)] = [t.id for t in sample]
-            return mock_scorer(size, replicate, sample)
-
-        monkeypatch.setattr(apekit.cli, "mock_scorer", recording)
-        path, _ = make_corpus_file(tmp_path, synthetic_rows(100))
+    def test_emitted_samples_are_the_drawn_samples(self, tmp_path):
+        path, corpus = make_corpus_file(tmp_path, synthetic_rows(100))
         samples_dir = tmp_path / "samples"
         argv = ["ablate", "--in", str(path), "--sizes", "10,20", "--replicates", "2", "--seed", "5",
-                "--emit-samples", str(samples_dir), "--out", str(tmp_path / "curve.json")]
+                "--emit-samples", str(samples_dir), "--out", str(tmp_path / "draw.json")]
         assert main(argv) == 0
-        written = {
-            (size, replicate): [t.id for t in read_corpus(samples_dir / f"sample_{size}_{replicate}.jsonl")]
-            for size in (10, 20)
-            for replicate in (0, 1)
-        }
-        assert written == scored
+        drawn = draw_samples(corpus, SampleSpec(sizes=(10, 20), replicates=2, base_seed=5))
+        written = [(size, replicate, read_corpus(samples_dir / f"sample_{size}_{replicate}.jsonl"))
+                   for size, replicate, _ in drawn]
+        assert written == drawn
 
 
 class TestBucketsCommand:
@@ -844,8 +841,8 @@ def test_postprocess_rejects_a_line_break_in_a_changelog_record(tmp_path, capsys
 @pytest.mark.parametrize("command", ["ablate", "buckets"])
 def test_out_csv_creates_its_directory(tmp_path, command):
     if command == "ablate":
-        path, _ = make_corpus_file(tmp_path, synthetic_rows(20))
-        argv = ["ablate", "--in", str(path), "--sizes", "5,10", "--replicates", "2"]
+        scores = write_lines(tmp_path / "scores.csv", ["5,0,50", "5,1,54", "10,0,60"])
+        argv = ["ablate", "--scores", str(scores), "--sizes", "5,10", "--replicates", "2"]
     else:
         argv = _line_file_argv("buckets", tmp_path, write_lines(tmp_path / "ape.txt", ["a b", "d e f", "g"]))
     csv_path = tmp_path / "no" / "dir" / "table.csv"
@@ -1183,20 +1180,36 @@ REJECTIONS = {
                                     "config.json": ['{"dev_size": 1, "test_size": 1, "expected_tgt_lang": "en"}']},
                                    "filter --in d/train.jsonl --out-dir d --config config.json",
                                    2, "output path is also an input: d/train.jsonl"),
+    "in-without-emit-samples": ({"corpus.jsonl": [GOOD_ROW]}, "ablate --in corpus.jsonl --sizes 1",
+                                1, "ablate --in needs --emit-samples (the directory the drawn samples are written to)"),
+    "metric-with-in": ({"corpus.jsonl": [GOOD_ROW]},
+                       "ablate --in corpus.jsonl --sizes 1 --emit-samples s --metric bleu",
+                       1, "ablate --metric needs --scores (--in scores nothing)"),
+    "baseline-with-in": ({"corpus.jsonl": [GOOD_ROW]},
+                         "ablate --in corpus.jsonl --sizes 1 --emit-samples s --baseline 5",
+                         1, "ablate --baseline needs --scores (--in scores nothing)"),
+    "out-csv-with-in": ({"corpus.jsonl": [GOOD_ROW]},
+                        "ablate --in corpus.jsonl --sizes 1 --emit-samples s --out-csv c.csv",
+                        1, "ablate --out-csv needs --scores (--in scores nothing)"),
+    "seed-with-scores": ({"scores.csv": ["1,0,5"]}, "ablate --scores scores.csv --sizes 1 --replicates 1 --seed 3",
+                         1, "ablate --seed needs --in (--scores draws nothing)"),
+    "zero-threads": ({"h.txt": ["a b"], "r.txt": ["a c"]}, "evaluate --hyp h.txt --ref r.txt --threads 0",
+                     1, "argument --threads: must be at least 1, got 0"),
+    "negative-threads": ({"h.txt": ["a b"], "r.txt": ["a c"]}, "evaluate --hyp h.txt --ref r.txt --threads -1",
+                         1, "argument --threads: must be at least 1, got -1"),
     "constant-ratings": ({"ad.csv": ["annotator_id,item_id,system,score"]
                                     + [f"{a},i1,{s},3" for a in "AB" for s in ("nmt", "ape", "human")]},
                          "agreement --csv ad.csv", 2, "kappa undefined for every annotator pair"),
 }
 
 
-def test_a_non_finite_value_that_reaches_a_report_writes_nothing(tmp_path, monkeypatch, capsys):
-    """NaN is not JSON: a report that would hold one exits 2, with no report, CSV or sample left."""
-    path, _ = make_corpus_file(tmp_path, synthetic_rows(20))
-    monkeypatch.setattr(apekit.cli, "mock_scorer", lambda size, replicate, sample: float("nan"))
+def test_a_non_finite_value_that_reaches_a_report_writes_nothing(tmp_path, capsys):
+    """inf is not JSON: finite scores whose mean overflows exit 2, with no report or CSV left."""
+    scores = write_lines(tmp_path / "scores.csv", ["10,0,1.7e308", "10,1,1.7e308"])
     out = tmp_path / "out"
-    assert main(["ablate", "--in", str(path), "--sizes", "5", "--emit-samples", str(out / "samples"),
+    assert main(["ablate", "--scores", str(scores), "--sizes", "10", "--replicates", "2",
                  "--out", str(out / "curve.json"), "--out-csv", str(out / "curve.csv")]) == 2
-    assert capsys.readouterr().err == "error: Out of range float values are not JSON compliant: nan\n"
+    assert capsys.readouterr().err == "error: Out of range float values are not JSON compliant: inf\n"
     assert not out.exists()
 
 

@@ -56,7 +56,7 @@ def _work(tmp_path: Path, golden: str) -> Path:
         ("report_golden", ["ablate", "--scores", "in/scores.csv", "--sizes", "100,200,400", "--replicates", "2",
                            "--metric", "bleu", "--out", "out/ablate.json"]),
         ("report_golden", ["ablate", "--in", "in/corpus.jsonl", "--sizes", "4,8,16", "--replicates", "2",
-                           "--out", "out/ablate.json"]),
+                           "--emit-samples", "out/samples", "--out", "out/ablate.json"]),
         ("human_eval_golden", ["agreement", "--csv", "in/h2.csv", "--out", "out/agreement.json"]),
         ("human_eval_golden", ["adequacy", "--csv", "in/h2.csv", "--out", "out/adequacy.json"]),
         ("metric_golden", ["buckets", "--baseline", "in/ref.txt", "--ape", "in/ref.txt", "--ref", "in/ref.txt",

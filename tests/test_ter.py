@@ -528,7 +528,8 @@ def test_a_batch_stays_within_the_memory_scan_cells_states():
     # SCAN_CELLS's comment: 8 bytes a cell for the positions, 8 more per
     # 64-bit word of the reference, about 200 bytes per candidate. The
     # shift grid grows with the square of the length, not with SCAN_CELLS,
-    # so its bytes are measured apart.
+    # so its bytes are measured apart; it holds no array besides the three
+    # it returns.
     n = 150
     rng = random.Random(n)
     vocab = [f"w{i}" for i in range(400)]
@@ -538,6 +539,7 @@ def test_a_batch_stays_within_the_memory_scan_cells_states():
     try:
         grid = ter_mod._shift_grid(n)
         grid_bytes = tracemalloc.get_traced_memory()[0]
+        returned_bytes = sum(axis.nbytes for axis in grid)
         del grid
         tracemalloc.reset_peak()
         # A floor of -1 is never reached, so every batch is scored.
@@ -545,6 +547,7 @@ def test_a_batch_stays_within_the_memory_scan_cells_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert grid_bytes <= returned_bytes + 4096
     assert len(tables) == 3
     candidates = ter_mod.SCAN_CELLS // n
     assert peak - grid_bytes <= ter_mod.SCAN_CELLS * 8 * (1 + len(tables)) + candidates * 256
