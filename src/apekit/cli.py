@@ -293,7 +293,7 @@ def _parse_sizes(raw: str):
 
 # Each flag that belongs to one ablate mode, and that mode: --in draws
 # samples and scores none, --scores aggregates scores and draws nothing.
-ABLATE_MODE_FLAGS = (("--emit-samples", "--in"), ("--seed", "--in"),
+ABLATE_MODE_FLAGS = (("--emit-samples", "--in"), ("--seed", "--in"), ("--format", "--in"),
                      ("--metric", "--scores"), ("--baseline", "--scores"), ("--out-csv", "--scores"))
 
 
@@ -311,19 +311,19 @@ def cmd_ablate(args, stage) -> str:
 
     if args.input:
         samples = []
-        for size, replicate, sample in draw_samples(read_corpus(args.input, args.format), spec):
+        for size, replicate, sample in draw_samples(read_corpus(args.input, args.format or "jsonl"), spec):
             path = Path(args.emit_samples) / f"sample_{size}_{replicate}.jsonl"
             staged = stage(path)
             write_corpus(sample, staged)
             samples.append({"size": size, "replicate": replicate, "path": str(path), "sha256": _sha256_file(staged)})
-        _write_report(stage(args.out), _manifest("ablate", [args.input], seed=spec.base_seed),
+        _write_report(stage(args.out or "draw.json"), _manifest("ablate", [args.input], seed=spec.base_seed),
                       replicates=args.replicates, samples=samples)
         return f"ablate: drew {len(samples)} samples -> {args.emit_samples}"
 
     results = read_scores(args.scores, spec)
     points = curve_report(results, metric=args.metric)
     _write_report(
-        stage(args.out),
+        stage(args.out or "curve.json"),
         _manifest("ablate", [args.scores]),
         metric=args.metric,
         replicates=args.replicates,
@@ -450,16 +450,18 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=path, default="adequacy.json")
     p.set_defaults(func=cmd_adequacy)
 
-    p = sub.add_parser("ablate", parents=[seeded, fmt], help="data-size curve protocol")
+    p = sub.add_parser("ablate", parents=[seeded], help="data-size curve protocol")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", type=input_path, dest="input", help="training corpus to sample")
     source.add_argument("--scores", type=input_path, help="external size,replicate,value CSV to aggregate")
+    p.add_argument("--format", choices=FORMATS, default=None, help="format of the --in corpus (default jsonl)")
     p.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     p.add_argument("--replicates", type=count, default=DEFAULT_REPLICATES)
     p.add_argument("--metric", default=None, help="label of the --scores values")
     p.add_argument("--emit-samples", type=path, default=None, help="directory to write the drawn samples")
     p.add_argument("--baseline", type=float, default=None, help="do-nothing baseline reference line")
-    p.add_argument("--out", type=path, default="curve.json")
+    p.add_argument("--out", type=path, default=None,
+                   help="report path (default draw.json for --in, curve.json for --scores)")
     p.add_argument("--out-csv", type=path, default=None)
     p.set_defaults(func=cmd_ablate)
 

@@ -10,14 +10,13 @@ ties going to the first language in sorted order. ``classify`` reaches it
 from one sum per other language of precomputed per-gram score
 differences against the first language. A text's n-grams are those of
 its padded words plus one trigram across each gap, so the sum is taken
-by word: each distinct word's sums are computed on its second sighting
-and cached per classifier, up to ``WORD_CACHE_ENTRIES`` words; a text
-with a word seen for the first time takes one pass over all its n-grams
-instead. When the winner's lead is above a bound on the rounding error
-of both ways of summing and of the exact scores (``8 (N+2k+2)^2 u L`` for
-N n-gram occurrences and k words, u = 2**-53 and L the largest
-log-probability magnitude), the label is the exact rule's; otherwise
-``classify`` computes the exact scores and applies the rule.
+by word: each distinct word's sums are computed on its first sighting
+and cached per classifier, up to ``WORD_CACHE_ENTRIES`` words. When the
+winner's lead is above a bound on the rounding error of that sum and of
+the exact scores (``8 (N+2k+2)^2 u L`` for N n-gram occurrences and k
+words, u = 2**-53 and L the largest log-probability magnitude), the
+label is the exact rule's; otherwise ``classify`` computes the exact
+scores and applies the rule.
 """
 
 from __future__ import annotations
@@ -75,9 +74,9 @@ Die Antwort auf deine Frage hängt davon ab, wie viel Zeit uns noch bleibt.
 _NGRAM_ORDER = 3
 # u, the unit roundoff of IEEE double precision.
 _EPS = 2.0**-53
-# Most words a classifier keeps table sums for, and most words it
-# remembers seeing; both full take about 5 MB. A full store is emptied
-# before the next entry.
+# Most words a classifier keeps table sums for; full, the store of a
+# two-language classifier takes about 2.7 MB. A store that a text's new
+# words would take past it is emptied first.
 WORD_CACHE_ENTRIES = 1 << 14
 
 
@@ -132,7 +131,7 @@ class NgramLanguageClassifier:
     its log-probability minus the first language's, per gram of either
     profile, and the difference of the two fallbacks for grams of
     neither; ``classify`` sums each table over the text's n-gram
-    occurrences, by word where it can (see the module docstring). When
+    occurrences, by word (see the module docstring). When
     the best of these leads is too close to call, by a bound on the
     rounding error (see ``classify``), it computes ``scores()`` and
     applies the exact rule, which also settles ties.
@@ -163,10 +162,8 @@ class NgramLanguageClassifier:
             self._differences.append((table, fallback - first_fallback))
         # B per (N+2k+2)^2: the lead that decides without the exact scores.
         self._bound_scale = 8 * _EPS * max(map(abs, self._fallback.values()))
-        # word -> its padded n-grams' sum per table, and the words seen,
-        # both filled by classify.
+        # word -> its padded n-grams' sum per table, filled by classify.
         self._word_sums: Dict[str, tuple] = {}
-        self._seen: set = set()
 
     @classmethod
     def default(cls) -> "NgramLanguageClassifier":
@@ -206,17 +203,16 @@ class NgramLanguageClassifier:
         - a table entry is one rounded subtraction of two such
           log-probabilities, so it is within u L of the real difference
           and at most L in magnitude;
-        - a lead is R minus the first language's R, summed either over
-          the N entries of the text's n-grams, or by word: the cached sums
-          over each padded word's 3 len(word) + 3 entries, plus the k - 1
-          entries of the trigrams across the gaps, less k - 1 times the
-          space's entry (which each padded word counts once too often), in
-          one rounded product. Either way the lead adds up at most M
-          entries (the product standing for k - 1 of them), each at most L
-          in magnitude and within u L of its real value, and no entry
-          passes through more than M roundings. So the lead is within
-          2 (M+1)^2 u L of its real value, with plain or compensated
-          summation alike.
+        - a lead is R minus the first language's R, summed by word: the
+          cached sums over each padded word's 3 len(word) + 3 entries,
+          plus the k - 1 entries of the trigrams across the gaps, less
+          k - 1 times the space's entry (which each padded word counts
+          once too often), in one rounded product. So the lead adds up at
+          most M entries (the product standing for k - 1 of them), each at
+          most L in magnitude and within u L of its real value, and no
+          entry passes through more than M roundings. It is therefore
+          within 2 (M+1)^2 u L of its real value, with plain or
+          compensated summation alike.
 
         ``classify`` returns the language b of the largest lead when the
         rounded difference between it and every other language's lead
@@ -238,49 +234,37 @@ class NgramLanguageClassifier:
             rows = [self._word_sums[word] for word in words]
         except KeyError:
             rows = self._word_rows(words)
+        length = sum(map(len, words)) + k + 1  # of the padded text
+        gaps = [left[-1] + " " + right[0] for left, right in zip(words, words[1:])]
         leads = [0.0]  # each language's score minus the first language's
-        if rows is None:
-            padded = _padded(words)
-            length = len(padded)
-            by_order = ngrams_by_order(padded, _NGRAM_ORDER)
-            for table, fallback in self._differences:
-                leads.append(sum(map(table.get, chain.from_iterable(by_order), repeat(fallback))))
-        else:
-            length = sum(map(len, words)) + k + 1  # of the padded text
-            gaps = [left[-1] + " " + right[0] for left, right in zip(words, words[1:])]
-            for (table, fallback), word_sums in zip(self._differences, zip(*rows)):
-                leads.append(sum(chain(word_sums, map(table.get, gaps, repeat(fallback))))
-                             - (k - 1) * table.get(" ", fallback))
+        for (table, fallback), word_sums in zip(self._differences, zip(*rows)):
+            leads.append(sum(chain(word_sums, map(table.get, gaps, repeat(fallback))))
+                         - (k - 1) * table.get(" ", fallback))
         *_, (second, _), (best, lang) = sorted(zip(leads, self.languages))
         if best - second > self._bound_scale * (3 * length + 2 * k - 1) ** 2:  # (M+2)^2
             return lang
         scores = self.scores(text)
         return max(self.languages, key=scores.__getitem__)
 
-    def _word_rows(self, words: list):
-        """Each word's sums per table, or None when one is not cached.
+    def _word_rows(self, words: list) -> list:
+        """Each word's sums per table, computing and caching those of the
+        words not cached yet.
 
-        A word's sums are computed and cached on its second sighting, so
-        a text of words that never repeat costs little more than its
-        whole-text pass. A store about to hold more than
-        ``WORD_CACHE_ENTRIES`` words is emptied first; only a text of
-        more words than that takes the seen words past it.
+        A store that the new words would take past ``WORD_CACHE_ENTRIES``
+        is emptied first; a text of more new words than that is summed
+        from its own rows and caches none.
         """
-        word_sums, seen = self._word_sums, self._seen
-        repeated = seen.intersection(words).difference(word_sums)
-        if len(seen) + len(words) > WORD_CACHE_ENTRIES:
-            seen.clear()
-        seen.update(words)
-        if not repeated:  # the word that missed is still not cached
-            return None
-        for word in repeated:
+        word_sums = self._word_sums
+        new = {}
+        for word in set(words).difference(word_sums):
             grams = list(chain.from_iterable(ngrams_by_order(_padded((word,)), _NGRAM_ORDER)))
-            row = tuple(sum(map(table.get, grams, repeat(fallback))) for table, fallback in self._differences)
-            if len(word_sums) >= WORD_CACHE_ENTRIES:
+            new[word] = tuple(sum(map(table.get, grams, repeat(fallback))) for table, fallback in self._differences)
+        rows = [new.get(word) or word_sums[word] for word in words]
+        if len(new) <= WORD_CACHE_ENTRIES:
+            if len(word_sums) + len(new) > WORD_CACHE_ENTRIES:
                 word_sums.clear()
-            word_sums[word] = row
-        rows = list(map(word_sums.get, words))
-        return None if None in rows else rows
+            word_sums.update(new)
+        return rows
 
 
 class TabFileClassifier:

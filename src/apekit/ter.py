@@ -317,9 +317,6 @@ def _batch_distances(columns: np.ndarray, tables: List[np.ndarray], m: int) -> n
     """
     import numpy as np
 
-    # uint64 scalars, not Python ints: numpy 1.x rejects a uint64 array
-    # shifted by a Python int.
-    one, top_shift = np.uint64(1), np.uint64(63)
     n, count = columns.shape
     k = len(tables)
     masks = [table[columns] for table in tables]
@@ -351,31 +348,21 @@ def _batch_distances(columns: np.ndarray, tables: List[np.ndarray], m: int) -> n
         # word still reads the unshifted top bit of the word below.
         for w in range(k - 1, 0, -1):
             for h in (ph, vp):
-                np.right_shift(h[w - 1], top_shift, out=xh[w])
-                h[w] <<= one
+                np.right_shift(h[w - 1], 63, out=xh[w])
+                h[w] <<= 1
                 h[w] |= xh[w]
-        ph[0] <<= one
-        ph[0] |= one
-        vp[0] <<= one
+        ph[0] <<= 1
+        ph[0] |= 1
+        vp[0] <<= 1
         for w in range(k):
             np.bitwise_or(xv[w], ph[w], out=xh[w])
             np.invert(xh[w], out=xh[w])
             vp[w] |= xh[w]
             np.bitwise_and(ph[w], xv[w], out=vn[w])
-    vp[-1] &= np.uint64((1 << (m - 64 * (k - 1))) - 1)
-    # A popcount is at most 64, so viewing it as int64 keeps its value.
-    return n + sum(_popcount(p).view(np.int64) - _popcount(q).view(np.int64) for p, q in zip(vp, vn))
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64, by the SWAR (SIMD within a register)
-    method: numpy 1.x has no bitwise_count."""
-    import numpy as np
-
-    words = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    words = (words & np.uint64(0x3333333333333333)) + ((words >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    words = (words + (words >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (words * np.uint64(0x0101010101010101)) >> np.uint64(56)
+    vp[-1] &= (1 << (m - 64 * (k - 1))) - 1
+    # bitwise_count gives uint8, which the subtraction would wrap.
+    return n + sum(np.bitwise_count(p).astype(np.int64) - np.bitwise_count(q).astype(np.int64)
+                   for p, q in zip(vp, vn))
 
 
 def _best_shift(

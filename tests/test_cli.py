@@ -537,6 +537,16 @@ class TestAblateCommand:
                    for size, replicate, _ in drawn]
         assert written == drawn
 
+    def test_each_mode_writes_its_own_default_report(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path, _ = make_corpus_file(tmp_path, synthetic_rows(30))
+        scores = write_lines(tmp_path / "scores.csv", ["10,0,50"])
+        assert main(["ablate", "--in", str(path), "--sizes", "10", "--replicates", "1", "--emit-samples", "s"]) == 0
+        assert list(load_json(tmp_path / "draw.json")) == ["manifest", "replicates", "samples"]
+        assert not (tmp_path / "curve.json").exists()
+        assert main(["ablate", "--scores", str(scores), "--sizes", "10", "--replicates", "1"]) == 0
+        assert load_json(tmp_path / "curve.json")["points"][0]["mean"] == 50.0
+
 
 class TestBucketsCommand:
     def test_identical_outputs_zero_delta(self, tmp_path):
@@ -1191,6 +1201,9 @@ REJECTIONS = {
     "out-csv-with-in": ({"corpus.jsonl": [GOOD_ROW]},
                         "ablate --in corpus.jsonl --sizes 1 --emit-samples s --out-csv c.csv",
                         1, "ablate --out-csv needs --scores (--in scores nothing)"),
+    "format-with-scores": ({"scores.csv": ["1,0,5"]},
+                           "ablate --scores scores.csv --sizes 1 --replicates 1 --format tsv",
+                           1, "ablate --format needs --in (--scores draws nothing)"),
     "seed-with-scores": ({"scores.csv": ["1,0,5"]}, "ablate --scores scores.csv --sizes 1 --replicates 1 --seed 3",
                          1, "ablate --seed needs --in (--scores draws nothing)"),
     "zero-threads": ({"h.txt": ["a b"], "r.txt": ["a c"]}, "evaluate --hyp h.txt --ref r.txt --threads 0",

@@ -169,7 +169,7 @@ def test_three_languages_classify_is_the_exact_rule(three_languages, text):
 
 
 # Few words, so that within one classifier a text's words mix cached ones
-# with ones seen for the first or second time; "İ" lowercases to two characters.
+# with ones seen for the first time; "İ" lowercases to two characters.
 VOCABULARY = ["der", "Garten", "the", "garden", "le", "jardin", "ß", "İst", "a", "ab", "x9", "жж", "Straße"]
 WORD_TEXTS = st.lists(
     st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=8).map(" ".join)
@@ -190,28 +190,32 @@ def test_classify_by_word_is_the_exact_rule_in_any_order(make, texts):
 
 
 def test_a_lowered_cache_cap_keeps_labels_and_is_never_exceeded(monkeypatch):
+    # The last text has more distinct words than the lowered cap, none of
+    # them cached: it is summed from its own rows and caches none.
     texts = [" ".join(VOCABULARY[i:i + 4]) for i in range(len(VOCABULARY))] * 3 + ["der Garten", "the garden"] * 3
+    texts.append(" ".join(VOCABULARY[6:]))
     uncapped = NgramLanguageClassifier.default()
     expected = [uncapped.classify(text) for text in texts]
     monkeypatch.setattr(langid, "WORD_CACHE_ENTRIES", 3)
     capped = NgramLanguageClassifier.default()
     sizes = []
     for text, label in zip(texts, expected):
+        before = dict(capped._word_sums)
         assert capped.classify(text) == label == exact_label(capped, text)
         sizes.append(len(capped._word_sums))
-        assert len(capped._seen) <= 4  # at most the cap, or one text's words
     assert max(sizes) == 3 and 0 < sizes[-1]
+    assert capped._word_sums == before  # the last text neither emptied nor added to the store
     assert len(uncapped._word_sums) == len({word.lower() for text in texts for word in text.split()})
 
 
 def test_default_starts_with_an_empty_cache():
     fresh = NgramLanguageClassifier.default()
-    assert fresh._word_sums == {} and fresh._seen == set()
+    assert fresh._word_sums == {}
 
 
 def test_a_cached_lead_within_the_rounding_bound_falls_back(monkeypatch):
-    # As above; the second call sums the repeated word once and takes the
-    # word path, whose bound is no tighter, so it still falls back.
+    # As above; the first call sums the repeated word once and caches it,
+    # the second reads it from the cache, and both fall back.
     close = NgramLanguageClassifier({"en": Counter(a=10**12, b=10**12), "de": Counter(a=10**12 + 1, b=10**12)})
     scored = spy_on_scores(monkeypatch, close)
     padded = []
@@ -219,8 +223,8 @@ def test_a_cached_lead_within_the_rounding_bound_falls_back(monkeypatch):
     monkeypatch.setattr(langid, "ngrams_by_order", lambda units, max_n: padded.append(units) or ngrams(units, max_n))
     text = "abab abab abab"
     assert [close.classify(text), close.classify(text)] == ["en", "en"]
-    whole = " abab abab abab "  # the whole-text pass's and the exact scores' n-grams
-    assert padded == [whole, whole, " abab ", whole]
+    whole = " abab abab abab "  # the exact scores' n-grams
+    assert padded == [" abab ", whole, whole]
     assert scored == [text, text]
     assert list(close._word_sums) == ["abab"]
 
