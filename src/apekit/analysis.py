@@ -71,7 +71,7 @@ class SampleSpec:
 def read_scores(path, spec: SampleSpec) -> List[Tuple[int, int, float]]:
     """Read external size,replicate,value rows (a header on line 1 only); each must be
     a distinct run of the grid of ``spec``, whose sizes each need a row. A fault raises
-    ValueError naming the line and the grid by ablate's --sizes and --replicates."""
+    ValueError naming the line and the grid by ablate curve's --sizes and --replicates."""
     rows = []
     runs = set()
     for line_no, row in read_csv(path):

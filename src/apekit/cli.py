@@ -54,6 +54,7 @@ from .corpus import (
     read_lines,
     require_file,
     staged_outputs,
+    unique_keys,
     write_corpus,
 )
 from .filtering import SEED_RULE, FilterConfig, is_seed, run_filter_pipeline
@@ -149,7 +150,7 @@ def cmd_filter(args, stage) -> str:
         if not config_path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
         try:
-            config_data = json.loads(config_path.read_text(encoding="utf-8"))
+            config_data = json.loads(config_path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
             config = FilterConfig.from_dict(config_data)
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid filter config: {exc}") from exc
@@ -284,55 +285,35 @@ def cmd_adequacy(args, stage) -> str:
 # ------------------------------------------------------------ ablate / buckets
 
 
-def _parse_sizes(raw: str):
+def _sample_spec(args, seed: int = 0) -> SampleSpec:
+    """``--sizes`` and ``--replicates`` as a SampleSpec; a fault in either is a usage error."""
     try:
-        return tuple(int(s) for s in raw.split(",") if s.strip())
+        return SampleSpec(tuple(int(s) for s in args.sizes.split(",") if s.strip()), args.replicates, seed)
     except ValueError as exc:
-        raise ConfigError(f"invalid --sizes value {raw!r}: {exc}") from exc
+        raise ConfigError(f"invalid --sizes value {args.sizes!r}: {exc}") from exc
 
 
-# Each flag that belongs to one ablate mode, and that mode: --in draws
-# samples and scores none, --scores aggregates scores and draws nothing.
-ABLATE_MODE_FLAGS = (("--emit-samples", "--in"), ("--seed", "--in"), ("--format", "--in"),
-                     ("--metric", "--scores"), ("--baseline", "--scores"), ("--out-csv", "--scores"))
+def cmd_draw(args, stage) -> str:
+    spec = _sample_spec(args, args.seed or 0)
+    samples = []
+    for size, replicate, sample in draw_samples(read_corpus(args.input, args.format), spec):
+        path = Path(args.emit_samples) / f"sample_{size}_{replicate}.jsonl"
+        staged = stage(path)
+        write_corpus(sample, staged)
+        samples.append({"size": size, "replicate": replicate, "path": str(path), "sha256": _sha256_file(staged)})
+    _write_report(stage(args.out), _manifest("ablate", [args.input], seed=spec.base_seed),
+                  replicates=args.replicates, samples=samples)
+    return f"ablate: drew {len(samples)} samples -> {args.emit_samples}"
 
 
-def cmd_ablate(args, stage) -> str:
-    mode = "--in" if args.input else "--scores"
-    for flag, needs in ABLATE_MODE_FLAGS:
-        if needs != mode and getattr(args, flag[2:].replace("-", "_")) is not None:
-            unused = "draws" if needs == "--in" else "scores"
-            raise ConfigError(f"ablate {flag} needs {needs} ({mode} {unused} nothing)")
-    if args.input and args.emit_samples is None:
-        raise ConfigError("ablate --in needs --emit-samples (the directory the drawn samples are written to)")
+def cmd_curve(args, stage) -> str:
     if args.baseline is not None and not math.isfinite(args.baseline):
         raise ConfigError(f"argument --baseline: must be a finite number, got {args.baseline}")
-    spec = SampleSpec(sizes=_parse_sizes(args.sizes), replicates=args.replicates, base_seed=args.seed or 0)
-
-    if args.input:
-        samples = []
-        for size, replicate, sample in draw_samples(read_corpus(args.input, args.format or "jsonl"), spec):
-            path = Path(args.emit_samples) / f"sample_{size}_{replicate}.jsonl"
-            staged = stage(path)
-            write_corpus(sample, staged)
-            samples.append({"size": size, "replicate": replicate, "path": str(path), "sha256": _sha256_file(staged)})
-        _write_report(stage(args.out or "draw.json"), _manifest("ablate", [args.input], seed=spec.base_seed),
-                      replicates=args.replicates, samples=samples)
-        return f"ablate: drew {len(samples)} samples -> {args.emit_samples}"
-
-    results = read_scores(args.scores, spec)
+    results = read_scores(args.scores, _sample_spec(args))
     points = curve_report(results, metric=args.metric)
-    _write_report(
-        stage(args.out or "curve.json"),
-        _manifest("ablate", [args.scores]),
-        metric=args.metric,
-        replicates=args.replicates,
-        n_samples=len(results),
-        baseline=args.baseline,
-        wmt_size_marker=WMT_APE_EN_DE_SIZE,
-        results=[{"size": s, "replicate": r, "value": v} for s, r, v in results],
-        points=points,
-    )
+    _write_report(stage(args.out), _manifest("ablate", [args.scores]), metric=args.metric, replicates=args.replicates,
+                  n_samples=len(results), baseline=args.baseline, wmt_size_marker=WMT_APE_EN_DE_SIZE,
+                  results=[{"size": s, "replicate": r, "value": v} for s, r, v in results], points=points)
     if args.out_csv:
         rows = ([p.metric, p.size, p.mean, p.min, p.max] for p in points)
         _write_csv(stage(args.out_csv), ["metric", "size", "mean", "min", "max"], rows)
@@ -395,6 +376,8 @@ def build_parser() -> _Parser:
     inert_seed = flag("--seed", type=seed, default=None, help="accepted for scripts; has no effect")
     threads = flag("--threads", type=count, default=1, help="accepted for scripts; has no effect")
     fmt = flag("--format", choices=FORMATS, default="jsonl", help="corpus format")
+    grid = flag("--sizes", required=True, help="comma-separated sample sizes")
+    grid.add_argument("--replicates", type=count, default=DEFAULT_REPLICATES)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -450,20 +433,20 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=path, default="adequacy.json")
     p.set_defaults(func=cmd_adequacy)
 
-    p = sub.add_parser("ablate", parents=[seeded], help="data-size curve protocol")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--in", type=input_path, dest="input", help="training corpus to sample")
-    source.add_argument("--scores", type=input_path, help="external size,replicate,value CSV to aggregate")
-    p.add_argument("--format", choices=FORMATS, default=None, help="format of the --in corpus (default jsonl)")
-    p.add_argument("--sizes", required=True, help="comma-separated sample sizes")
-    p.add_argument("--replicates", type=count, default=DEFAULT_REPLICATES)
+    ablate = sub.add_parser("ablate", help="data-size curve protocol").add_subparsers(dest="mode", required=True)
+    p = ablate.add_parser("draw", parents=[seeded, fmt, grid], help="draw the training subsets")
+    p.add_argument("--in", type=input_path, dest="input", required=True, help="training corpus to sample")
+    p.add_argument("--emit-samples", type=path, required=True, help="directory to write the drawn samples")
+    p.add_argument("--out", type=path, default="draw.json")
+    p.set_defaults(func=cmd_draw)
+
+    p = ablate.add_parser("curve", parents=[grid], help="aggregate external scores into a curve")
+    p.add_argument("--scores", type=input_path, required=True, help="external size,replicate,value CSV")
     p.add_argument("--metric", default=None, help="label of the --scores values")
-    p.add_argument("--emit-samples", type=path, default=None, help="directory to write the drawn samples")
     p.add_argument("--baseline", type=float, default=None, help="do-nothing baseline reference line")
-    p.add_argument("--out", type=path, default=None,
-                   help="report path (default draw.json for --in, curve.json for --scores)")
+    p.add_argument("--out", type=path, default="curve.json")
     p.add_argument("--out-csv", type=path, default=None)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("buckets", parents=[inert_seed, threads], help="TER-bucket delta analysis")
     p.add_argument("--baseline", type=input_path, required=True, help="do-nothing system output, one line per item")

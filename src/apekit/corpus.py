@@ -107,6 +107,15 @@ def _ordinal_id(line_no: int) -> str:
     return f"{line_no:06d}"
 
 
+def unique_keys(pairs) -> dict:
+    """A ``json`` object_pairs_hook: ``dict(pairs)``, or a ValueError naming the first repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(key for i, key in enumerate(keys) if key in keys[:i])!r}")
+    return obj
+
+
 def _triplet_from_json_line(line: str, line_no: int) -> Triplet:
     try:
         record = json.loads(line)

@@ -122,10 +122,10 @@ def run_commands(directory: Path) -> dict:
                 outputs[f"{name}_{split}.jsonl"] = Path(f"out/{name}/{split}.jsonl").read_text(encoding="utf-8")
 
         golden.run(console, ["stats", "--in", "in/corpus.jsonl", "--out", "out/stats.json"])
-        golden.run(console, ["ablate", "--in", "in/corpus.jsonl", "--sizes", "4,8,16", "--replicates", "2",
+        golden.run(console, ["ablate", "draw", "--in", "in/corpus.jsonl", "--sizes", "4,8,16", "--replicates", "2",
                              "--seed", "3", "--emit-samples", "out/samples", "--out", "out/ablate_corpus.json"])
-        golden.run(console, ["ablate", "--scores", "in/scores.csv", "--sizes", "100,200,400", "--replicates", "2",
-                             "--metric", "bleu", "--out", "out/ablate_scores.json"])
+        golden.run(console, ["ablate", "curve", "--scores", "in/scores.csv", "--sizes", "100,200,400",
+                             "--replicates", "2", "--metric", "bleu", "--out", "out/ablate_scores.json"])
         for name in ("stats.json", "ablate_corpus.json", "ablate_scores.json"):
             outputs[name] = golden.without_timestamp(Path("out", name).read_text(encoding="utf-8"))
         outputs["console.txt"] = "".join(console)

@@ -303,7 +303,7 @@ def test_criterion_7_protocol_shape(tmp_path):
         draw_path = tmp_path / "draw.json"
         code = main(
             [
-                "ablate",
+                "ablate", "draw",
                 "--in", str(corpus_path),
                 "--sizes", sizes,
                 "--replicates", "3",
@@ -325,7 +325,7 @@ def test_criterion_7_protocol_shape(tmp_path):
             encoding="utf-8",
         )
         curve_path = tmp_path / "curve.json"
-        code = main(["ablate", "--scores", str(scores_path), "--sizes", sizes, "--replicates", "3",
+        code = main(["ablate", "curve", "--scores", str(scores_path), "--sizes", sizes, "--replicates", "3",
                      "--out", str(curve_path)])
         assert code == 0
         curve = json.loads(curve_path.read_text(encoding="utf-8"))

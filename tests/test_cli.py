@@ -402,7 +402,7 @@ class TestAblateCommand:
         sizes = (62, 125, 250, 500, 1000, 1250)
         code = main(
             [
-                "ablate",
+                "ablate", "draw",
                 "--in", str(path),
                 "--sizes", ",".join(map(str, sizes)),
                 "--replicates", "3",
@@ -430,7 +430,7 @@ class TestAblateCommand:
         scores = tmp_path / "scores.csv"
         scores.write_text("size,replicate,value\n10,0,50\n10,1,54\n20,0,60\n", encoding="utf-8")
         out = tmp_path / "curve.json"
-        code = main(["ablate", "--scores", str(scores), "--sizes", "10,20", "--out", str(out)])
+        code = main(["ablate", "curve", "--scores", str(scores), "--sizes", "10,20", "--out", str(out)])
         assert code == 0
         report = load_json(out)
         assert [p["size"] for p in report["points"]] == [10, 20]
@@ -459,7 +459,7 @@ class TestAblateCommand:
     def test_external_scores_must_match_sizes_and_replicates(self, tmp_path, capsys, csv_text, extra, message):
         scores = tmp_path / "scores.csv"
         scores.write_text(csv_text, encoding="utf-8")
-        assert main(["ablate", "--scores", str(scores), *extra, "--out", str(tmp_path / "c.json")]) == 2
+        assert main(["ablate", "curve", "--scores", str(scores), *extra, "--out", str(tmp_path / "c.json")]) == 2
         assert f"{scores}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
@@ -474,40 +474,46 @@ class TestAblateCommand:
         path, _ = make_corpus_file(tmp_path, synthetic_rows(30))
         scores = tmp_path / "scores.csv"
         scores.write_text("10,0,50\n20,0,60\n", encoding="utf-8")
-        argv = ["ablate", source, str(path if source == "--in" else scores), "--sizes", sizes,
-                "--out", str(tmp_path / "c.json")]
+        argv = ["ablate", "draw" if source == "--in" else "curve", source, str(path if source == "--in" else scores),
+                "--sizes", sizes, "--out", str(tmp_path / "c.json")]
         if source == "--in":
             argv += ["--emit-samples", str(tmp_path / "samples")]
-        assert main(argv) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: invalid --sizes value {sizes!r}: {message}\n"
         assert not (tmp_path / "c.json").exists() and not (tmp_path / "samples").exists()
 
     def test_replicates_below_one_is_a_usage_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("10,0,50\n", encoding="utf-8")
-        assert main(["ablate", "--scores", str(scores), "--sizes", "10", "--replicates", "0"]) == 1
+        assert main(["ablate", "curve", "--scores", str(scores), "--sizes", "10", "--replicates", "0"]) == 1
         assert "argument --replicates: must be at least 1" in capsys.readouterr().err
 
-    def test_requires_corpus_or_scores(self, tmp_path):
-        assert main(["ablate", "--sizes", "10"]) == 1
+    def test_requires_corpus_or_scores(self, tmp_path, capsys):
+        for argv, missing in [([], "mode"), (["draw", "--sizes", "10"], "--in, --emit-samples"),
+                              (["curve", "--sizes", "10"], "--scores")]:
+            assert main(["ablate", *argv]) == 1
+            assert capsys.readouterr().err == f"error: the following arguments are required: {missing}\n"
 
     def test_corpus_and_scores_together_is_a_usage_error(self, tmp_path, capsys):
         path, _ = make_corpus_file(tmp_path, synthetic_rows(100))
         scores = tmp_path / "scores.csv"
         scores.write_text("10,0,50\n", encoding="utf-8")
         out = tmp_path / "curve.json"
-        assert main(["ablate", "--in", str(path), "--scores", str(scores), "--sizes", "10", "--out", str(out)]) == 1
-        assert "argument --scores: not allowed with argument --in" in capsys.readouterr().err
+        argv = ["ablate", "draw", "--in", str(path), "--scores", str(scores), "--sizes", "10",
+                "--emit-samples", str(tmp_path / "samples"), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: --scores {scores}\n"
+        assert not (tmp_path / "samples").exists()
         assert not out.exists()
 
     def test_emit_samples_with_scores_is_a_usage_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("10,0,50\n", encoding="utf-8")
         out = tmp_path / "curve.json"
-        argv = ["ablate", "--scores", str(scores), "--sizes", "10", "--replicates", "1",
+        argv = ["ablate", "curve", "--scores", str(scores), "--sizes", "10", "--replicates", "1",
                 "--emit-samples", str(tmp_path / "samples"), "--out", str(out)]
         assert main(argv) == 1
-        assert "--emit-samples needs --in" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: unrecognized arguments: --emit-samples {tmp_path / 'samples'}\n"
         assert not out.exists() and not (tmp_path / "samples").exists()
 
     def test_emit_samples_draws_each_sample_once(self, tmp_path, monkeypatch):
@@ -521,15 +527,15 @@ class TestAblateCommand:
         monkeypatch.setattr(apekit.analysis, "draw_samples", counting)
         monkeypatch.setattr(apekit.cli, "draw_samples", counting, raising=False)
         path, _ = make_corpus_file(tmp_path, synthetic_rows(100))
-        argv = ["ablate", "--in", str(path), "--sizes", "10,20", "--replicates", "2",
-                "--emit-samples", str(tmp_path / "samples"), "--out", str(tmp_path / "curve.json")]
+        argv = ["ablate", "draw", "--in", str(path), "--sizes", "10,20", "--replicates", "2",
+                "--emit-samples", str(tmp_path / "samples"), "--out", str(tmp_path / "draw.json")]
         assert main(argv) == 0
         assert len(draws) == 1
 
     def test_emitted_samples_are_the_drawn_samples(self, tmp_path):
         path, corpus = make_corpus_file(tmp_path, synthetic_rows(100))
         samples_dir = tmp_path / "samples"
-        argv = ["ablate", "--in", str(path), "--sizes", "10,20", "--replicates", "2", "--seed", "5",
+        argv = ["ablate", "draw", "--in", str(path), "--sizes", "10,20", "--replicates", "2", "--seed", "5",
                 "--emit-samples", str(samples_dir), "--out", str(tmp_path / "draw.json")]
         assert main(argv) == 0
         drawn = draw_samples(corpus, SampleSpec(sizes=(10, 20), replicates=2, base_seed=5))
@@ -541,10 +547,11 @@ class TestAblateCommand:
         monkeypatch.chdir(tmp_path)
         path, _ = make_corpus_file(tmp_path, synthetic_rows(30))
         scores = write_lines(tmp_path / "scores.csv", ["10,0,50"])
-        assert main(["ablate", "--in", str(path), "--sizes", "10", "--replicates", "1", "--emit-samples", "s"]) == 0
+        assert main(["ablate", "draw", "--in", str(path), "--sizes", "10", "--replicates", "1",
+                     "--emit-samples", "s"]) == 0
         assert list(load_json(tmp_path / "draw.json")) == ["manifest", "replicates", "samples"]
         assert not (tmp_path / "curve.json").exists()
-        assert main(["ablate", "--scores", str(scores), "--sizes", "10", "--replicates", "1"]) == 0
+        assert main(["ablate", "curve", "--scores", str(scores), "--sizes", "10", "--replicates", "1"]) == 0
         assert load_json(tmp_path / "curve.json")["points"][0]["mean"] == 50.0
 
 
@@ -852,7 +859,7 @@ def test_postprocess_rejects_a_line_break_in_a_changelog_record(tmp_path, capsys
 def test_out_csv_creates_its_directory(tmp_path, command):
     if command == "ablate":
         scores = write_lines(tmp_path / "scores.csv", ["5,0,50", "5,1,54", "10,0,60"])
-        argv = ["ablate", "--scores", str(scores), "--sizes", "5,10", "--replicates", "2"]
+        argv = ["ablate", "curve", "--scores", str(scores), "--sizes", "5,10", "--replicates", "2"]
     else:
         argv = _line_file_argv("buckets", tmp_path, write_lines(tmp_path / "ape.txt", ["a b", "d e f", "g"]))
     csv_path = tmp_path / "no" / "dir" / "table.csv"
@@ -894,7 +901,8 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 # Arguments each subcommand requires, so a parse fails only on the flag
-# under test; the named files need not exist.
+# under test; the named files need not exist. A nested subcommand is
+# named by its words, which `main` takes split.
 REQUIRED_ARGS = {
     "filter": ["--in", "c.jsonl", "--out-dir", "o"],
     "preprocess": ["--in", "c.jsonl", "--out-dir", "o"],
@@ -903,7 +911,8 @@ REQUIRED_ARGS = {
     "significance": ["--hyp-a", "a.txt", "--hyp-b", "b.txt", "--ref", "r.txt"],
     "agreement": ["--csv", "a.csv"],
     "adequacy": ["--csv", "a.csv"],
-    "ablate": ["--sizes", "10", "--scores", "s.csv"],
+    "ablate draw": ["--in", "c.jsonl", "--sizes", "10", "--emit-samples", "s"],
+    "ablate curve": ["--scores", "s.csv", "--sizes", "10"],
     "buckets": ["--baseline", "b.txt", "--ape", "a.txt", "--ref", "r.txt"],
     "stats": ["--in", "c.jsonl"],
 }
@@ -911,13 +920,27 @@ FLAG_VALUES = {"--seed": "1", "--threads": "64", "--format": "tsv", "--config": 
 UNREAD_FLAGS = (
     [(command, "--config") for command in REQUIRED_ARGS if command != "filter"]
     + [(command, "--format") for command in
-       ("postprocess", "evaluate", "significance", "agreement", "adequacy", "buckets")]
-    + [(command, "--seed") for command in ("agreement", "adequacy", "stats")]
-    + [(command, "--threads") for command in ("agreement", "adequacy", "stats", "ablate")]
+       ("postprocess", "evaluate", "significance", "agreement", "adequacy", "ablate curve", "buckets")]
+    + [(command, "--seed") for command in ("agreement", "adequacy", "ablate curve", "stats")]
+    + [(command, "--threads") for command in ("agreement", "adequacy", "ablate draw", "ablate curve", "stats")]
 )
 
 
-SEEDED_COMMANDS = ["filter", "preprocess", "postprocess", "evaluate", "significance", "ablate", "buckets"]
+SEEDED_COMMANDS = ["filter", "preprocess", "postprocess", "evaluate", "significance", "ablate draw", "buckets"]
+
+
+def _case_id(value):
+    """A test id names `ablate draw` `ablate`, the id its cases had while ablate was one command."""
+    return value.removesuffix(" draw")
+
+
+def _parsers(parser, words=()):
+    """Every parser, by the command words that reach it: "" for the top one."""
+    yield " ".join(words), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, (*words, name))
 
 
 def test_main_calls_share_one_parser_that_a_usage_error_leaves_unchanged(tmp_path, monkeypatch, capsys):
@@ -948,39 +971,39 @@ def test_main_calls_share_one_parser_that_a_usage_error_leaves_unchanged(tmp_pat
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+@pytest.mark.parametrize("command", SEEDED_COMMANDS, ids=_case_id)
 @pytest.mark.parametrize("value", ["-1", str(2**64), "1.5", "x"])
 def test_seed_outside_the_seed_rule_is_a_usage_error(tmp_path, monkeypatch, capsys, command, value):
     monkeypatch.chdir(tmp_path)
-    assert main([command, *REQUIRED_ARGS[command], "--seed", value]) == 1
+    assert main([*command.split(), *REQUIRED_ARGS[command], "--seed", value]) == 1
     err = capsys.readouterr().err
     assert "argument --seed: " in err
     if value.lstrip("-").isdigit():
         assert f"must be an integer from 0 to 2**64 - 1, got {value}" in err
 
 
-@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+@pytest.mark.parametrize("command", SEEDED_COMMANDS, ids=_case_id)
 def test_largest_seed_parses(command):
-    args = build_parser().parse_args([command, *REQUIRED_ARGS[command], "--seed", str(2**64 - 1)])
+    args = build_parser().parse_args([*command.split(), *REQUIRED_ARGS[command], "--seed", str(2**64 - 1)])
     assert args.seed == 2**64 - 1
 
 
 def _option(command, flag):
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in subparsers.choices[command]._actions if flag in a.option_strings)
+    parser = dict(_parsers(build_parser()))[command]
+    return next(a for a in parser._actions if flag in a.option_strings)
 
 
-@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+@pytest.mark.parametrize("command", SEEDED_COMMANDS, ids=_case_id)
 def test_seed_help_says_whether_the_command_reads_it(command):
     unread = command in {"preprocess", "postprocess", "buckets"}
     expected = "accepted for scripts; has no effect" if unread else "seed for all randomness"
     assert _option(command, "--seed").help == expected
 
 
-@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=_case_id)
 def test_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag):
     monkeypatch.chdir(tmp_path)
-    assert main([command, *REQUIRED_ARGS[command], flag, FLAG_VALUES[flag]]) == 1
+    assert main([*command.split(), *REQUIRED_ARGS[command], flag, FLAG_VALUES[flag]]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
@@ -992,7 +1015,8 @@ PATH_FLAGS = {
     "significance": ["--hyp-a", "--hyp-b", "--ref", "--out"],
     "agreement": ["--csv", "--out"],
     "adequacy": ["--csv", "--out"],
-    "ablate": ["--in", "--scores", "--emit-samples", "--out", "--out-csv"],
+    "ablate draw": ["--in", "--emit-samples", "--out"],
+    "ablate curve": ["--scores", "--out", "--out-csv"],
     "buckets": ["--baseline", "--ape", "--ref", "--out", "--out-csv"],
     "stats": ["--in", "--out"],
 }
@@ -1003,23 +1027,22 @@ OUTPUT_FLAGS = {"--out", "--out-dir", "--out-csv", "--emit-samples"}
 def test_the_path_options_are_every_option_that_names_a_file():
     # Outputs are typed `path`; inputs `input_path`, which is `path` plus
     # the mark that lets no output name them.
-    assert len(PATH_OPTIONS) == 33
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(PATH_OPTIONS) == 34
     typed = {(command, action.option_strings[0]): action.type.__name__
-             for command, sub in subparsers.choices.items()
-             for action in sub._actions if getattr(action.type, "__name__", None) in ("path", "input_path")}
+             for command, parser in _parsers(build_parser())
+             for action in parser._actions if getattr(action.type, "__name__", None) in ("path", "input_path")}
     assert typed == {option: "path" if option[1] in OUTPUT_FLAGS else "input_path" for option in PATH_OPTIONS}
 
 
-@pytest.mark.parametrize("command, flag", PATH_OPTIONS)
+@pytest.mark.parametrize("command, flag", PATH_OPTIONS, ids=_case_id)
 def test_an_empty_path_is_a_usage_error_naming_the_flag(tmp_path, monkeypatch, capsys, command, flag):
     monkeypatch.chdir(tmp_path)
-    argv = ["--sizes", "10"] if (command, flag) == ("ablate", "--in") else list(REQUIRED_ARGS[command])
+    argv = list(REQUIRED_ARGS[command])
     if flag in argv:
         argv[argv.index(flag) + 1] = ""
     else:
         argv += [flag, ""]
-    assert main([command, *argv]) == 1
+    assert main([*command.split(), *argv]) == 1
     assert capsys.readouterr().err == f"error: argument {flag}: must be a non-empty path\n"
     assert list(tmp_path.iterdir()) == []
 
@@ -1042,7 +1065,7 @@ def test_an_output_that_is_a_directory_is_rejected_before_anything_is_written(tm
             "filter": ["filter", "--in", str(path), "--out-dir", str(out), "--config", str(config)],
             "buckets": ["buckets", "--baseline", lines, "--ape", lines, "--ref", lines,
                         "--out", str(out / "rep.json"), "--out-csv", str(out / "t.csv")],
-            "ablate": ["ablate", "--in", str(path), "--sizes", "5", "--replicates", "2",
+            "ablate": ["ablate", "draw", "--in", str(path), "--sizes", "5", "--replicates", "2",
                        "--emit-samples", str(out / "samples"), "--out", str(out / "curve.json")],
             "evaluate": ["evaluate", "--hyp", lines, "--ref", lines, "--out", str(out / "rep.json")]}[command]
     assert main(argv) == 2
@@ -1075,11 +1098,12 @@ def test_filter_is_all_or_nothing(tmp_path, monkeypatch, capsys):
 
 
 def test_choices_and_defaults_come_from_the_modules_that_state_them():
-    for command in ("filter", "preprocess", "ablate", "stats"):
+    for command in ("filter", "preprocess", "ablate draw", "stats"):
         assert _option(command, "--format").choices is FORMATS
     assert _option("evaluate", "--tokenizer").choices is SCHEMES
     assert _option("postprocess", "--field").choices is TEXT_FIELDS
-    assert _option("ablate", "--replicates").default == DEFAULT_REPLICATES
+    for command in ("ablate draw", "ablate curve"):
+        assert _option(command, "--replicates").default == DEFAULT_REPLICATES
 
 
 def test_every_benchmark_command_line_still_parses(monkeypatch):
@@ -1102,7 +1126,8 @@ def test_every_benchmark_command_line_still_parses(monkeypatch):
 def test_csv_bytes_that_are_not_utf8_name_file_and_line(tmp_path, capsys, command, data, line):
     path = tmp_path / "in.csv"
     path.write_bytes(data)
-    argv = ["ablate", "--scores", str(path), "--sizes", "10"] if command == "ablate" else [command, "--csv", str(path)]
+    argv = (["ablate", "curve", "--scores", str(path), "--sizes", "10"] if command == "ablate"
+            else [command, "--csv", str(path)])
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
     assert f"error: {path}: line {line}: byte " in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
@@ -1145,15 +1170,19 @@ REJECTIONS = {
     "unknown-config-key": ({"corpus.jsonl": [GOOD_ROW], "config.json": ['{"bogus": 1}']},
                            "filter --in corpus.jsonl --out-dir out --config config.json",
                            1, "invalid filter config: unknown filter config keys: ['bogus']"),
+    "repeated-config-key": ({"corpus.jsonl": [GOOD_ROW],
+                             "config.json": ['{"test_size": 0, "expected_tgt_lang": "en", "expected_tgt_lang": "de"}']},
+                            "filter --in corpus.jsonl --out-dir out --config config.json",
+                            1, "invalid filter config: repeated key 'expected_tgt_lang'"),
     "missing-config": ({"corpus.jsonl": [GOOD_ROW]}, "filter --in corpus.jsonl --out-dir out --config missing.json",
                        1, "config file not found: missing.json"),
     "too-few-survivors": ({"corpus.jsonl": EN_ROWS,
                            "config.json": ['{"dev_size": 2, "test_size": 1, "expected_tgt_lang": "en"}']},
                           "filter --in corpus.jsonl --out-dir out --config config.json",
                           2, "3 triplet(s) survive filtering, too few for dev_size + test_size = 3"),
-    "two-column-score": ({"scores.csv": ["size,replicate,value", "1,0"]}, "ablate --scores scores.csv --sizes 1",
+    "two-column-score": ({"scores.csv": ["size,replicate,value", "1,0"]}, "ablate curve --scores scores.csv --sizes 1",
                          2, "scores.csv: line 2: expected size,replicate,value"),
-    "bad-sizes": ({}, "ablate --scores scores.csv --sizes 1x",
+    "bad-sizes": ({}, "ablate curve --scores scores.csv --sizes 1x",
                   1, "invalid --sizes value '1x': invalid literal for int() with base 10: '1x'"),
     "empty-buckets": ({"base.txt": [], "ape.txt": [], "ref.txt": []},
                       "buckets --baseline base.txt --ape ape.txt --ref ref.txt",
@@ -1167,16 +1196,16 @@ REJECTIONS = {
                            "buckets --baseline h.txt --ape h.txt --ref r.txt --out same.json --out-csv same.json",
                            2, "output path is given twice: same.json"),
     "nan-score": ({"scores.csv": ["size,replicate,value", "5,0,nan", "5,1,1"]},
-                  "ablate --scores scores.csv --sizes 5 --replicates 2",
+                  "ablate curve --scores scores.csv --sizes 5 --replicates 2",
                   2, "scores.csv: line 2: value 'nan' is not a finite number"),
     "infinite-score": ({"scores.csv": ["size,replicate,value", "5,0,1", "5,1,1e999"]},
-                       "ablate --scores scores.csv --sizes 5 --replicates 2",
+                       "ablate curve --scores scores.csv --sizes 5 --replicates 2",
                        2, "scores.csv: line 3: value '1e999' is not a finite number"),
     "infinite-baseline": ({"scores.csv": ["size,replicate,value", "5,0,1", "5,1,2"]},
-                          "ablate --scores scores.csv --sizes 5 --replicates 2 --baseline inf",
+                          "ablate curve --scores scores.csv --sizes 5 --replicates 2 --baseline inf",
                           1, "argument --baseline: must be a finite number, got inf"),
     "nan-baseline": ({"scores.csv": ["size,replicate,value", "5,0,1", "5,1,2"]},
-                     "ablate --scores scores.csv --sizes 5 --replicates 2 --baseline nan",
+                     "ablate curve --scores scores.csv --sizes 5 --replicates 2 --baseline nan",
                      1, "argument --baseline: must be a finite number, got nan"),
     "output-is-the-baseline": ({"h.txt": ["a b"], "a.txt": ["a c"], "r.txt": ["a c"]},
                                "buckets --baseline h.txt --ape a.txt --ref r.txt --out h.txt",
@@ -1190,22 +1219,23 @@ REJECTIONS = {
                                     "config.json": ['{"dev_size": 1, "test_size": 1, "expected_tgt_lang": "en"}']},
                                    "filter --in d/train.jsonl --out-dir d --config config.json",
                                    2, "output path is also an input: d/train.jsonl"),
-    "in-without-emit-samples": ({"corpus.jsonl": [GOOD_ROW]}, "ablate --in corpus.jsonl --sizes 1",
-                                1, "ablate --in needs --emit-samples (the directory the drawn samples are written to)"),
+    "in-without-emit-samples": ({"corpus.jsonl": [GOOD_ROW]}, "ablate draw --in corpus.jsonl --sizes 1",
+                                1, "the following arguments are required: --emit-samples"),
     "metric-with-in": ({"corpus.jsonl": [GOOD_ROW]},
-                       "ablate --in corpus.jsonl --sizes 1 --emit-samples s --metric bleu",
-                       1, "ablate --metric needs --scores (--in scores nothing)"),
+                       "ablate draw --in corpus.jsonl --sizes 1 --emit-samples s --metric bleu",
+                       1, "unrecognized arguments: --metric bleu"),
     "baseline-with-in": ({"corpus.jsonl": [GOOD_ROW]},
-                         "ablate --in corpus.jsonl --sizes 1 --emit-samples s --baseline 5",
-                         1, "ablate --baseline needs --scores (--in scores nothing)"),
+                         "ablate draw --in corpus.jsonl --sizes 1 --emit-samples s --baseline 5",
+                         1, "unrecognized arguments: --baseline 5"),
     "out-csv-with-in": ({"corpus.jsonl": [GOOD_ROW]},
-                        "ablate --in corpus.jsonl --sizes 1 --emit-samples s --out-csv c.csv",
-                        1, "ablate --out-csv needs --scores (--in scores nothing)"),
+                        "ablate draw --in corpus.jsonl --sizes 1 --emit-samples s --out-csv c.csv",
+                        1, "unrecognized arguments: --out-csv c.csv"),
     "format-with-scores": ({"scores.csv": ["1,0,5"]},
-                           "ablate --scores scores.csv --sizes 1 --replicates 1 --format tsv",
-                           1, "ablate --format needs --in (--scores draws nothing)"),
-    "seed-with-scores": ({"scores.csv": ["1,0,5"]}, "ablate --scores scores.csv --sizes 1 --replicates 1 --seed 3",
-                         1, "ablate --seed needs --in (--scores draws nothing)"),
+                           "ablate curve --scores scores.csv --sizes 1 --replicates 1 --format tsv",
+                           1, "unrecognized arguments: --format tsv"),
+    "seed-with-scores": ({"scores.csv": ["1,0,5"]},
+                         "ablate curve --scores scores.csv --sizes 1 --replicates 1 --seed 3",
+                         1, "unrecognized arguments: --seed 3"),
     "zero-threads": ({"h.txt": ["a b"], "r.txt": ["a c"]}, "evaluate --hyp h.txt --ref r.txt --threads 0",
                      1, "argument --threads: must be at least 1, got 0"),
     "negative-threads": ({"h.txt": ["a b"], "r.txt": ["a c"]}, "evaluate --hyp h.txt --ref r.txt --threads -1",
@@ -1220,7 +1250,7 @@ def test_a_non_finite_value_that_reaches_a_report_writes_nothing(tmp_path, capsy
     """inf is not JSON: finite scores whose mean overflows exit 2, with no report or CSV left."""
     scores = write_lines(tmp_path / "scores.csv", ["10,0,1.7e308", "10,1,1.7e308"])
     out = tmp_path / "out"
-    assert main(["ablate", "--scores", str(scores), "--sizes", "10", "--replicates", "2",
+    assert main(["ablate", "curve", "--scores", str(scores), "--sizes", "10", "--replicates", "2",
                  "--out", str(out / "curve.json"), "--out-csv", str(out / "curve.csv")]) == 2
     assert capsys.readouterr().err == "error: Out of range float values are not JSON compliant: inf\n"
     assert not out.exists()

@@ -53,9 +53,9 @@ def _work(tmp_path: Path, golden: str) -> Path:
         ("report_golden", ["filter", "--in", "in/corpus.jsonl", "--config", "in/filter_config.json",
                            "--out-dir", "out"]),
         ("report_golden", ["stats", "--in", "in/corpus.jsonl", "--out", "out/stats.json"]),
-        ("report_golden", ["ablate", "--scores", "in/scores.csv", "--sizes", "100,200,400", "--replicates", "2",
-                           "--metric", "bleu", "--out", "out/ablate.json"]),
-        ("report_golden", ["ablate", "--in", "in/corpus.jsonl", "--sizes", "4,8,16", "--replicates", "2",
+        ("report_golden", ["ablate", "curve", "--scores", "in/scores.csv", "--sizes", "100,200,400",
+                           "--replicates", "2", "--metric", "bleu", "--out", "out/ablate.json"]),
+        ("report_golden", ["ablate", "draw", "--in", "in/corpus.jsonl", "--sizes", "4,8,16", "--replicates", "2",
                            "--emit-samples", "out/samples", "--out", "out/ablate.json"]),
         ("human_eval_golden", ["agreement", "--csv", "in/h2.csv", "--out", "out/agreement.json"]),
         ("human_eval_golden", ["adequacy", "--csv", "in/h2.csv", "--out", "out/adequacy.json"]),
