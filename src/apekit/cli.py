@@ -48,13 +48,13 @@ from .corpus import (
     FORMATS,
     TEXT_FIELDS,
     corpus_stats,
+    decode_json,
     iter_corpus,
     open_lines,
     read_corpus,
     read_lines,
     require_file,
     staged_outputs,
-    unique_keys,
     write_corpus,
 )
 from .filtering import SEED_RULE, FilterConfig, is_seed, run_filter_pipeline
@@ -150,7 +150,7 @@ def cmd_filter(args, stage) -> str:
         if not config_path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
         try:
-            config_data = json.loads(config_path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+            config_data = decode_json(config_path.read_text(encoding="utf-8"))
             config = FilterConfig.from_dict(config_data)
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             raise ConfigError(f"invalid filter config: {exc}") from exc
@@ -196,10 +196,10 @@ def cmd_preprocess(args, stage) -> str:
 
 
 def cmd_postprocess(args, stage) -> str:
-    header, logs = read_changelog(args.changelog)
+    header, triplets = read_changelog(args.changelog)
     restored = dropped_total = 0
     with open_lines(stage(args.out)) as handle:
-        for text, dropped in postprocess_all(read_lines(args.outputs), logs, args.field):
+        for text, dropped in postprocess_all(read_lines(args.outputs), triplets, header, args.field):
             handle.write(text + "\n")
             restored += 1
             dropped_total += dropped

@@ -22,6 +22,8 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 TEXT_FIELDS = ("src", "mt", "pe")
+RECORD_KEYS = ("id", *TEXT_FIELDS, "meta")  # the keys a JSONL corpus record may hold
+_RECORD_KEY_SET = frozenset(RECORD_KEYS)
 FORMATS = ("jsonl", "tsv")
 
 
@@ -107,7 +109,7 @@ def _ordinal_id(line_no: int) -> str:
     return f"{line_no:06d}"
 
 
-def unique_keys(pairs) -> dict:
+def _unique_keys(pairs) -> dict:
     """A ``json`` object_pairs_hook: ``dict(pairs)``, or a ValueError naming the first repeated key."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
@@ -116,13 +118,25 @@ def unique_keys(pairs) -> dict:
     return obj
 
 
-def _triplet_from_json_line(line: str, line_no: int) -> Triplet:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"invalid JSON ({exc.msg})") from exc
+# One decoder serves every call: json.loads given a hook builds a new one each
+# time, which doubled the cost of reading a corpus line.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def decode_json(text: str):
+    """``json.loads(text)``, except that a repeated key in any object raises ValueError."""
+    if text.startswith("\ufeff"):
+        return json.loads(text)  # raises json's own error for a byte order mark
+    return _DECODER.decode(text)
+
+
+def triplet_from_record(record, line_no: int) -> Triplet:
+    """The triplet of a decoded JSONL record; CorpusFormatError names its fault."""
     if not isinstance(record, dict):
         raise CorpusFormatError("expected a JSON object")
+    if not _RECORD_KEY_SET.issuperset(record):
+        unknown = next(key for key in record if key not in _RECORD_KEY_SET)
+        raise CorpusFormatError(f"unknown key {unknown!r}, expected only {', '.join(RECORD_KEYS)}")
     for name in TEXT_FIELDS:
         if name not in record:
             raise CorpusFormatError(f"missing field {name!r}")
@@ -137,6 +151,16 @@ def _triplet_from_json_line(line: str, line_no: int) -> Triplet:
     if meta is not None and not isinstance(meta, dict):
         raise CorpusFormatError("field 'meta' must be an object")
     return Triplet(id=triplet_id, src=record["src"], mt=record["mt"], pe=record["pe"], meta=meta)
+
+
+def _triplet_from_json_line(line: str, line_no: int) -> Triplet:
+    try:
+        record = decode_json(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # a repeated key
+        raise CorpusFormatError(str(exc)) from exc
+    return triplet_from_record(record, line_no)
 
 
 def _triplet_from_tsv_line(line: str, line_no: int) -> Triplet:
@@ -283,7 +307,8 @@ def read_corpus(path, format: str = "jsonl") -> Corpus:
     return tuple(iter_corpus(path, format))
 
 
-def _jsonl_record(t: Triplet) -> str:
+def jsonl_record(t: Triplet) -> str:
+    """The JSONL line of ``t``, without its \\n, as ``write_corpus`` writes it."""
     record = {"id": t.id, "src": t.src, "mt": t.mt, "pe": t.pe}
     if t.meta:
         record["meta"] = dict(t.meta)
@@ -292,4 +317,4 @@ def _jsonl_record(t: Triplet) -> str:
 
 def write_corpus(corpus: Corpus, path) -> None:
     """Write a corpus as JSONL through write_lines; every field round-trips bit-exactly."""
-    write_lines(path, map(_jsonl_record, corpus))
+    write_lines(path, map(jsonl_record, corpus))

@@ -256,8 +256,9 @@ def split_holdout(corpus: Corpus, dev_size: int, test_size: int, seed: int) -> T
     if dev_size < 0 or test_size < 0:
         raise ValueError("split sizes must be non-negative")
     held = dev_size + test_size
-    if held > 0 and held >= n:
-        raise ValueError(f"{n} triplet(s) survive filtering, too few for dev_size + test_size = {held}")
+    if held >= n:
+        raise ValueError(f"{n} triplet(s) survive filtering, too few for dev_size + test_size = {held}" if held
+                         else "no triplet survives filtering")
     positions = list(range(n))
     random.Random(seed).shuffle(positions)
     dev_positions = positions[:dev_size]

@@ -8,9 +8,11 @@ original is restored byte for byte. When the output was edited, records
 anchored at segment boundaries (leading hyphens, whole-segment tags) are
 re-attached and interior ones are dropped and tallied.
 
-A changelog file is a header line, then one log per triplet and line:
-``ChangeLog.to_json`` writes a log, and ``ChangeLog.from_json`` reads
-one back and rejects counts and records that do not fit.
+A changelog file is a header line, then each triplet as ``write_corpus``
+writes it. The records are a pure function of the triplet, so
+``postprocess_all`` re-derives them for the field it restores; the
+header's counts and digest of the cleaned parts catch a changelog that was
+edited or written under other cleaning rules.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import IO, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from . import __version__
-from .corpus import TEXT_FIELDS, Triplet, read_lines, write_lines
+from .corpus import TEXT_FIELDS, Triplet, decode_json, jsonl_record, read_lines, triplet_from_record, write_lines
 
 TAG_RE = re.compile(r"<[a-zA-Z/][^>]*>")
 # The group makes BR_RE.split keep each separator literal between the parts.
@@ -33,7 +35,6 @@ MUSIC_CHARS = "♪♫♩♬"
 # Where markup can start: "<" and the music symbols.
 MARKUP_START_RE = re.compile(f"[{re.escape('<' + MUSIC_CHARS)}]")
 LEADING_HYPHEN_RE = re.compile(r"(?:- ?)+")
-ANCHORS = ("start", "end", "interior", "boundary")
 
 
 class PartCountError(ValueError):
@@ -60,86 +61,19 @@ class ChangeRecord:
     replacement: str = ""
     anchor: str = "interior"
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChangeRecord":
-        """Read a record written as ``vars(record)``; raise ValueError on a bad value."""
-        record = cls(**data)  # an unknown key raises TypeError naming it
-        missing = cls.__dataclass_fields__.keys() - data.keys()
-        if missing:
-            raise ValueError(f"change record lacks {', '.join(sorted(missing))}")
-        for name in ("part", "offset"):
-            if type(data[name]) is not int or data[name] < 0:
-                raise ValueError(f"change record {name} must be an int >= 0, got {data[name]!r}")
-        for name in ("kind", "payload", "replacement"):
-            if type(data[name]) is not str:
-                raise ValueError(f"change record {name} must be a string, got {data[name]!r}")
-            if name != "kind" and ("\n" in data[name] or "\r" in data[name]):
-                raise ValueError(f"change record {name} {data[name]!r} holds a line break")
-        if record.field not in TEXT_FIELDS:
-            raise ValueError(f"change record field {record.field!r} is not one of {TEXT_FIELDS}")
-        if record.anchor not in ANCHORS:
-            raise ValueError(f"change record anchor {record.anchor!r} is not one of {ANCHORS}")
-        return record
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()
-
 
 @dataclass(frozen=True)
 class ChangeLog:
-    """All tracked changes for one triplet, across fields and parts.
+    """All tracked changes for one triplet, and its cleaned parts, on some or
+    all of its fields.
 
-    Replaying the records in reverse reconstructs every pre-transform
-    field exactly; the per-part digests let postprocessing detect whether
-    a decoded output is the cleaned text verbatim.
+    Replaying the records in reverse onto the cleaned parts reconstructs
+    every logged field exactly.
     """
 
     triplet_id: str
     records: Tuple[ChangeRecord, ...]
-    parts: Mapping[str, int]
-    clean_digests: Mapping[str, Tuple[str, ...]]
-
-    def to_json(self) -> str:
-        data = {
-            "triplet_id": self.triplet_id,
-            "parts": dict(self.parts),
-            "clean_digests": {f: list(v) for f, v in self.clean_digests.items()},
-            "records": [vars(r) for r in self.records],
-        }
-        return json.dumps(data, ensure_ascii=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChangeLog":
-        """Read a log written by ``to_json``; raise ValueError on counts that do not fit."""
-        data = json.loads(text)
-        # From lists, not generators: a tuple grown from a generator skips
-        # CPython's per-length free lists when made but lands in them when
-        # freed, so they filled up as a changelog was read.
-        records = tuple([ChangeRecord.from_dict(r) for r in data["records"]])
-        parts = {f: data["parts"][f] for f in TEXT_FIELDS}
-        digests = {f: data["clean_digests"][f] for f in TEXT_FIELDS}
-        for f, n in parts.items():
-            if type(n) is not int or n < 1:
-                raise ValueError(f"parts[{f!r}] must be an int >= 1, got {n!r}")
-            # Once the digest count matches, n is no larger than the input.
-            listed = digests[f]
-            if type(listed) is not list or len(listed) != n or set(map(type, listed)) != {str}:
-                raise ValueError(f"clean_digests[{f!r}] must be a list of {n} string(s), got {listed!r}")
-        joins = {f: set() for f in TEXT_FIELDS}
-        for r in records:
-            if r.part >= parts[r.field]:
-                raise ValueError(
-                    f"change record part {r.part} is not below parts[{r.field!r}] = {parts[r.field]}"
-                )
-            if r.anchor == "boundary":
-                joins[r.field].add(r.part)
-        for f, n in parts.items():
-            if joins[f] != set(range(n - 1)):
-                raise ValueError(
-                    f"boundary records of {f!r} join parts {sorted(joins[f])}, expected {[*range(n - 1)]}"
-                )
-        return cls(data["triplet_id"], records, parts, {f: tuple(v) for f, v in digests.items()})
+    cleaned: Mapping[str, Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -227,8 +161,13 @@ def strip_markup(text: str, *, field: str = "", part: int = 0) -> Tuple[str, Lis
     return clean_text, records
 
 
-def preprocess(triplet: Triplet) -> Tuple[List[CleanTriplet], ChangeLog]:
-    """Split and strip one triplet, logging every change on every field."""
+def _change_log(triplet: Triplet, fields: Sequence[str] = TEXT_FIELDS) -> ChangeLog:
+    """Split ``triplet`` at ``<br>`` and strip each of ``fields``, logging every change.
+
+    Whether to split depends on all three fields, so it is decided here for
+    any of them: ``preprocess`` logs all three, ``postprocess_all`` the one
+    it restores.
+    """
     # [part, separator, part, ..., part]: one <br> pass per field decides both
     # whether to split and, when not, where the separators become spaces.
     pieces = {f: BR_RE.split(triplet.text(f)) for f in TEXT_FIELDS}
@@ -236,9 +175,9 @@ def preprocess(triplet: Triplet) -> Tuple[List[CleanTriplet], ChangeLog]:
     do_split = len(br_counts) == 1 and br_counts != {0}
 
     records: List[ChangeRecord] = []
-    cleaned: Dict[str, List[str]] = {}
-    for f, field_pieces in pieces.items():
-        raw_parts, literals = field_pieces[::2], field_pieces[1::2]
+    cleaned: Dict[str, Tuple[str, ...]] = {}
+    for f in fields:
+        raw_parts, literals = pieces[f][::2], pieces[f][1::2]
         if do_split:
             records.extend(
                 ChangeRecord(kind="split_br", field=f, part=k, payload=literal, anchor="boundary")
@@ -254,27 +193,19 @@ def preprocess(triplet: Triplet) -> Tuple[List[CleanTriplet], ChangeLog]:
                 offset += 1
             raw_parts = [" ".join(raw_parts)]
         stripped = [strip_markup(raw, field=f, part=k) for k, raw in enumerate(raw_parts)]
-        cleaned[f] = [clean for clean, _ in stripped]
+        # From lists, not generators: a tuple grown from a generator skips
+        # CPython's per-length free lists when made but lands in them when
+        # freed, so they fill up over a corpus.
+        cleaned[f] = tuple([clean for clean, _ in stripped])
         records.extend(r for _, part_records in stripped for r in part_records)
+    return ChangeLog(triplet.id, tuple(records), cleaned)
 
-    n_parts = len(cleaned["src"])
-    clean_triplets = [
-        CleanTriplet(
-            parent_id=triplet.id,
-            part_index=k,
-            src=cleaned["src"][k],
-            mt=cleaned["mt"][k],
-            pe=cleaned["pe"][k],
-        )
-        for k in range(n_parts)
-    ]
-    log = ChangeLog(
-        triplet_id=triplet.id,
-        records=tuple(records),
-        parts={f: len(cleaned[f]) for f in TEXT_FIELDS},
-        clean_digests={f: tuple([_digest(p) for p in cleaned[f]]) for f in TEXT_FIELDS},  # see from_json
-    )
-    return clean_triplets, log
+
+def preprocess(triplet: Triplet) -> Tuple[List[CleanTriplet], ChangeLog]:
+    """Split and strip one triplet, logging every change on every field."""
+    log = _change_log(triplet)
+    parts = zip(*log.cleaned.values())  # src, mt, pe: the fields all have the same part count
+    return [CleanTriplet(triplet.id, k, *fields) for k, fields in enumerate(parts)], log
 
 
 def _line_break_fault(triplet: Triplet):
@@ -285,8 +216,8 @@ def _line_break_fault(triplet: Triplet):
     return None
 
 
-def preprocess_all(triplets: Iterable[Triplet], cleaned: IO[str]) -> Iterator[ChangeLog]:
-    """Write each triplet's cleaned parts to ``cleaned`` as JSON lines and yield its log.
+def preprocess_all(triplets: Iterable[Triplet], cleaned: IO[str]) -> Iterator[Tuple[Triplet, ChangeLog]]:
+    """Write each triplet's cleaned parts to ``cleaned`` as JSON lines and yield it with its log.
     A field holding a line break, which a decoding file could not hold, is raised
     after every triplet is read, so a fault of ``triplets`` itself is raised first."""
     fault = None
@@ -296,7 +227,7 @@ def preprocess_all(triplets: Iterable[Triplet], cleaned: IO[str]) -> Iterator[Ch
             parts, log = preprocess(triplet)
             # vars: the fields in declaration order, at half asdict's cost
             cleaned.writelines(json.dumps(vars(part), ensure_ascii=False) + "\n" for part in parts)
-            yield log
+            yield triplet, log
     if fault is not None:
         raise fault
 
@@ -326,10 +257,12 @@ def postprocess_with_report(
 ) -> Tuple[str, int]:
     """Restore tracked changes onto decoded outputs.
 
-    Returns the restored text and the count of records that could not be
-    re-attached because the output was edited away from the cleaned text.
+    A part equal to its cleaned part restores exactly. Returns the restored
+    text and the count of records that could not be re-attached because the
+    output was edited away from the cleaned text.
     """
-    expected = log.parts[field_name]
+    cleaned = log.cleaned[field_name]
+    expected = len(cleaned)
     if len(outputs) != expected:
         raise PartCountError(
             f"triplet {log.triplet_id!r}: expected {expected} output part(s) "
@@ -347,9 +280,8 @@ def postprocess_with_report(
 
     restored: List[str] = []
     dropped = 0
-    digests = log.clean_digests[field_name]
     for k, output in enumerate(outputs):
-        if _digest(output) == digests[k]:
+        if output == cleaned[k]:
             restored.append(_restore_exact(output, by_part[k]))
         else:
             text, part_dropped = _restore_edited(output, by_part[k])
@@ -371,59 +303,82 @@ def _until_fault(lines: Iterable[str], faults: list) -> Iterator[str]:
         faults.append(exc)
 
 
-def postprocess_all(
-    outputs: Iterable[str], logs: Iterable[ChangeLog], field_name: str = "mt"
-) -> Iterator[Tuple[str, int]]:
-    """Restore one field of every logged triplet from decoded parts, one per line.
+def _no_counts(fields: Sequence[str]) -> dict:
+    return {"n_triplets": 0, "n_parts": dict.fromkeys(fields, 0),
+            "clean_sha256": {f: hashlib.sha256() for f in fields}}
 
-    Walks ``logs`` and ``outputs`` in step and yields each restored text
-    with its count of dropped records. A fault of ``logs`` is raised as it
-    is met; one in reading ``outputs``, and then a total part count that
-    differs from the number of decoded lines, once every log is read.
+
+def _tally(counts: dict, log: ChangeLog) -> None:
+    """Add ``log``'s triplet, part counts and cleaned parts, each followed by \\n, to ``counts``."""
+    counts["n_triplets"] += 1
+    for f, parts in log.cleaned.items():
+        counts["n_parts"][f] += len(parts)
+        counts["clean_sha256"][f].update("".join([part + "\n" for part in parts]).encode("utf-8"))
+
+
+def postprocess_all(
+    outputs: Iterable[str], triplets: Iterable[Triplet], header: Mapping, field_name: str = "mt"
+) -> Iterator[Tuple[str, int]]:
+    """Restore one field of every triplet of a changelog from decoded parts, one per line.
+
+    Walks ``triplets`` and ``outputs`` in step, re-derives each triplet's
+    log of ``field_name``, and yields the restored text with its count of
+    dropped records. A fault of ``triplets`` is raised as it is met. Once
+    every triplet is read, a ``header`` whose triplet count, or part count
+    or cleaned-parts digest of the field, differs from the re-derived one
+    is raised; then a fault in reading ``outputs``; then a total part count
+    that differs from the number of decoded lines.
     """
     faults = []
     lines = _until_fault(outputs, faults)
-    expected = read = 0
-    for log in logs:
-        n = log.parts[field_name]
-        expected += n
-        parts = list(islice(lines, n))
+    counts = _no_counts([field_name])
+    read = 0
+    for triplet in triplets:
+        log = _change_log(triplet, [field_name])
+        _tally(counts, log)
+        parts = list(islice(lines, len(log.cleaned[field_name])))
         read += len(parts)
-        if read == expected:  # else outputs failed or ran out, here or before this log
+        if read == counts["n_parts"][field_name]:  # else outputs failed or ran out, here or before this triplet
             yield postprocess_with_report(parts, log, field_name)
     read += sum(1 for _ in lines)
+    derived = (counts["n_triplets"], counts["n_parts"][field_name], counts["clean_sha256"][field_name].hexdigest())
+    try:
+        stated = (header["n_triplets"], header["n_parts"][field_name], header["clean_sha256"][field_name])
+    except (KeyError, TypeError):
+        stated = None
+    if stated != derived:
+        raise ValueError(f"changelog header states (n_triplets, n_parts[{field_name!r}], "
+                         f"clean_sha256[{field_name!r}]) = {stated}, but its triplets re-derive {derived}; "
+                         "was the changelog edited, or written under other cleaning rules?")
     if faults:
         raise faults[0]
-    if read != expected:
+    if read != derived[1]:
         raise PartCountError(
-            f"outputs/changelog mismatch: changelog expects {expected} {field_name} part(s), "
+            f"outputs/changelog mismatch: changelog expects {derived[1]} {field_name} part(s), "
             f"decoded file has {read} line(s); is this the changelog of another corpus?"
         )
 
 
-def _tally(counts: dict, log: ChangeLog) -> ChangeLog:
-    """Add ``log`` to the header counts in ``counts`` and return it."""
-    counts["n_triplets"] += 1
-    for f in TEXT_FIELDS:
-        counts["n_parts"][f] += log.parts[f]
-    return log
+def write_changelog(path, logged: Iterable[Tuple[Triplet, ChangeLog]], input_sha256: str) -> dict:
+    """Write the header line, then each triplet of ``logged`` as ``write_corpus``
+    writes it, consuming ``logged`` lazily; return the header.
 
-
-def _no_counts() -> dict:
-    return {"n_triplets": 0, "n_parts": dict.fromkeys(TEXT_FIELDS, 0)}
-
-
-def write_changelog(path, logs: Iterable[ChangeLog], input_sha256: str) -> dict:
-    """Write the header line and one log per line, consuming ``logs`` lazily; return the header.
-
-    The header states the totals, so the logs go to ``<path>.logs`` first
-    and are copied after it.
+    The header states the totals and the SHA-256 of each field's cleaned
+    parts, so the triplets go to ``<path>.logs`` first and are copied after it.
     """
     body = Path(f"{path}.logs")
-    counts = _no_counts()
+    counts = _no_counts(TEXT_FIELDS)
+
+    def tallied():
+        for triplet, log in logged:
+            _tally(counts, log)
+            yield jsonl_record(triplet)
+
     try:
-        write_lines(body, (ChangeLog.to_json(_tally(counts, log)) for log in logs))
-        header = {"type": "header", "toolkit_version": __version__, "input_sha256": input_sha256, **counts}
+        write_lines(body, tallied())
+        digests = {f: digest.hexdigest() for f, digest in counts["clean_sha256"].items()}
+        header = {"type": "header", "toolkit_version": __version__, "input_sha256": input_sha256,
+                  **counts, "clean_sha256": digests}
         write_lines(path, [json.dumps(header, ensure_ascii=False)])
         with open(path, "ab") as handle, open(body, "rb") as written:
             while chunk := written.read(1 << 16):
@@ -433,49 +388,47 @@ def write_changelog(path, logs: Iterable[ChangeLog], input_sha256: str) -> dict:
     return header
 
 
-def read_changelog(path) -> Tuple[dict, Iterator[ChangeLog]]:
-    """Read the header of a changelog, and return it with a stream of its logs.
+def read_changelog(path) -> Tuple[dict, Iterator[Triplet]]:
+    """Read the header of a changelog, and return it with a stream of its triplets.
 
-    Blank log lines are skipped. Raises ValueError naming ``path``, and the
-    line for a line that does not frame or parse or a header whose counts
-    disagree with the logs. A line that does not frame comes first wherever
-    it is, so a bad header is raised, and a bad log is raised by the
-    stream, only once every later line has framed; the stream checks the
-    header counts after the last log.
+    Blank lines are skipped. Raises ValueError naming ``path``, and the
+    line for a line that does not frame or parse, a line that is not a
+    corpus record, or a triplet with a field that holds a line break, which
+    would split a restored line. A line that does not frame comes first
+    wherever it is, so a bad header is raised, and a bad triplet is raised
+    by the stream, only once every later line has framed.
     """
     lines = enumerate(read_lines(path), start=1)
     first = next(lines, None)
     if first is None:
         raise ValueError(f"{path}: empty changelog")
     try:
-        header = json.loads(first[1])
+        header = decode_json(first[1])
         fault = None if header.get("type") == "header" else ValueError(f"{path}: missing changelog header")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, AttributeError) as exc:
         fault = ValueError(f"{path}: line 1: malformed changelog ({exc})")
     if fault is not None:
         for _ in lines:
             pass
         raise fault
-    return header, _read_logs(path, header, lines)
+    return header, _read_triplets(path, lines)
 
 
-def _read_logs(path, header: dict, lines: Iterator[Tuple[int, str]]) -> Iterator[ChangeLog]:
-    """Parse each non-blank line, then check the header counts against the logs.
+def _read_triplets(path, lines: Iterator[Tuple[int, str]]) -> Iterator[Triplet]:
+    """Parse each non-blank line as a corpus record.
     The first line that does not parse is raised after the rest have framed."""
-    counts = _no_counts()
     fault = None
     for number, line in lines:
         if fault is not None or not line.strip():
             continue
         try:
-            log = ChangeLog.from_json(line)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            triplet = triplet_from_record(decode_json(line), number)
+            broken = _line_break_fault(triplet)
+            if broken is not None:
+                raise broken
+        except ValueError as exc:
             fault = ValueError(f"{path}: line {number}: malformed changelog ({exc})")
             continue
-        yield _tally(counts, log)
+        yield triplet
     if fault is not None:
         raise fault
-    if (header.get("n_triplets"), header.get("n_parts")) != (counts["n_triplets"], counts["n_parts"]):
-        raise ValueError(f"{path}: line 1: header counts {header.get('n_triplets')!r} triplet(s) with parts "
-                         f"{header.get('n_parts')!r}, but the logs hold {counts['n_triplets']} triplet(s) "
-                         f"with parts {counts['n_parts']}")

@@ -17,8 +17,8 @@ For each field, ``postprocess`` restores the cleaned parts verbatim and a
 seeded edit of them, each with and without ``--orig``. The console file
 also pins the rejections whose text must not drift: a decoded file one
 line short, ``--orig`` naming another file, an empty changelog, a
-changelog without its header, a malformed log line, and a ``preprocess``
-input holding a newline in a field.
+changelog without its header, a changelog line that is not JSON, and a
+``preprocess`` input holding a newline in a field.
 """
 
 from __future__ import annotations

@@ -4,12 +4,16 @@ Each rejected command's exit code, stdout and stderr go to one console
 file. The faults are a missing file, a bare carriage return in a corpus,
 a line file and a changelog, a corpus line that is not JSON, a corpus
 record without a field, a TSV line with the wrong column count, line
-files of different lengths, and an empty TER reference. They run through
+files of different lengths, an empty TER reference, a corpus record with
+a repeated or unknown key, a ``filter`` that keeps no triplet, and
+changelogs that were edited, lack their cleaned-parts digests, hold a
+line of the old log format or a field with a line break. They run through
 ``stats``, ``filter``, ``preprocess``, ``postprocess``, ``evaluate``,
 ``significance`` and ``buckets``. Inputs with two faults each pin which
 fault ``preprocess`` and ``postprocess`` report first; after each of
-those runs the console also says whether anything under ``out/`` was
-added, removed or changed, since a rejected run must write nothing.
+those runs, and of the ``filter`` and changelog faults, the console also
+says whether anything under ``out/`` was added, removed or changed, since
+a rejected run must write nothing.
 Commands run in the
 ``input_fault_golden`` directory on relative paths, so paths in messages
 are stable. Regenerate only when a change of messages is intended:
@@ -19,6 +23,7 @@ are stable. Regenerate only when a change of messages is intended:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -44,6 +49,11 @@ def write_inputs(directory: Path) -> None:
         "bad_json.jsonl": rows[0] + b"{not json\n" + rows[2],
         "missing_field.jsonl": rows[0] + b'{"id": "t2", "src": "a", "mt": "b"}\n' + rows[2],
         "columns.tsv": b"a\tb\tc\nd\te\n",
+        "repeated_key.jsonl": rows[0] + b'{"id": "t2", "src": "a", "mt": "b", "pe": "c", "src": "d"}\n' + rows[2],
+        "unknown_key.jsonl": rows[0] + b'{"id": "t2", "src": "a", "mt": "b", "pe": "c", "ref": "d"}\n' + rows[2],
+        "german_src.jsonl": b"".join(json.dumps({**t, "src": t["mt"]}, ensure_ascii=False).encode("utf-8") + b"\n"
+                                     for t in _TRIPLETS[:2]),
+        "no_holdout.json": b'{"dev_size": 0, "test_size": 0}\n',
         "hyp.txt": b"Die Nacht ist lang.\nKomm zur\xc3\xbcck.\nWohin gehst du?\n",
         "ref.txt": b"Die Nacht ist so lang.\nKomm sofort zur\xc3\xbcck.\nWohin gehst du?\n",
         "cr.txt": b"Die Nacht ist lang.\nKomm zur\xc3\xbcck.\nWohin\rgehst du?\n",
@@ -93,6 +103,8 @@ def run_commands(directory: Path) -> dict:
             ["--in", "in/bad_json.jsonl"],
             ["--in", "in/missing_field.jsonl"],
             ["--in", "in/columns.tsv", "--format", "tsv"],
+            ["--in", "in/repeated_key.jsonl"],
+            ["--in", "in/unknown_key.jsonl"],
         ]
         for fault in corpus_faults:
             golden.run(console, ["stats", *fault, "--out", "out/stats.json"])
@@ -153,6 +165,21 @@ def run_commands(directory: Path) -> dict:
         header["n_parts"]["mt"] += 1
         Path("out/bad_header_changelog.jsonl").write_text(json.dumps(header) + "\n" + "".join(changelog[1:]),
                                                           encoding="utf-8")
+        edited = "".join([*changelog[:3], changelog[3].replace("ist lang", "ist kurz")])
+        Path("out/edited_mt_changelog.jsonl").write_text(edited, encoding="utf-8")
+        header = json.loads(changelog[0])
+        del header["clean_sha256"]
+        Path("out/no_digest_changelog.jsonl").write_text(json.dumps(header) + "\n" + "".join(changelog[1:]),
+                                                         encoding="utf-8")
+        t3 = _TRIPLETS[2]  # no markup, so no records: its whole log in the old format
+        old_log = {"triplet_id": "t3", "parts": dict.fromkeys(("src", "mt", "pe"), 1),
+                   "clean_digests": {f: [hashlib.sha1(t3[f].encode("utf-8")).hexdigest()] for f in ("src", "mt", "pe")},
+                   "records": []}
+        Path("out/old_format_changelog.jsonl").write_text("".join(changelog[:3]) + json.dumps(old_log) + "\n",
+                                                          encoding="utf-8")
+        line2 = json.dumps({**_TRIPLETS[0], "mt": "- Wohin\ngehst du?"}, ensure_ascii=False) + "\n"
+        Path("out/newline_changelog.jsonl").write_text("".join([changelog[0], line2, *changelog[2:]]),
+                                                       encoding="utf-8")
         Path("out/mt_ff.txt").write_bytes(b"\xff" + Path("out/mt.txt").read_bytes())
         if golden.run(console, [*restore, "--outputs", "out/mt.txt", "--changelog", "out/pre/changelog.jsonl"]) != 0:
             raise RuntimeError("postprocess of the valid changelog failed")
@@ -165,6 +192,10 @@ def run_commands(directory: Path) -> dict:
         ):
             _run_rejected(console, [*restore, *fault])
             _run_rejected(console, ["postprocess", "--out", "out/new/restored.txt", *fault])
+        for changelog in ("edited_mt", "no_digest", "old_format", "newline"):
+            _run_rejected(console, [*restore, "--outputs", "out/mt.txt", "--changelog", f"out/{changelog}_changelog.jsonl"])
+        _run_rejected(console, ["filter", "--in", "in/german_src.jsonl", "--out-dir", "out/filter",
+                                "--config", "in/no_holdout.json"])
         shutil.rmtree("out")
         return {"console.txt": "".join(console)}
 

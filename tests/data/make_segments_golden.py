@@ -1,8 +1,8 @@
 """Generate segments_golden.jsonl: seeded triplets with their preprocess and
 postprocess results.
 
-Each line pins, for one triplet, the cleaned parts, the change log exactly
-as ``ChangeLog.to_json`` writes it, and ``postprocess_with_report`` on
+Each line pins, for one triplet, the cleaned parts, the change log (its
+part counts and every record, as JSON), and ``postprocess_with_report`` on
 every field for two kinds of decoded output: the cleaned parts verbatim
 (which must restore the original) and edited parts (which re-attach the
 boundary records and drop the rest). Changes to the preprocessing
@@ -20,6 +20,7 @@ separators, other tags, all four music symbols, leading hyphens, unclosed
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -122,7 +123,8 @@ def record(triplet: Triplet, rng) -> dict:
         "mt": triplet.mt,
         "pe": triplet.pe,
         "parts": [[p.id, p.src, p.mt, p.pe] for p in parts],
-        "log": log.to_json(),
+        "log": json.dumps({"triplet_id": log.triplet_id, "parts": {f: len(p) for f, p in log.cleaned.items()},
+                           "records": [vars(r) for r in log.records]}, ensure_ascii=False),
         "restored": restored,
         "edited": edited,
     }

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,14 @@ class TestPrePostProcess:
         )
         expected = "".join(t.mt + "\n" for t in corpus)
         assert restored.read_text(encoding="utf-8") == expected
+
+    def test_changelog_holds_each_triplet_as_write_corpus_writes_it(self, tmp_path):
+        path, corpus = make_corpus_file(tmp_path, self.rows_with_markup())
+        tsv = write_lines(tmp_path / "corpus.tsv", ["\t".join((t.src, t.mt, t.pe)) for t in corpus])
+        assert main(["preprocess", "--in", str(tsv), "--format", "tsv", "--out-dir", str(tmp_path / "pre")]) == 0
+        header, *body = (tmp_path / "pre" / "changelog.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert json.loads(header)["n_triplets"] == len(corpus)
+        assert "".join(body) == path.read_text(encoding="utf-8")  # the ids are the TSV line ordinals
 
     def test_changelog_from_other_corpus_is_rejected(self, tmp_path):
         path_a, _ = make_corpus_file(tmp_path, self.rows_with_markup(), name="a.jsonl")
@@ -669,15 +678,21 @@ def test_postprocess_rejects_bare_carriage_return(tmp_path, capsys):
     assert f"{decoded}: line 1: carriage return inside a line" in capsys.readouterr().err
 
 
+OLD_FORMAT_LOG = ('{"triplet_id": "000001", "parts": {"src": 1, "mt": 1, "pe": 1}, "clean_digests": '
+                  '{"src": ["86f7e437faa5a7fce15d1ddcb9eaeaea377667b8"], "mt": ["e9d71f5ee7c92d6dc9e92ffdad17b8bd49418f98"], '
+                  '"pe": ["84a516841ba77a5b4648de2cd0dfcb30ea46dbb4"]}, "records": []}')
+
+
 @pytest.mark.parametrize(
     "number, bad_line, message",
     [
-        (3, '{"triplet_id": "x", "parts": {}, "clean_digests": {}, "records": [{"kind": "removed_tag", "bogus": 1}]}',
-         "unexpected keyword argument 'bogus'"),
-        (2, "[1, 2]", "list indices must be integers"),
         (1, "[1]", "'list' object has no attribute 'get'"),
         (2, "{not json", "Expecting property name"),
-        (2, '{"triplet_id": "x", "parts": {"src": 1}, "clean_digests": {}, "records": []}', "('mt')"),
+        (1, '{"type": "header", "type": "header"}', "repeated key 'type'"),
+        (2, "[1, 2]", "expected a JSON object"),
+        (3, '{"id": "x", "src": "d", "mt": "e"}', "missing field 'pe'"),
+        (2, '{"id": "000001", "src": "a", "mt": "b", "pe": "c", "pe": "c"}', "repeated key 'pe'"),
+        (2, OLD_FORMAT_LOG, "unknown key 'triplet_id', expected only id, src, mt, pe, meta"),
     ],
 )
 def test_postprocess_rejects_malformed_changelog_line(tmp_path, capsys, number, bad_line, message):
@@ -693,51 +708,7 @@ def test_postprocess_rejects_malformed_changelog_line(tmp_path, capsys, number, 
     err = capsys.readouterr().err
     assert f"{changelog}: line {number}: malformed changelog (" in err
     assert message in err
-
-
-@pytest.mark.parametrize(
-    "edit, decoded, message",
-    [
-        pytest.param(lambda log: log["records"][0].update(offset="x"), ["b"],
-                     "change record offset must be an int >= 0, got 'x'", id="offset-not-int"),
-        pytest.param(lambda log: log["records"][0].update(offset=True), ["b"],
-                     "change record offset must be an int >= 0, got True", id="offset-bool"),
-        pytest.param(lambda log: log["parts"].update(mt=2), ["b", "b"],
-                     "clean_digests['mt'] must be a list of 2 string(s)", id="parts-above-digests"),
-        pytest.param(lambda log: log["records"][0].update(part=5), ["b"],
-                     "change record part 5 is not below parts['mt'] = 1", id="part-out-of-range"),
-        pytest.param(lambda log: log["clean_digests"].update(mt="abc"), ["b"],
-                     "clean_digests['mt'] must be a list of 1 string(s), got 'abc'", id="digests-not-a-list"),
-        pytest.param(lambda log: log["records"][0].pop("anchor"), ["b"], "change record lacks anchor",
-                     id="record-lacks-a-key"),
-        pytest.param(lambda log: log["records"][0].update(field="ref"), ["b"],
-                     "change record field 'ref' is not one of ('src', 'mt', 'pe')", id="unknown-field"),
-        pytest.param(lambda log: log["records"][0].update(anchor="middle"), ["b"],
-                     "change record anchor 'middle' is not one of ('start', 'end', 'interior', 'boundary')",
-                     id="unknown-anchor"),
-        pytest.param(lambda log: log["records"][0].update(payload=7), ["b"],
-                     "change record payload must be a string, got 7", id="payload-not-str"),
-        pytest.param(lambda log: log["parts"].update(mt=10**12), ["b"],
-                     "clean_digests['mt'] must be a list of 1000000000000 string(s)", id="huge-part-count"),
-        pytest.param(lambda log: log["parts"].update(mt=0), [],
-                     "parts['mt'] must be an int >= 1, got 0", id="no-parts"),
-        pytest.param(lambda log: (log["parts"].update(mt=2), log["clean_digests"]["mt"].append("d")), ["b", "b"],
-                     "boundary records of 'mt' join parts [], expected [0]", id="missing-boundary"),
-    ],
-)
-def test_postprocess_rejects_changelog_values(tmp_path, capsys, edit, decoded, message):
-    path, _ = make_corpus_file(tmp_path, [("a", "<i>b</i>", "c")])
-    assert main(["preprocess", "--in", str(path), "--out-dir", str(tmp_path / "pre")]) == 0
-    changelog = tmp_path / "pre" / "changelog.jsonl"
-    header, line = changelog.read_text(encoding="utf-8").splitlines()
-    log = json.loads(line)
-    assert log["records"][0]["field"] == "mt"
-    edit(log)
-    write_lines(changelog, [header, json.dumps(log)])
-    argv = ["postprocess", "--outputs", str(write_lines(tmp_path / "decoded.txt", decoded)),
-            "--changelog", str(changelog), "--out", str(tmp_path / "r.txt")]
-    assert main(argv) == 2
-    assert f"{changelog}: line 2: malformed changelog ({message}" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
 
 
 @pytest.mark.parametrize("break_char", ["\n", "\r"])
@@ -750,26 +721,46 @@ def test_preprocess_rejects_line_break_in_a_field(tmp_path, capsys, break_char):
     assert not (tmp_path / "pre").exists()
 
 
-@pytest.mark.parametrize("edit, decoded", [
-    pytest.param(lambda lines: lines.pop(2), ["b", "h"], id="log-line-deleted"),
+def _without_mt_digest(line):
+    header = json.loads(line)
+    del header["clean_sha256"]["mt"]
+    return json.dumps(header)
+
+
+@pytest.mark.parametrize("edit, decoded, stated, derived", [
+    pytest.param(lambda lines: lines.pop(2), ["b", "h"], "(3, 3, 'D')", "(2, 2, 'd')", id="log-line-deleted"),
     pytest.param(lambda lines: lines.__setitem__(0, lines[0].replace('"n_triplets": 3', '"n_triplets": 2')),
-                 ["b", "e", "h"], id="n-triplets-edited"),
+                 ["b", "e", "h"], "(2, 3, 'D')", "(3, 3, 'D')", id="n-triplets-edited"),
     pytest.param(lambda lines: lines.__setitem__(0, lines[0].replace('"mt": 3', '"mt": 4')),
-                 ["b", "e", "h"], id="one-field-n-parts-edited"),
-    pytest.param(lambda lines: lines.append(lines[1]), ["b", "e", "h", "b"], id="log-line-repeated"),
-    pytest.param(lambda lines: lines.__setitem__(0, '{"type": "header"}'), ["b", "e", "h"], id="counts-missing"),
+                 ["b", "e", "h"], "(3, 4, 'D')", "(3, 3, 'D')", id="one-field-n-parts-edited"),
+    pytest.param(lambda lines: lines.append(lines[1]), ["b", "e", "h", "b"], "(3, 3, 'D')", "(4, 4, 'd')",
+                 id="log-line-repeated"),
+    pytest.param(lambda lines: lines.__setitem__(0, '{"type": "header"}'), ["b", "e", "h"], "None", "(3, 3, 'D')",
+                 id="counts-missing"),
+    pytest.param(lambda lines: lines.__setitem__(0, _without_mt_digest(lines[0])), ["b", "e", "h"], "None",
+                 "(3, 3, 'D')", id="no-clean-sha256"),
+    pytest.param(lambda lines: lines.__setitem__(2, lines[2].replace('"mt": "- e"', '"mt": "- f"')),
+                 ["b", "e", "h"], "(3, 3, 'D')", "(3, 3, 'd')", id="embedded-mt-edited"),
 ])
-def test_postprocess_rejects_a_header_that_disagrees_with_the_logs(tmp_path, capsys, edit, decoded):
+def test_postprocess_rejects_a_header_that_disagrees_with_the_logs(tmp_path, capsys, edit, decoded, stated, derived):
+    """The header's triplet count, and part count and cleaned digest of the restored field,
+    must be what the changelog's triplets re-derive; 'D' is the digest preprocess wrote."""
     path, _ = make_corpus_file(tmp_path, [("a", "<i>b</i>", "c"), ("d", "- e", "f"), ("g", "h ♪", "i")])
     assert main(["preprocess", "--in", str(path), "--out-dir", str(tmp_path / "pre")]) == 0
     changelog = tmp_path / "pre" / "changelog.jsonl"
     lines = changelog.read_text(encoding="utf-8").splitlines()
+    digest = json.loads(lines[0])["clean_sha256"]["mt"]
     edit(lines)
     write_lines(changelog, lines)
     argv = ["postprocess", "--outputs", str(write_lines(tmp_path / "decoded.txt", decoded)),
             "--changelog", str(changelog), "--out", str(tmp_path / "r.txt"), "--orig", str(path)]
     assert main(argv) == 2
-    assert f"error: {changelog}: line 1: header counts " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    prefix = "error: changelog header states (n_triplets, n_parts['mt'], clean_sha256['mt']) = "
+    suffix = "; was the changelog edited, or written under other cleaning rules?\n"
+    assert err.startswith(prefix) and err.endswith(suffix), err
+    named = re.sub(r"'[0-9a-f]{64}'", lambda m: "'D'" if m[0][1:-1] == digest else "'d'", err[len(prefix):-len(suffix)])
+    assert named.split(", but its triplets re-derive ") == [stated, derived]
     assert not (tmp_path / "r.txt").exists()
 
 
@@ -838,19 +829,20 @@ def test_duplicate_id_names_both_lines(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("payload", "<i>\nX"), ("payload", "<i>\r"), ("replacement", "\n"),
-                                        ("replacement", "\r")])
-def test_postprocess_rejects_a_line_break_in_a_changelog_record(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("field, value", [("mt", "<i>\nX"), ("mt", "\r"), ("src", "a\nb"), ("pe", "\r\n")])
+def test_postprocess_rejects_a_line_break_in_a_changelog_field(tmp_path, capsys, field, value):
+    """An escaped line break in any field would split a restored line, so its changelog line is rejected."""
     _, changelog, decoded = _preprocessed(tmp_path, [("a", "<i>b</i>", "c"), ("d", "e", "f")])
     lines = changelog.read_text(encoding="utf-8").splitlines()
-    log = json.loads(lines[1])
-    log["records"][0][key] = value
-    lines[1] = json.dumps(log)
+    triplet = json.loads(lines[1])
+    triplet[field] = value
+    lines[1] = json.dumps(triplet)
     write_lines(changelog, lines)
     out = tmp_path / "restored.txt"
     assert main(["postprocess", "--outputs", str(decoded), "--changelog", str(changelog), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {changelog}: line 2: malformed changelog (change record {key} {value!r} holds a line break)\n"
+        f"error: {changelog}: line 2: malformed changelog (triplet '000001': field {field!r} contains a newline "
+        "or carriage return; line-oriented decoding files cannot represent it)\n"
     )
     assert not out.exists()
 
@@ -1167,6 +1159,13 @@ REJECTIONS = {
                         2, "corpus.jsonl: line 1: field 'id' must be a string"),
     "meta-not-an-object": ({"corpus.jsonl": ['{"src": "a", "mt": "b", "pe": "c", "meta": []}']},
                            "stats --in corpus.jsonl", 2, "corpus.jsonl: line 1: field 'meta' must be an object"),
+    "repeated-corpus-key": ({"corpus.jsonl": [GOOD_ROW, '{"src": "a", "mt": "b", "pe": "c", "mt": "d"}']},
+                            "stats --in corpus.jsonl", 2, "corpus.jsonl: line 2: repeated key 'mt'"),
+    "repeated-meta-key": ({"corpus.jsonl": ['{"src": "a", "mt": "b", "pe": "c", "meta": {"k": "1", "k": "2"}}']},
+                          "preprocess --in corpus.jsonl --out-dir out", 2, "corpus.jsonl: line 1: repeated key 'k'"),
+    "unknown-corpus-key": ({"corpus.jsonl": [GOOD_ROW, '{"src": "a", "mt": "b", "pe": "c", "extra": 1}']},
+                           "filter --in corpus.jsonl --out-dir out", 2,
+                           "corpus.jsonl: line 2: unknown key 'extra', expected only id, src, mt, pe, meta"),
     "unknown-config-key": ({"corpus.jsonl": [GOOD_ROW], "config.json": ['{"bogus": 1}']},
                            "filter --in corpus.jsonl --out-dir out --config config.json",
                            1, "invalid filter config: unknown filter config keys: ['bogus']"),
@@ -1180,6 +1179,9 @@ REJECTIONS = {
                            "config.json": ['{"dev_size": 2, "test_size": 1, "expected_tgt_lang": "en"}']},
                           "filter --in corpus.jsonl --out-dir out --config config.json",
                           2, "3 triplet(s) survive filtering, too few for dev_size + test_size = 3"),
+    "no-survivors": ({"corpus.jsonl": EN_ROWS, "config.json": ['{"dev_size": 0, "test_size": 0}']},
+                     "filter --in corpus.jsonl --out-dir out --config config.json",
+                     2, "no triplet survives filtering"),
     "two-column-score": ({"scores.csv": ["size,replicate,value", "1,0"]}, "ablate curve --scores scores.csv --sizes 1",
                          2, "scores.csv: line 2: expected size,replicate,value"),
     "bad-sizes": ({}, "ablate curve --scores scores.csv --sizes 1x",

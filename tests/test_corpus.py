@@ -86,6 +86,25 @@ class TestReadCorpus:
         with pytest.raises(CorpusFormatError, match="line 2"):
             read_corpus(path)
 
+    def test_a_byte_order_mark_gets_the_json_message(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('\ufeff{"src":"a","mt":"b","pe":"c"}\n', encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as caught:
+            read_corpus(path)
+        assert str(caught.value) == f"{path}: line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"src":"a","mt":"b","pe":"c","src":"d"}', "repeated key 'src'"),
+        ('{"src":"a","mt":"b","pe":"c","meta":{"k":"1","j":"2","k":"3"}}', "repeated key 'k'"),
+        ('{"src":"a","mt":"b","ref":"x","pe":"c","extra":1}', "unknown key 'ref', expected only id, src, mt, pe, meta"),
+    ])
+    def test_a_repeated_or_unknown_key_names_line_and_key(self, tmp_path, record, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id":"x","src":"a","mt":"b","pe":"c","meta":{"k":"1"}}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as caught:
+            read_corpus(path)
+        assert str(caught.value) == f"{path}: line 2: {message}"
+
 
 class TestWriteCorpus:
     def test_one_triplet_one_line(self, tmp_path):

@@ -48,10 +48,10 @@ def test_outputs_match_golden(golden_outputs, name):
 
 
 def test_rejected_runs_write_nothing(golden_outputs):
-    """No rejected preprocess or postprocess adds, removes or changes a file or directory under out/."""
+    """No rejected preprocess, postprocess or filter adds, removes or changes a file or directory under out/."""
     console = golden_outputs("input_fault")["console.txt"].decode("utf-8")
     verdicts = [line for line in console.splitlines() if line.startswith("out/ ")]
-    assert len(verdicts) == 16
+    assert len(verdicts) == 21
     assert set(verdicts) == {"out/ unchanged"}
 
 

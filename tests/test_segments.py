@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -8,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apekit.corpus import CorpusFormatError, Triplet, iter_corpus, read_lines
+from apekit.corpus import TEXT_FIELDS, CorpusFormatError, Triplet, iter_corpus, read_lines, write_corpus
 from apekit.segments import (
     LEADING_HYPHEN_RE,
     MUSIC_CHARS,
     TAG_RE,
-    ChangeLog,
     ChangeRecord,
     PartCountError,
     postprocess_all,
@@ -32,6 +32,11 @@ def triplet(src, mt, pe, id="t1"):
     return Triplet(id=id, src=src, mt=mt, pe=pe)
 
 
+def logged(triplets):
+    """Each triplet with its preprocess log, as ``preprocess_all`` yields them."""
+    return [(t, preprocess(t)[1]) for t in triplets]
+
+
 class TestPreprocessSplit:
     def test_matched_br_counts_split(self):
         parts, _ = preprocess(triplet("A<br>B", "C<br>D", "E<br>F"))
@@ -43,7 +48,7 @@ class TestPreprocessSplit:
         parts, log = preprocess(triplet("A<br>B", "CD", "EF"))
         assert [(p.src, p.mt, p.pe) for p in parts] == [("A B", "CD", "EF")]
         assert [p.id for p in parts] == ["t1#p0"]
-        assert dict(log.parts) == {"src": 1, "mt": 1, "pe": 1}
+        assert log.cleaned == {"src": ("A B",), "mt": ("CD",), "pe": ("EF",)}
 
     def test_br_variants_recognized(self):
         parts, _ = preprocess(triplet("A<BR>B", "C<br/>D", "E<br />F"))
@@ -179,11 +184,6 @@ class TestPreprocess:
             for text in (p.src, p.mt, p.pe):
                 assert not contains_artifacts(text)
 
-    def test_changelog_json_round_trip(self):
-        t = triplet("- <i>A</i><br>B", "- <i>C</i><br>D", "- <i>E</i><br>F")
-        _, log = preprocess(t)
-        assert ChangeLog.from_json(log.to_json()) == log
-
     def test_preprocess_all_raises_a_repeated_id_before_a_later_line_break_field(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rows = [{"id": "a", "src": "x", "mt": "y", "pe": "z"},
@@ -238,24 +238,40 @@ class TestPostprocess:
         assert text == "x y z"
         assert dropped == 2
 
-    def test_postprocess_all_checks_the_total_part_count_once(self):
-        logs = [preprocess(triplet("A<br>B", "C<br>D", "E<br>F", id="a"))[1],
-                preprocess(triplet("a <i>b</i> c", "H", "I", id="b"))[1]]
-        assert list(postprocess_all(["C", "D", "H"], logs, "mt")) == [("C<br>D", 0), ("H", 0)]
-        assert list(postprocess_all(["A", "B", "x y z"], logs, "src")) == [("A<br>B", 0), ("x y z", 2)]
+    def test_postprocess_all_checks_the_total_part_count_once(self, tmp_path):
+        triplets = [triplet("A<br>B", "C<br>D", "E<br>F", id="a"), triplet("a <i>b</i> c", "H", "I", id="b")]
+        header = write_changelog(tmp_path / "c.jsonl", logged(triplets), "ab12")
+        assert list(postprocess_all(["C", "D", "H"], triplets, header, "mt")) == [("C<br>D", 0), ("H", 0)]
+        assert list(postprocess_all(["A", "B", "x y z"], triplets, header, "src")) == [("A<br>B", 0), ("x y z", 2)]
         with pytest.raises(PartCountError, match="changelog expects 3 mt part.*decoded file has 2 line"):
-            list(postprocess_all(["C", "D"], logs, "mt"))
+            list(postprocess_all(["C", "D"], triplets, header, "mt"))
         with pytest.raises(PartCountError, match="changelog expects 3 mt part.*decoded file has 4 line"):
-            list(postprocess_all(["C", "D", "H", "J"], logs, "mt"))
+            list(postprocess_all(["C", "D", "H", "J"], triplets, header, "mt"))
 
     def test_postprocess_all_raises_a_read_fault_after_the_last_log(self, tmp_path):
         decoded = tmp_path / "decoded.txt"
         decoded.write_bytes(b"C\nD\n\r")  # both expected lines, then a third holding a bare \r
-        logs = [preprocess(triplet("A<br>B", "C<br>D", "E<br>F"))[1]]
+        triplets = [triplet("A<br>B", "C<br>D", "E<br>F")]
+        header = write_changelog(tmp_path / "c.jsonl", logged(triplets), "ab12")
         restored = []
         with pytest.raises(CorpusFormatError, match=r"decoded\.txt: line 3: carriage return inside a line"):
-            restored.extend(postprocess_all(read_lines(decoded), logs, "mt"))
+            restored.extend(postprocess_all(read_lines(decoded), triplets, header, "mt"))
         assert restored == [("C<br>D", 0)]
+
+    def test_postprocess_all_checks_the_header_before_the_outputs(self, tmp_path):
+        triplets = [triplet("A<br>B", "C<br>D", "E<br>F")]
+        header = write_changelog(tmp_path / "c.jsonl", logged(triplets), "ab12")
+        other = write_changelog(tmp_path / "d.jsonl", logged([triplet("A<br>B", "<i>C</i><br>D", "E<br>F")]), "ab12")
+        assert header["clean_sha256"]["mt"] == other["clean_sha256"]["mt"]  # the digest is of the cleaned parts
+        assert header["clean_sha256"]["src"] == other["clean_sha256"]["src"]
+        edited = [triplet("A<br>B", "C<br>X", "E<br>F")]
+        with pytest.raises(ValueError, match=r"clean_sha256\['mt'\]\) = \(1, 2, '[0-9a-f]{64}'\), but its triplets "
+                                             r"re-derive \(1, 2, '[0-9a-f]{64}'\); was the changelog edited"):
+            list(postprocess_all(["C"], edited, header, "mt"))
+        # src is not restored, so only its part count, which the split shares, is re-derived
+        assert list(postprocess_all(["A", "B"], edited, header, "src")) == [("A<br>B", 0)]
+        with pytest.raises(ValueError, match=r"= None, but its triplets re-derive \(1, 2, "):
+            list(postprocess_all(["C", "D"], triplets, {"type": "header", "n_triplets": 1}, "mt"))
 
     def test_br_fallback_round_trip(self):
         t = triplet("A<br>B<br/>C", "no breaks", "none either")
@@ -348,42 +364,62 @@ def test_cleaned_golden_fields_carry_no_artifacts():
     assert [field for field in fields if contains_artifacts(field)] == []
 
 
+def test_postprocess_all_re_derives_what_preprocess_logged(tmp_path):
+    """Restoring from the triplets alone gives what the full preprocess log gives, edited or not."""
+    rng = random.Random(5)
+    triplets = [Triplet(id=str(k), **{f: random_subtitle_field(rng, rng.randint(0, 2)) for f in TEXT_FIELDS})
+                for k in range(300)]
+    pairs = logged(triplets)
+    header = write_changelog(tmp_path / "c.jsonl", pairs, "ab12")
+    for field in TEXT_FIELDS:
+        for edit in (lambda part: part, lambda part: part + " ja" if rng.random() < 0.5 else part):
+            outputs = [[edit(part) for part in log.cleaned[field]] for _, log in pairs]
+            want = [postprocess_with_report(parts, log, field) for parts, (_, log) in zip(outputs, pairs)]
+            flat = [part for parts in outputs for part in parts]
+            assert list(postprocess_all(flat, triplets, header, field)) == want
+
+
 class TestChangelogFile:
-    def logs(self):
+    def triplets(self):
         rows = [("♪ <i>La</i><br>- Hey", "<i>Lo</i><br>- Ho", "Le<br>He"), ("- a", "b", "c"), ("d", "e", "f")]
-        return [preprocess(triplet(*row, id=f"t{k}"))[1] for k, row in enumerate(rows)]
+        return [triplet(*row, id=f"t{k}") for k, row in enumerate(rows)]
 
     def test_round_trip(self, tmp_path):
-        logs = self.logs()
-        written = write_changelog(tmp_path / "c.jsonl", iter(logs), "ab12")
+        written = write_changelog(tmp_path / "c.jsonl", iter(logged(self.triplets())), "ab12")
         header, read = read_changelog(tmp_path / "c.jsonl")
+        parts = [part for t in self.triplets() for part in preprocess(t)[0]]
+        digests = {f: hashlib.sha256("".join(getattr(p, f) + "\n" for p in parts).encode("utf-8")).hexdigest()
+                   for f in TEXT_FIELDS}
         assert header == written == {"type": "header", "toolkit_version": "0.1.0", "input_sha256": "ab12",
-                                     "n_triplets": 3, "n_parts": {"src": 4, "mt": 4, "pe": 4}}
-        assert list(read) == logs
+                                     "n_triplets": 3, "n_parts": {"src": 4, "mt": 4, "pe": 4}, "clean_sha256": digests}
+        assert list(read) == self.triplets()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+        write_corpus(tuple(self.triplets()), tmp_path / "corpus.jsonl")
+        body = (tmp_path / "c.jsonl").read_bytes().split(b"\n", 1)[1]
+        assert body == (tmp_path / "corpus.jsonl").read_bytes()
 
     def test_logs_are_written_and_read_one_at_a_time(self, tmp_path):
         path = tmp_path / "c.jsonl"
 
-        def logs():
-            yield from self.logs()[:2]
+        def pairs():
+            yield from logged(self.triplets()[:2])
             raise ValueError("stop")
 
         with pytest.raises(ValueError, match="stop"):
-            write_changelog(path, logs(), "ab12")
+            write_changelog(path, pairs(), "ab12")
         assert not (tmp_path / "c.jsonl.logs").exists()
-        write_changelog(path, self.logs(), "ab12")
+        write_changelog(path, logged(self.triplets()), "ab12")
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join([*lines[:3], "{not json"]) + "\n", encoding="utf-8")
         header, read = read_changelog(path)
         assert header["n_triplets"] == 3
-        assert [next(read), next(read)] == self.logs()[:2]
+        assert [next(read), next(read)] == self.triplets()[:2]
         with pytest.raises(ValueError, match="line 4: malformed changelog"):
             next(read)
 
     def test_blank_log_lines_are_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        write_changelog(path, self.logs(), "ab12")
+        write_changelog(path, logged(self.triplets()), "ab12")
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join([lines[0], "", *lines[1:], "  "]) + "\n", encoding="utf-8")
-        assert list(read_changelog(path)[1]) == self.logs()
+        assert list(read_changelog(path)[1]) == self.triplets()
