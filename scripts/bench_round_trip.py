@@ -28,12 +28,18 @@ on 1,000. JSON reports are hashed with `manifest.timestamp` removed.
         --tree change=<commit>:src --seeds 3,4,5 --sizes 8000,40000,120000 --out BENCH_11.json
 
 A tree is `label=commit:src_dir`, where `src_dir` is the `src` directory
-of a checkout; the commit is recorded as given.
+of a checkout; the commit is recorded as given. Before the first timed
+child, each tree's `src` and `perfbench` directories are byte-compiled
+(`compileall`). Under `PYTHONDONTWRITEBYTECODE=1` a fresh interpreter
+never writes what it compiles, so a stale or missing `__pycache__` would
+be compiled again in every child, and read as a `setup_s` or wall-time
+change.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -104,6 +110,13 @@ def _plan(workload: str, seed: int) -> list:
 def _sha256(path: Path) -> str:
     with open(path, "rb") as handle:  # in chunks: a whole file read here would raise every later child's ru_maxrss
         return hashlib.file_digest(handle, "sha256").hexdigest()
+
+
+def _compile(src: Path) -> None:
+    """Byte-compile the `src` and `perfbench` directories of the checkout that holds `src`."""
+    for directory in (src, src.resolve().parent / "perfbench"):
+        if directory.is_dir() and not compileall.compile_dir(directory, quiet=1):
+            raise RuntimeError(f"could not byte-compile {directory}")
 
 
 def _source_digest(src: Path) -> str:
@@ -233,6 +246,7 @@ def main(argv=None) -> int:
         label, _, rest = spec.partition("=")
         commit, _, src = rest.rpartition(":")
         trees.append((label, commit, Path(src)))
+        _compile(Path(src))
     result = {
         "stamp": {
             "python": platform.python_version(),

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring as _quote  # the string encoder of json.dumps(..., ensure_ascii=False)
 from operator import add
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -118,16 +120,50 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+def _not_json(constant: str):
+    """A ``json`` parse_constant: JSON has no NaN or Infinity (RFC 8259 section 6)."""
+    raise ValueError(f"{constant} is not JSON (RFC 8259 has no NaN or Infinity)")
+
+
+def _finite_float(literal: str) -> float:
+    """A ``json`` parse_float that rejects a literal too large for a float, which would be written back as Infinity."""
+    value = float(literal)
+    if math.isinf(value):
+        raise ValueError(f"number {literal} is too large for a float, and JSON has no Infinity")
+    return value
+
+
 # One decoder serves every call: json.loads given a hook builds a new one each
 # time, which doubled the cost of reading a corpus line.
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_constant=_not_json, parse_float=_finite_float)
+
+
+def _reject_lone_surrogates(value, where: str = "a JSON string") -> None:
+    """Raise ValueError naming the key of the first string in the decoded ``value`` that UTF-8 cannot encode."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"lone surrogate {exc.object[exc.start]!r} in {where}; "
+                             "no UTF-8 output can hold it") from None
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _reject_lone_surrogates(key, f"key {key!r}")
+            _reject_lone_surrogates(item, f"the value of key {key!r}")
+    elif isinstance(value, list):
+        for item in value:
+            _reject_lone_surrogates(item, where)
 
 
 def decode_json(text: str):
-    """``json.loads(text)``, except that a repeated key in any object raises ValueError."""
+    """``json.loads(text)``, except that what no UTF-8 JSON output could hold raises ValueError:
+    a repeated key in any object, NaN, Infinity, a number too large for a float, or a lone surrogate."""
     if text.startswith("\ufeff"):
         return json.loads(text)  # raises json's own error for a byte order mark
-    return _DECODER.decode(text)
+    value = _DECODER.decode(text)
+    if "\\u" in text:  # text decoded as strict UTF-8, so only an escape can spell a lone surrogate
+        _reject_lone_surrogates(value)
+    return value
 
 
 def triplet_from_record(record, line_no: int) -> Triplet:
@@ -308,11 +344,12 @@ def read_corpus(path, format: str = "jsonl") -> Corpus:
 
 
 def jsonl_record(t: Triplet) -> str:
-    """The JSONL line of ``t``, without its \\n, as ``write_corpus`` writes it."""
-    record = {"id": t.id, "src": t.src, "mt": t.mt, "pe": t.pe}
+    """The JSONL line of ``t``, without its \\n, as ``write_corpus`` writes it: the string
+    ``json.dumps(record, ensure_ascii=False)`` gives, built from json's own string encoder."""
+    line = f'{{"id": {_quote(t.id)}, "src": {_quote(t.src)}, "mt": {_quote(t.mt)}, "pe": {_quote(t.pe)}'
     if t.meta:
-        record["meta"] = dict(t.meta)
-    return json.dumps(record, ensure_ascii=False)
+        return f'{line}, "meta": {json.dumps(dict(t.meta), ensure_ascii=False)}}}'
+    return line + "}"
 
 
 def write_corpus(corpus: Corpus, path) -> None:

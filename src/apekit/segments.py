@@ -22,6 +22,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import islice
+from json.encoder import encode_basestring as _quote  # the string encoder of json.dumps(..., ensure_ascii=False)
 from pathlib import Path
 from typing import IO, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -166,11 +167,23 @@ def _change_log(triplet: Triplet, fields: Sequence[str] = TEXT_FIELDS) -> Change
 
     Whether to split depends on all three fields, so it is decided here for
     any of them: ``preprocess`` logs all three, ``postprocess_all`` the one
-    it restores.
+    it restores. A field with no "<", no music symbol and no leading "-"
+    holds no ``<br>``, so the triplet cannot split, and ``strip_markup``
+    keeps it whole: when all of ``fields`` are such fields, the log has no
+    record and each field is its own one part, without ``_split_and_strip``.
     """
+    for f in fields:
+        text = getattr(triplet, f)
+        if text.startswith("-") or MARKUP_START_RE.search(text):
+            return _split_and_strip(triplet, fields)
+    return ChangeLog(triplet.id, (), {f: (getattr(triplet, f),) for f in fields})
+
+
+def _split_and_strip(triplet: Triplet, fields: Sequence[str]) -> ChangeLog:
+    """``_change_log`` of any triplet: the ``<br>`` decision over the three fields, then ``strip_markup``."""
     # [part, separator, part, ..., part]: one <br> pass per field decides both
     # whether to split and, when not, where the separators become spaces.
-    pieces = {f: BR_RE.split(triplet.text(f)) for f in TEXT_FIELDS}
+    pieces = {f: BR_RE.split(getattr(triplet, f)) for f in TEXT_FIELDS}
     br_counts = {len(p) // 2 for p in pieces.values()}
     do_split = len(br_counts) == 1 and br_counts != {0}
 
@@ -208,9 +221,17 @@ def preprocess(triplet: Triplet) -> Tuple[List[CleanTriplet], ChangeLog]:
     return [CleanTriplet(triplet.id, k, *fields) for k, fields in enumerate(parts)], log
 
 
+def jsonl_part(part: CleanTriplet) -> str:
+    """The JSONL line of ``part``, without its \\n, as ``preprocess_all`` writes it: the
+    string ``json.dumps(vars(part), ensure_ascii=False)`` gives, built from json's own string encoder."""
+    return (f'{{"parent_id": {_quote(part.parent_id)}, "part_index": {part.part_index}, '
+            f'"src": {_quote(part.src)}, "mt": {_quote(part.mt)}, "pe": {_quote(part.pe)}}}')
+
+
 def _line_break_fault(triplet: Triplet):
     for name in TEXT_FIELDS:
-        if "\n" in triplet.text(name) or "\r" in triplet.text(name):
+        text = getattr(triplet, name)
+        if "\n" in text or "\r" in text:
             return ValueError(f"triplet {triplet.id!r}: field {name!r} contains a newline or carriage return; "
                               "line-oriented decoding files cannot represent it")
     return None
@@ -225,8 +246,7 @@ def preprocess_all(triplets: Iterable[Triplet], cleaned: IO[str]) -> Iterator[Tu
         fault = fault or _line_break_fault(triplet)
         if fault is None:
             parts, log = preprocess(triplet)
-            # vars: the fields in declaration order, at half asdict's cost
-            cleaned.writelines(json.dumps(vars(part), ensure_ascii=False) + "\n" for part in parts)
+            cleaned.writelines(jsonl_part(part) + "\n" for part in parts)
             yield triplet, log
     if fault is not None:
         raise fault
@@ -313,7 +333,7 @@ def _tally(counts: dict, log: ChangeLog) -> None:
     counts["n_triplets"] += 1
     for f, parts in log.cleaned.items():
         counts["n_parts"][f] += len(parts)
-        counts["clean_sha256"][f].update("".join([part + "\n" for part in parts]).encode("utf-8"))
+        counts["clean_sha256"][f].update(("\n".join(parts) + "\n").encode("utf-8"))
 
 
 def postprocess_all(

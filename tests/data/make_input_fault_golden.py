@@ -5,7 +5,8 @@ file. The faults are a missing file, a bare carriage return in a corpus,
 a line file and a changelog, a corpus line that is not JSON, a corpus
 record without a field, a TSV line with the wrong column count, line
 files of different lengths, an empty TER reference, a corpus record with
-a repeated or unknown key, a ``filter`` that keeps no triplet, and
+a repeated or unknown key, a lone surrogate or a NaN, a ``filter`` that
+keeps no triplet, and
 changelogs that were edited, lack their cleaned-parts digests, hold a
 line of the old log format or a field with a line break. They run through
 ``stats``, ``filter``, ``preprocess``, ``postprocess``, ``evaluate``,
@@ -51,6 +52,9 @@ def write_inputs(directory: Path) -> None:
         "columns.tsv": b"a\tb\tc\nd\te\n",
         "repeated_key.jsonl": rows[0] + b'{"id": "t2", "src": "a", "mt": "b", "pe": "c", "src": "d"}\n' + rows[2],
         "unknown_key.jsonl": rows[0] + b'{"id": "t2", "src": "a", "mt": "b", "pe": "c", "ref": "d"}\n' + rows[2],
+        "lone_surrogate.jsonl": rows[0] + b'{"id": "t2", "src": "Hello there my friend \\ud800", "mt": "b", "pe": "c"}\n'
+                                + rows[2],
+        "nan_meta.jsonl": rows[0] + b'{"id": "t2", "src": "a", "mt": "b", "pe": "c", "meta": {"score": NaN}}\n' + rows[2],
         "german_src.jsonl": b"".join(json.dumps({**t, "src": t["mt"]}, ensure_ascii=False).encode("utf-8") + b"\n"
                                      for t in _TRIPLETS[:2]),
         "no_holdout.json": b'{"dev_size": 0, "test_size": 0}\n',
@@ -105,6 +109,8 @@ def run_commands(directory: Path) -> dict:
             ["--in", "in/columns.tsv", "--format", "tsv"],
             ["--in", "in/repeated_key.jsonl"],
             ["--in", "in/unknown_key.jsonl"],
+            ["--in", "in/lone_surrogate.jsonl"],
+            ["--in", "in/nan_meta.jsonl"],
         ]
         for fault in corpus_faults:
             golden.run(console, ["stats", *fault, "--out", "out/stats.json"])

@@ -693,6 +693,9 @@ OLD_FORMAT_LOG = ('{"triplet_id": "000001", "parts": {"src": 1, "mt": 1, "pe": 1
         (3, '{"id": "x", "src": "d", "mt": "e"}', "missing field 'pe'"),
         (2, '{"id": "000001", "src": "a", "mt": "b", "pe": "c", "pe": "c"}', "repeated key 'pe'"),
         (2, OLD_FORMAT_LOG, "unknown key 'triplet_id', expected only id, src, mt, pe, meta"),
+        (2, '{"id": "000001", "src": "a\\ud800", "mt": "b", "pe": "c"}',
+         "lone surrogate '\\ud800' in the value of key 'src'; no UTF-8 output can hold it"),
+        (1, '{"type": "header", "n_triplets": NaN}', "NaN is not JSON (RFC 8259 has no NaN or Infinity)"),
     ],
 )
 def test_postprocess_rejects_malformed_changelog_line(tmp_path, capsys, number, bad_line, message):
@@ -1166,6 +1169,23 @@ REJECTIONS = {
     "unknown-corpus-key": ({"corpus.jsonl": [GOOD_ROW, '{"src": "a", "mt": "b", "pe": "c", "extra": 1}']},
                            "filter --in corpus.jsonl --out-dir out", 2,
                            "corpus.jsonl: line 2: unknown key 'extra', expected only id, src, mt, pe, meta"),
+    "lone-surrogate": ({"corpus.jsonl": [GOOD_ROW, '{"src": "Hello there my friend \\ud800", "mt": "b", "pe": "c"}']},
+                       "stats --in corpus.jsonl", 2,
+                       "corpus.jsonl: line 2: lone surrogate '\\ud800' in the value of key 'src'; "
+                       "no UTF-8 output can hold it"),
+    "lone-surrogate-meta-key": ({"corpus.jsonl": ['{"src": "a", "mt": "b", "pe": "c", "meta": {"k\\udfff": "1"}}']},
+                                "preprocess --in corpus.jsonl --out-dir out", 2,
+                                "corpus.jsonl: line 1: lone surrogate '\\udfff' in key 'k\\udfff'; "
+                                "no UTF-8 output can hold it"),
+    "nan-meta": ({"corpus.jsonl": [GOOD_ROW, '{"src": "a", "mt": "b", "pe": "c", "meta": {"score": NaN}}']},
+                 "filter --in corpus.jsonl --out-dir out", 2,
+                 "corpus.jsonl: line 2: NaN is not JSON (RFC 8259 has no NaN or Infinity)"),
+    "infinite-meta": ({"corpus.jsonl": ['{"src": "a", "mt": "b", "pe": "c", "meta": {"score": 1e999}}']},
+                      "preprocess --in corpus.jsonl --out-dir out", 2,
+                      "corpus.jsonl: line 1: number 1e999 is too large for a float, and JSON has no Infinity"),
+    "nan-config": ({"corpus.jsonl": [GOOD_ROW], "config.json": ['{"t": NaN}']},
+                   "filter --in corpus.jsonl --out-dir out --config config.json",
+                   1, "invalid filter config: NaN is not JSON (RFC 8259 has no NaN or Infinity)"),
     "unknown-config-key": ({"corpus.jsonl": [GOOD_ROW], "config.json": ['{"bogus": 1}']},
                            "filter --in corpus.jsonl --out-dir out --config config.json",
                            1, "invalid filter config: unknown filter config keys: ['bogus']"),

@@ -10,6 +10,7 @@ from apekit.corpus import (
     Triplet,
     corpus_stats,
     iter_corpus,
+    jsonl_record,
     read_corpus,
     read_csv,
     read_lines,
@@ -17,6 +18,7 @@ from apekit.corpus import (
     write_corpus,
     write_lines,
 )
+from apekit.segments import CleanTriplet, jsonl_part
 
 
 def make_corpus(rows):
@@ -106,6 +108,33 @@ class TestReadCorpus:
         assert str(caught.value) == f"{path}: line 2: {message}"
 
 
+    @pytest.mark.parametrize("record, message", [
+        ('{"src":"Hello there my friend \\ud800","mt":"b","pe":"c"}',
+         "lone surrogate '\\ud800' in the value of key 'src'; no UTF-8 output can hold it"),
+        ('{"src":"a","mt":"b","pe":"c","meta":{"k\\udfff":"1"}}',
+         "lone surrogate '\\udfff' in key 'k\\udfff'; no UTF-8 output can hold it"),
+        ('{"src":"a","mt":"b","pe":"c","meta":{"k":["x", {"j": "\\udc00\\ud800"}]}}',
+         "lone surrogate '\\udc00' in the value of key 'j'; no UTF-8 output can hold it"),
+        ('{"src":"a","mt":"b","pe":"c","meta":{"score":NaN}}', "NaN is not JSON (RFC 8259 has no NaN or Infinity)"),
+        ('{"src":"a","mt":"b","pe":"c","meta":{"score":-Infinity}}',
+         "-Infinity is not JSON (RFC 8259 has no NaN or Infinity)"),
+        ('{"src":"a","mt":"b","pe":"c","meta":{"score":1e999}}',
+         "number 1e999 is too large for a float, and JSON has no Infinity"),
+    ])
+    def test_a_value_no_utf8_json_output_can_hold_names_line_and_key(self, tmp_path, record, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"src":"a","mt":"b","pe":"c"}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as caught:
+            read_corpus(path)
+        assert str(caught.value) == f"{path}: line 2: {message}"
+
+    def test_escapes_that_spell_a_valid_string_are_read(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"src":"\\ud83d\\ude00","mt":"\\u00e9\\\\ud800","pe":"c","meta":{"s":1.5e308}}\n',
+                        encoding="utf-8")
+        assert read_corpus(path) == (Triplet("000001", "\U0001f600", "\u00e9\\ud800", "c", {"s": 1.5e308}),)
+
+
 class TestWriteCorpus:
     def test_one_triplet_one_line(self, tmp_path):
         corpus = make_corpus([("a", "b", "c")])
@@ -148,6 +177,38 @@ def test_tsv_round_trip_property(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("rt") / "c.tsv"
     write_tsv(path, rows)
     assert read_corpus(path, format="tsv") == make_corpus(rows)
+
+
+# All of Unicode, lone surrogates included, and each character json's string
+# encoder treats apart: quote, backslash, control characters, U+007F, the
+# line and paragraph separators, and characters outside the BMP.
+json_text = st.text(st.one_of(
+    st.characters(blacklist_categories=()),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\ud800", "\udfff", "\U0001f600"]),
+), max_size=12)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | json_text,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(json_text, children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestJsonlLines:
+    """Each JSONL line a command writes is the string json.dumps(..., ensure_ascii=False) gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_text, json_text, json_text, json_text, st.none() | st.dictionaries(json_text, json_values, max_size=4))
+    def test_a_corpus_record_is_json_dumps(self, triplet_id, src, mt, pe, meta):
+        record = {"id": triplet_id, "src": src, "mt": mt, "pe": pe}
+        if meta:
+            record["meta"] = meta
+        assert jsonl_record(Triplet(triplet_id, src, mt, pe, meta)) == json.dumps(record, ensure_ascii=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_text, st.integers(0, 2**70), json_text, json_text, json_text)
+    def test_a_cleaned_part_is_json_dumps(self, parent_id, part_index, src, mt, pe):
+        part = CleanTriplet(parent_id, part_index, src, mt, pe)
+        assert jsonl_part(part) == json.dumps(vars(part), ensure_ascii=False)
 
 
 def test_round_trip_thousand_random_triplets(tmp_path):

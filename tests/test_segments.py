@@ -16,6 +16,8 @@ from apekit.segments import (
     TAG_RE,
     ChangeRecord,
     PartCountError,
+    _change_log,
+    _split_and_strip,
     postprocess_all,
     postprocess_with_report,
     preprocess,
@@ -338,6 +340,18 @@ def test_round_trip_property_on_adversarial_text(noise_mt, noise_src):
     parts, log = preprocess(t)
     assert postprocess_with_report([p.mt for p in parts], log, "mt")[0] == t.mt
     assert postprocess_with_report([p.src for p in parts], log, "src")[0] == t.src
+
+
+# Pieces that meet each condition of _change_log's early exit, and plain text that meets none.
+EXIT_PIECES = ["<br>", "<BR/>", "<i>", "</i>", "<", "♪", "♫", "-", "--", "- ", " ", "a", "Hallo", "a-b", "x>"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(EXIT_PIECES), max_size=4).map("".join), min_size=3, max_size=3))
+def test_the_early_exit_gives_the_full_path_log(texts):
+    t = Triplet("t", *texts)
+    for fields in (TEXT_FIELDS, *((f,) for f in TEXT_FIELDS)):
+        assert _change_log(t, fields) == _split_and_strip(t, fields)
 
 
 def test_cleaned_fields_always_pure():
