@@ -12,6 +12,7 @@ makes a command's writes all or nothing.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -158,7 +159,7 @@ def _reject_lone_surrogates(value, where: str = "a JSON string") -> None:
 def decode_json(text: str):
     """``json.loads(text)``, except that what no UTF-8 JSON output could hold raises ValueError:
     a repeated key in any object, NaN, Infinity, a number too large for a float, or a lone surrogate."""
-    if text.startswith("\ufeff"):
+    if text.startswith("\ufeff"):  # the filter config's, or a later line's: read_lines rejects a file's first
         return json.loads(text)  # raises json's own error for a byte order mark
     value = _DECODER.decode(text)
     if "\\u" in text:  # text decoded as strict UTF-8, so only an escape can spell a lone surrogate
@@ -216,11 +217,17 @@ def require_file(path) -> Path:
 def read_lines(path) -> Iterator[str]:
     """Yield the lines of a UTF-8 file without their endings, LF or CRLF.
 
-    A missing file raises ValueError; any other carriage return (never a
-    line break, so it cannot shift one file against another) or bytes that
-    are not UTF-8 raise CorpusFormatError naming ``path`` and the line.
+    A missing file raises ValueError; a UTF-8 byte order mark at its start
+    (never text, so it is not read as such, nor written back), any other
+    carriage return (never a line break, so it cannot shift one file
+    against another) or bytes that are not UTF-8 raise CorpusFormatError
+    naming ``path`` and the line.
     """
     with open(require_file(path), "rb") as handle:
+        if handle.read(3) == codecs.BOM_UTF8:
+            raise CorpusFormatError(f"{path}: line 1: starts with a UTF-8 byte order mark; "
+                                    "save the file as UTF-8 without one")
+        handle.seek(0)
         for line_no, raw in enumerate(handle, start=1):
             raw = raw[:-2] if raw.endswith(b"\r\n") else raw.rstrip(b"\n")
             if b"\r" in raw:

@@ -16,6 +16,15 @@ and substitution counts follow from the two lengths alone. Otherwise
 they come from a backtrace that reads its cells from the DP columns,
 which the scalar form of the kernel keeps as bit vectors.
 
+A shift never changes the hypothesis length, and the candidates depend
+on nothing else, so a length whose whole grid fits in one batch of
+SCAN_CELLS cells (up to 36 tokens at the default) gets a shift table:
+its grid and the shifted positions of every candidate, built on first
+use and kept for the life of the process, in one byte per entry. At the
+default SCAN_CELLS the tables of all 36 lengths together map under
+2.4 MB. A longer sentence's batches are built at every step. Only
+candidates are kept, never a score.
+
 numpy is imported inside the shift-search functions, not at module
 level, so commands that never run a shift search (every corpus-build
 and human-evaluation command) never pay for loading it.
@@ -281,6 +290,59 @@ def _shifted_positions(n: int, start: np.ndarray, end: np.ndarray, destination: 
     return positions.T
 
 
+# The shift tables of the lengths whose whole grid fits one batch, by
+# length: (starts, ends, destinations, columns), see _shift_batches.
+_SHIFT_TABLES: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _shift_batches(n: int, rows: int):
+    """The shift grid of length n, and its batches of at most `rows`
+    candidates in scan order, each as (index of its first candidate, its
+    columns: _shifted_positions transposed, one row per position).
+
+    A grid that fits one batch comes from _SHIFT_TABLES, which it joins
+    on first use. A table is used only while its grid fits the `rows`
+    asked for, so a smaller SCAN_CELLS still splits the scan; a longer
+    grid is built, and its batches computed, anew at every call.
+    """
+    table = _SHIFT_TABLES.get(n)
+    if table is None or len(table[0]) > rows:
+        grid = _shift_grid(n)
+        # No candidate, or more batches than one; so also a table that is
+        # there but spans more than `rows`, as this is its grid.
+        if not 0 < len(grid[0]) <= rows:
+            return grid, (
+                (lo, _shifted_positions(n, *(axis[lo : lo + rows] for axis in grid)).T)
+                for lo in range(0, len(grid[0]), rows)
+            )
+        table = _SHIFT_TABLES[n] = _shift_table(n, grid)
+    return table[:3], ((0, table[3]),)
+
+
+def _shift_table(n: int, grid: Tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """(starts, ends, destinations, columns) of a grid of length n, as
+    _shift_batches gives its one batch, in the narrowest unsigned type
+    that holds n - 1: one byte per entry up to 256 tokens.
+
+    The four arrays share one anonymous memory map, not the malloc heap.
+    Held on the heap, the tables changed how glibc reuses memory for the
+    batch arrays that longer sentences build at every step: after an
+    80-token search, then every table, each step of the same search took
+    13,040 minor page faults (Linux), against none with the tables mapped
+    apart, as with no table at all.
+    """
+    import mmap
+
+    import numpy as np
+
+    narrow = np.min_scalar_type(n - 1)
+    count = len(grid[0])
+    table = np.frombuffer(mmap.mmap(-1, (n + 3) * count * narrow.itemsize), dtype=narrow).reshape(n + 3, count)
+    table[:3] = grid
+    table[3:] = _shifted_positions(n, *grid).T
+    return (*table[:3], table[3:])
+
+
 def _word_tables(pattern: Sequence[str]) -> Tuple[Dict[str, int], List[np.ndarray]]:
     """Token ids for the pattern's vocabulary and, per 64-bit word of the
     pattern, each id's match mask; the id one past the vocabulary stands
@@ -377,12 +439,15 @@ def _best_shift(
 
     Candidates are scored in batches of up to SCAN_CELLS tokens, in scan
     order; all candidates of a sentence of up to 36 tokens fit in one,
-    as _shift_grid leaves out the backward twins of forward moves. The
-    match masks are looked up once per call, by position in `current`,
-    so a batch's masks come from one gather by its shifted positions.
-    The scan stops after the batch in which a candidate reaches the
-    multiset floor: no later candidate can beat it, and ties never
-    replace the earlier winner.
+    as _shift_grid leaves out the backward twins of forward moves. Such
+    a one-batch length takes its grid and its batch from a shift table
+    kept for the process (_shift_batches; all of them map under 2.4 MB
+    at the default SCAN_CELLS), so only the distances are computed at
+    each step. The match masks are looked up once per call, by position
+    in `current`, so a batch's masks come from one gather by its shifted
+    positions. The scan stops after the batch in which a candidate
+    reaches the multiset floor: no later candidate can beat it, and ties
+    never replace the earlier winner.
     """
     import numpy as np
 
@@ -392,12 +457,9 @@ def _best_shift(
     position_tables = [table[current_ids] for table in tables]
     best = None
     best_ed = current_ed
-    starts, ends, destinations = _shift_grid(n)
-    rows = max(1, SCAN_CELLS // n)
-    for lo in range(0, len(starts), rows):
-        chunk = slice(lo, lo + rows)
-        positions = _shifted_positions(n, starts[chunk], ends[chunk], destinations[chunk])
-        distances = _batch_distances(positions.T, position_tables, ref_len)
+    (starts, ends, destinations), batches = _shift_batches(n, max(1, SCAN_CELLS // n))
+    for lo, columns in batches:
+        distances = _batch_distances(columns, position_tables, ref_len)
         i = int(distances.argmin())
         if distances[i] < best_ed:
             best = (int(starts[lo + i]), int(ends[lo + i]), int(destinations[lo + i]))

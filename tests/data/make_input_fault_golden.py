@@ -2,7 +2,8 @@
 
 Each rejected command's exit code, stdout and stderr go to one console
 file. The faults are a missing file, a bare carriage return in a corpus,
-a line file and a changelog, a corpus line that is not JSON, a corpus
+a line file and a changelog, a line file that starts with a UTF-8 byte
+order mark, a corpus line that is not JSON, a corpus
 record without a field, a TSV line with the wrong column count, line
 files of different lengths, an empty TER reference, a corpus record with
 a repeated or unknown key, a lone surrogate or a NaN, a ``filter`` that
@@ -59,6 +60,7 @@ def write_inputs(directory: Path) -> None:
                                      for t in _TRIPLETS[:2]),
         "no_holdout.json": b'{"dev_size": 0, "test_size": 0}\n',
         "hyp.txt": b"Die Nacht ist lang.\nKomm zur\xc3\xbcck.\nWohin gehst du?\n",
+        "bom.txt": b"\xef\xbb\xbfDie Nacht ist so lang.\nKomm sofort zur\xc3\xbcck.\nWohin gehst du?\n",
         "ref.txt": b"Die Nacht ist so lang.\nKomm sofort zur\xc3\xbcck.\nWohin gehst du?\n",
         "cr.txt": b"Die Nacht ist lang.\nKomm zur\xc3\xbcck.\nWohin\rgehst du?\n",
         "short.txt": b"Die Nacht ist lang.\nKomm zur\xc3\xbcck.\n",
@@ -134,6 +136,7 @@ def run_commands(directory: Path) -> dict:
             ["--hyp", "in/hyp.txt", "--ref", "in/ref.txt", "--hyp-b", "in/missing.txt"],
             ["--hyp", "in/cr.txt", "--ref", "in/ref.txt"],
             ["--hyp", "in/hyp.txt", "--ref", "in/cr.txt"],
+            ["--hyp", "in/bom.txt", "--ref", "in/ref.txt"],
             ["--hyp", "in/short.txt", "--ref", "in/ref.txt"],
             ["--hyp", "in/hyp.txt", "--ref", "in/ref.txt", "--hyp-b", "in/short.txt"],
             ["--hyp", "in/hyp.txt", "--ref", "in/empty_ref.txt"],

@@ -1146,6 +1146,11 @@ def test_rejected_preprocess_and_postprocess_keep_earlier_outputs(tmp_path, caps
 
 
 GOOD_ROW = '{"src": "a", "mt": "b", "pe": "c"}'
+BOM = "\ufeff"
+BOM_MESSAGE = ": line 1: starts with a UTF-8 byte order mark; save the file as UTF-8 without one"
+# The header of a changelog of no triplets: no part, and the SHA-256 of no bytes.
+EMPTY_CHANGELOG_HEADER = json.dumps({"type": "header", "n_triplets": 0, "n_parts": {"mt": 0},
+                                     "clean_sha256": {"mt": hashlib.sha256(b"").hexdigest()}})
 EN_ROWS = [json.dumps({"src": text, "mt": text, "pe": text}) for text in (
     "the ships wait in the quiet harbour tonight",
     "night falls over the harbour and the town",
@@ -1265,6 +1270,32 @@ REJECTIONS = {
     "constant-ratings": ({"ad.csv": ["annotator_id,item_id,system,score"]
                                     + [f"{a},i1,{s},3" for a in "AB" for s in ("nmt", "ape", "human")]},
                          "agreement --csv ad.csv", 2, "kappa undefined for every annotator pair"),
+    # A UTF-8 byte order mark is never read as text, whichever reader meets it.
+    "bom-evaluate-hyp": ({"hyp.txt": [BOM + "a b"], "ref.txt": ["a b"]}, "evaluate --hyp hyp.txt --ref ref.txt",
+                         2, "hyp.txt" + BOM_MESSAGE),
+    "bom-significance-ref": ({"a.txt": ["a b"], "b.txt": ["a c"], "ref.txt": [BOM + "a b"]},
+                             "significance --hyp-a a.txt --hyp-b b.txt --ref ref.txt", 2, "ref.txt" + BOM_MESSAGE),
+    "bom-buckets-baseline": ({"base.txt": [BOM + "a b"], "ape.txt": ["a b"], "ref.txt": ["a b"]},
+                             "buckets --baseline base.txt --ape ape.txt --ref ref.txt", 2, "base.txt" + BOM_MESSAGE),
+    "bom-postprocess-outputs": ({"changelog.jsonl": [EMPTY_CHANGELOG_HEADER], "dec.txt": [BOM + "a"]},
+                                "postprocess --outputs dec.txt --changelog changelog.jsonl --out out.txt",
+                                2, "dec.txt" + BOM_MESSAGE),
+    "bom-changelog": ({"changelog.jsonl": [BOM + EMPTY_CHANGELOG_HEADER], "dec.txt": ["a"]},
+                      "postprocess --outputs dec.txt --changelog changelog.jsonl --out out.txt",
+                      2, "changelog.jsonl" + BOM_MESSAGE),
+    "bom-jsonl-corpus": ({"corpus.jsonl": [BOM + GOOD_ROW]}, "stats --in corpus.jsonl",
+                         2, "corpus.jsonl" + BOM_MESSAGE),
+    "bom-tsv-corpus": ({"corpus.tsv": [BOM + "a\tb\tc"]}, "stats --in corpus.tsv --format tsv",
+                       2, "corpus.tsv" + BOM_MESSAGE),
+    "bom-agreement": ({"ad.csv": [BOM + "annotator_id,item_id,system,score", "A,i1,nmt,3"]},
+                      "agreement --csv ad.csv", 2, "ad.csv" + BOM_MESSAGE),
+    "bom-adequacy": ({"ad.csv": [BOM + "annotator_id,item_id,system,score", "A,i1,nmt,3"]},
+                     "adequacy --csv ad.csv", 2, "ad.csv" + BOM_MESSAGE),
+    "bom-ablate-scores": ({"scores.csv": [BOM + "size,replicate,value", "1,0,5"]},
+                          "ablate curve --scores scores.csv --sizes 1 --replicates 1", 2, "scores.csv" + BOM_MESSAGE),
+    "bom-filter-config": ({"corpus.jsonl": [GOOD_ROW], "config.json": [BOM + '{"dev_size": 0}']},
+                          "filter --in corpus.jsonl --out-dir out --config config.json", 1,
+                          "invalid filter config: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
 }
 
 

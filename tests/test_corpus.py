@@ -88,12 +88,13 @@ class TestReadCorpus:
         with pytest.raises(CorpusFormatError, match="line 2"):
             read_corpus(path)
 
-    def test_a_byte_order_mark_gets_the_json_message(self, tmp_path):
+    def test_a_byte_order_mark_is_rejected_before_json(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('\ufeff{"src":"a","mt":"b","pe":"c"}\n', encoding="utf-8")
         with pytest.raises(CorpusFormatError) as caught:
             read_corpus(path)
-        assert str(caught.value) == f"{path}: line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"
+        assert str(caught.value) == (f"{path}: line 1: starts with a UTF-8 byte order mark; "
+                                     "save the file as UTF-8 without one")
 
     @pytest.mark.parametrize("record, message", [
         ('{"src":"a","mt":"b","pe":"c","src":"d"}', "repeated key 'src'"),

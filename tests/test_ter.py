@@ -1,4 +1,5 @@
 import json
+import mmap
 import random
 import tracemalloc
 from collections import Counter
@@ -409,6 +410,99 @@ def test_shift_grid_keeps_scan_order_and_shifted_positions(n):
         # _best_shift gathers a batch's masks with positions.T as the index,
         # one contiguous row per position, with no copy to intp.
         assert positions.T.flags.c_contiguous and positions.dtype == np.intp
+
+
+DEFAULT_SCAN_CELLS = ter_mod.SCAN_CELLS
+
+
+def one_batch_limit():
+    """The longest hypothesis whose whole shift grid fits one batch."""
+    n = 1
+    while len(ter_mod._shift_grid(n + 1)[0]) * (n + 1) <= ter_mod.SCAN_CELLS:
+        n += 1
+    return n
+
+
+def check_scan(n, monkeypatch):
+    """Run _best_shift on n tokens under the SCAN_CELLS in force, with a
+    kernel that lowers the distance of one candidate only. Every batch it
+    scans must be, in order, a batch of SCAN_CELLS // n rows of the grid's
+    _shifted_positions, and the shift it returns must be that candidate's."""
+    grid = ter_mod._shift_grid(n)
+    rows = max(1, ter_mod.SCAN_CELLS // n)
+    target = 7 * n % max(len(grid[0]), 1)
+    # One byte a cell, built a slice at a time: 16 MB at 150 tokens.
+    positions = np.concatenate([np.zeros((n, 0), dtype=np.uint8)] + [
+        ter_mod._shifted_positions(n, *(axis[lo : lo + 4096] for axis in grid)).T.astype(np.uint8)
+        for lo in range(0, len(grid[0]), 4096)], axis=1)
+    seen = []  # the widths of the batches scanned
+
+    def kernel(columns, tables, m):
+        lo = rows * len(seen)
+        expected = positions[:, lo : lo + rows]
+        assert columns.shape == expected.shape and np.array_equal(columns, expected), (n, lo)
+        seen.append(columns.shape[1])
+        distances = np.ones(columns.shape[1], dtype=np.int64)
+        if lo <= target < lo + len(distances):
+            distances[target - lo] = 0
+        return distances
+
+    monkeypatch.setattr(ter_mod, "_batch_distances", kernel)
+    # A floor of -1 is never reached, so every batch is scanned.
+    best, best_ed = ter_mod._best_shift(["t"] * n, {"t": 0}, [np.zeros(2, dtype=np.uint64)], 1, 1, -1)
+    assert sum(seen) == len(grid[0]) and seen[:-1] == [rows] * (len(seen) - 1)
+    assert (best, best_ed) == ((grid_triples(n)[target], 0) if seen else (None, 1))
+
+
+@pytest.mark.parametrize("scan_cells", [DEFAULT_SCAN_CELLS, 3000, 80])
+def test_best_shift_scans_the_grid_batch_by_batch(scan_cells, monkeypatch):
+    # The first scan of a length builds its table, if it fits one batch;
+    # the second looks it up. At 80 cells, 150 tokens would take 106,000
+    # batches of one candidate (half a minute); 60 tokens scans that way.
+    monkeypatch.setattr(ter_mod, "SCAN_CELLS", scan_cells)
+    monkeypatch.setattr(ter_mod, "_SHIFT_TABLES", {})
+    limit = one_batch_limit()
+    for n in [*range(1, limit + 1), 37, 60, *([150] if scan_cells >= 150 else [])]:
+        for _ in range(2 if n <= limit else 1):
+            check_scan(n, monkeypatch)
+    assert all(len(table[0]) * n <= scan_cells for n, table in ter_mod._SHIFT_TABLES.items())
+
+
+@pytest.mark.parametrize("built, used", [(DEFAULT_SCAN_CELLS, 80), (DEFAULT_SCAN_CELLS, 3000),
+                                         (3000, 80), (80, DEFAULT_SCAN_CELLS), (3000, DEFAULT_SCAN_CELLS)])
+def test_a_table_built_under_one_scan_cells_serves_another(built, used, monkeypatch):
+    monkeypatch.setattr(ter_mod, "_SHIFT_TABLES", {})
+    lengths = range(1, one_batch_limit() + 1)  # at the default SCAN_CELLS
+    for scan_cells in (built, used):
+        monkeypatch.setattr(ter_mod, "SCAN_CELLS", scan_cells)
+        for n in lengths:
+            check_scan(n, monkeypatch)
+
+
+def test_the_one_batch_tables_stay_within_their_budget(monkeypatch):
+    # ter's docstring: up to 36 tokens at the default SCAN_CELLS, one
+    # byte an entry, and under 2.4 MB for all of their tables together,
+    # each mapped in whole pages.
+    monkeypatch.setattr(ter_mod, "_SHIFT_TABLES", {})
+    limit = one_batch_limit()
+    assert limit == 36
+    for n in range(1, limit + 5):
+        ter_mod._shift_batches(n, max(1, ter_mod.SCAN_CELLS // n))
+    tables = ter_mod._SHIFT_TABLES
+    assert sorted(tables) == list(range(2, limit + 1))  # one token has no shift
+    assert all(array.itemsize == 1 for table in tables.values() for array in table)
+    sizes = [sum(array.nbytes for array in table) for table in tables.values()]
+    assert sum(-(-size // mmap.PAGESIZE) * mmap.PAGESIZE for size in sizes) <= 2_400_000
+
+
+def test_a_long_pair_adds_no_table(monkeypatch):
+    monkeypatch.setattr(ter_mod, "_SHIFT_TABLES", {})
+    rng = random.Random(60)
+    ref = rng.choices([f"w{i}" for i in range(400)], k=60)
+    hyp = ref[3:40] + ref[:3] + ref[40:]
+    score, shifts = ter_sentence(" ".join(hyp), " ".join(ref), WS)
+    assert shifts and total_edits(score) == 1
+    assert ter_mod._SHIFT_TABLES == {}
 
 
 def test_every_dropped_shift_repeats_an_earlier_kept_one():
